@@ -68,7 +68,7 @@ func run() error {
 		repl      = flag.Bool("repl", false, "measure replicated-counter increment latency vs. replication factor")
 		recov     = flag.Bool("recover", false, "measure kill-to-recovered latency vs. replication factor and escrow blob size")
 		wan       = flag.Bool("wan", false, "measure cross-DC drain throughput and recovery latency vs. WAN RTT")
-		wanBatch  = flag.Int("wan-batch", 0, "orchestrator batch size for WAN drain scenarios (0 = batched default 64, 1 = classic path)")
+		wanBatch  = flag.Int("wan-batch", 0, "stream width N for WAN drain scenarios: each (source, destination) pair migrates in streams of N (0 = default 64, 1 = stream of one, the Fig. 2 exchange)")
 		drain100k = flag.Bool("drain100k", false, "drain a 100k-enclave machine across a 200ms WAN link with the batched pipeline")
 		drainN    = flag.Int("drain-n", 100_000, "enclave count for -drain100k (reduce for CI smoke)")
 		drainSc   = flag.Float64("drain-scale", 1, "latency scale for -drain100k (1 = wall time is simulated time)")

@@ -224,6 +224,23 @@ func (c *Credential) Sign(transcript []byte) []byte { return c.signer.Sign(trans
 // the federation's cross-certification: a foreign issuer is accepted
 // exactly when the operator's scoped, revocable grant for it verifies.
 func (c *Credential) VerifyPeer(cert *xcrypto.Certificate, transcript, sig []byte) error {
+	if err := c.RecheckPeer(cert); err != nil {
+		return err
+	}
+	if err := xcrypto.VerifyWithCert(cert, transcript, sig); err != nil {
+		return fmt.Errorf("%w: %v", ErrProviderAuth, err)
+	}
+	return nil
+}
+
+// RecheckPeer is the part of VerifyPeer that can change after a
+// handshake: the certificate's chain, expiry, revocation, role and — for
+// a foreign issuer — the federation grant. A Migration Enclave that
+// resumes a cached session runs it on the certificate it authenticated
+// at handshake time, so a revoked machine or federation stops being a
+// migration partner at the next resume, not at the next full handshake.
+// The chain signature is memoized by the verifier; the rest is lookups.
+func (c *Credential) RecheckPeer(cert *xcrypto.Certificate) error {
 	if cert == nil {
 		return fmt.Errorf("%w: missing certificate", ErrProviderAuth)
 	}
@@ -236,9 +253,6 @@ func (c *Credential) VerifyPeer(cert *xcrypto.Certificate, transcript, sig []byt
 	}
 	if cert.Role != providerRole {
 		return fmt.Errorf("%w: unexpected role %q", ErrProviderAuth, cert.Role)
-	}
-	if err := xcrypto.VerifyWithCert(cert, transcript, sig); err != nil {
-		return fmt.Errorf("%w: %v", ErrProviderAuth, err)
 	}
 	return nil
 }

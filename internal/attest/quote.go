@@ -159,6 +159,21 @@ func (ias *IAS) DistrustIssuer(name string) {
 // quote signature. A nil or malformed quote is rejected.
 func (ias *IAS) Verify(q *Quote) error {
 	ias.lat.Charge(sim.OpIASVerify)
+	if err := ias.RecheckPlatform(q); err != nil {
+		return err
+	}
+	if err := xcrypto.VerifyWithCert(q.PlatformCert, q.signedBytes(), q.Signature); err != nil {
+		return fmt.Errorf("%w: %v", ErrQuoteSignature, err)
+	}
+	return nil
+}
+
+// RecheckPlatform is the part of Verify that can change after a quote was
+// accepted: the platform credential's issuer trust, expiry and
+// revocation. It consults the revocation feed the verifier already holds
+// (no service round trip is charged, no signature is re-verified), so a
+// Migration Enclave can run it on every session resume.
+func (ias *IAS) RecheckPlatform(q *Quote) error {
 	if q == nil || q.PlatformCert == nil {
 		return ErrQuoteFormat
 	}
@@ -176,9 +191,6 @@ func (ias *IAS) Verify(q *Quote) error {
 	}
 	if q.PlatformCert.Role != epidGroupRole {
 		return fmt.Errorf("%w: role %q", ErrQuotePlatform, q.PlatformCert.Role)
-	}
-	if err := xcrypto.VerifyWithCert(q.PlatformCert, q.signedBytes(), q.Signature); err != nil {
-		return fmt.Errorf("%w: %v", ErrQuoteSignature, err)
 	}
 	return nil
 }

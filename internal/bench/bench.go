@@ -35,10 +35,10 @@ type Config struct {
 	Scale float64
 	// Confidence is the CI level (paper: 0.99).
 	Confidence float64
-	// BatchSize is the fleet orchestrator batch width the WAN drain
-	// scenarios run at (fleet.Config.BatchSize). Zero means the batched
-	// default (64); 1 forces the classic one-migration-per-session path,
-	// which is what the CI smoke compares against.
+	// BatchSize is the stream width the WAN drain scenarios run at
+	// (fleet.Config.BatchSize). Zero means the default (64); 1 runs every
+	// migration as a stream of one, which is what the CI smoke compares
+	// against.
 	BatchSize int
 	// Metrics, when set, additionally receives each experiment's raw
 	// sample durations as latency histograms ("fig3.increment.library",

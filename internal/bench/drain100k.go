@@ -15,7 +15,7 @@ import (
 // simulated time itself — the scenario's claim is that a hundred
 // thousand enclaves cross a continent in minutes, not hours, because
 // session resume, chunked streams, and compression amortize the
-// per-migration exchanges that the classic path pays at full price.
+// per-migration exchanges that streams of one pay at full price.
 type Drain100kResult struct {
 	Apps       int           `json:"apps"`
 	Completed  int           `json:"completed"`

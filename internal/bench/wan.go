@@ -100,10 +100,10 @@ func wanWorld(name string, rttMS int, scale float64, racks bool) (fed *federatio
 	return fed, dcs[0], dcs[1], mirror, nil
 }
 
-// wanBatch resolves the orchestrator batch width the drain rows run at:
-// Config.BatchSize, defaulting to 64 (the streamed pipeline). 1 forces
-// the classic one-migration-per-session path, preserved for the CI smoke
-// that asserts batching actually pays for itself.
+// wanBatch resolves the stream width the drain rows run at:
+// Config.BatchSize, defaulting to 64. 1 runs every migration as a stream
+// of one — what the CI smoke compares the wide stream against, to assert
+// that sharing a stream actually pays for itself.
 func wanBatch(cfg Config) int {
 	if cfg.BatchSize <= 0 {
 		return 64

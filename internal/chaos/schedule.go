@@ -336,13 +336,12 @@ func (w *world) exec(s Step) {
 		err := w.mirror.Flush()
 		w.h.add(Op{Step: w.step, Kind: "flush", Err: canonErr(err)})
 	case "drain":
-		w.runPlan(dcName, "drain "+mid, fleet.Drain(mid))
+		w.runPlan(dcName, "drain "+mid, fleet.Drain(mid), 1)
 	case "batch-drain":
-		// The streamed pipeline under chaos: same drain intent, but the
-		// orchestrator groups same-(source,dest) enclaves into batches of
-		// four over one resumed session. R1–R4 must hold exactly as for
-		// the one-at-a-time path.
-		w.runPlanBatched(dcName, "batch-drain "+mid, fleet.Drain(mid), chaosBatchSize)
+		// Same drain intent, but the orchestrator groups same-(source,dest)
+		// enclaves into streams of four over one resumed session. R1–R4
+		// must hold exactly as for streams of one.
+		w.runPlan(dcName, "batch-drain "+mid, fleet.Drain(mid), chaosStreamWidth)
 	case "wan-drain":
 		// Batched evacuation across the lossy WAN link. Directed-replay
 		// only (not generated): concurrent chunk/ack traffic draws the
@@ -355,9 +354,9 @@ func (w *world) exec(s Step) {
 			remotes = append(remotes, fleet.RemoteTarget{Machine: m, Link: w.link.Name()})
 		}
 		plan := fleet.Plan{Intent: fleet.IntentEvacuate, Sources: []string{mid}, RemoteTargets: remotes}
-		w.runPlanBatched(dcName, "wan-drain "+mid, plan, chaosBatchSize)
+		w.runPlan(dcName, "wan-drain "+mid, plan, chaosStreamWidth)
 	case "rebalance":
-		w.runPlan(dcName, "rebalance", fleet.Rebalance())
+		w.runPlan(dcName, "rebalance", fleet.Rebalance(), 1)
 	case "evacuate":
 		dc := w.dc(dcName)
 		var targets []string
@@ -366,14 +365,14 @@ func (w *world) exec(s Step) {
 				targets = append(targets, m.ID())
 			}
 		}
-		w.runPlan(dcName, "evacuate "+mid, fleet.Evacuate([]string{mid}, targets))
+		w.runPlan(dcName, "evacuate "+mid, fleet.Evacuate([]string{mid}, targets), 1)
 	case "recover-fleet":
 		dc := w.dc(dcName)
 		var targets []string
 		for _, m := range aliveMachines(dc) {
 			targets = append(targets, m.ID())
 		}
-		w.runPlan(dcName, "recover "+mid, fleet.RecoverLost([]string{mid}, targets))
+		w.runPlan(dcName, "recover "+mid, fleet.RecoverLost([]string{mid}, targets), 1)
 	case "recover-local":
 		_, dID := splitRef(s.Dest)
 		apps, err := w.dc(dcName).RecoverMachine(mid, dID)
@@ -514,28 +513,22 @@ func (w *world) pruneProbes() {
 	w.probes = kept
 }
 
-// chaosBatchSize is the batch width the batched plan ops use: wide
-// enough that grouping, chunk pipelining, and cumulative acks are all
-// exercised, small enough that a few-app machine still forms a batch.
-const chaosBatchSize = 4
+// chaosStreamWidth is the stream width the batch-drain and wan-drain ops
+// use: wide enough that grouping, chunk pipelining, and cumulative acks
+// are all exercised, small enough that a few-app machine still fills a
+// stream. Every other plan op runs streams of one.
+const chaosStreamWidth = 4
 
-// runPlan executes a fleet plan with one worker and deterministic
-// (jitter-free) backoff, records the sorted journal, and re-resolves
-// every identity's live pointer.
-func (w *world) runPlan(dcName, intent string, plan fleet.Plan) {
-	w.runPlanBatched(dcName, intent, plan, 1)
-}
-
-// runPlanBatched is runPlan with an orchestrator batch size: size 1 is
-// the classic one-at-a-time path, larger sizes route same-destination
-// groups through the streamed batch pipeline. Journal entries are
-// recorded in sorted order, so a healthy batched plan replays
-// deterministically even though members freeze and restore on pool
-// goroutines.
-func (w *world) runPlanBatched(dcName, intent string, plan fleet.Plan, batchSize int) {
+// runPlan executes a fleet plan in streams of up to width members, with
+// one worker and deterministic (jitter-free) backoff, records the sorted
+// journal, and re-resolves every identity's live pointer. Journal entries
+// are recorded in sorted order, so a healthy plan replays
+// deterministically even though a wide stream's members freeze and
+// restore on pool goroutines.
+func (w *world) runPlan(dcName, intent string, plan fleet.Plan, width int) {
 	o := fleet.New(w.dc(dcName), fleet.Config{
 		Workers:      1,
-		BatchSize:    batchSize,
+		BatchSize:    width,
 		MaxAttempts:  3,
 		RetryBackoff: time.Millisecond,
 		MaxBackoff:   2 * time.Millisecond,

@@ -16,16 +16,17 @@ import (
 	"repro/internal/xcrypto"
 )
 
-// Batched migration pipeline (layers 1+2 of the streamed drain path).
+// The ME<->ME migration protocol (Fig. 2), as a stream of N members.
 //
-// One BeginBatch amortizes the whole Fig. 2 control plane over many
-// enclaves: a single offer exchange (full mutual attestation, or a
+// One stream is a single offer exchange (full mutual attestation, or a
 // resume of a cached session — see session.go), then a pipelined stream
-// of AEAD-sealed chunks carrying many length-prefixed migration
-// records, with cumulative per-member status acks. Each enclave is
+// of AEAD-sealed chunks carrying length-prefixed migration records, with
+// cumulative per-member status acks; DONE confirmations flow back in
+// aggregated flushes. The paper's single migration is the stream of one
+// (streamOne in remote.go): offer, one data frame, DONE. Each enclave is
 // frozen by the caller only immediately before BatchSender.Add streams
 // its envelope, and its status arrives with the chunk ack that covered
-// it — so batch size never lengthens any single enclave's freeze
+// it — so stream width never lengthens any single enclave's freeze
 // window, it only overlaps more of them with the same wire time.
 
 // Batch pipeline errors.
@@ -36,10 +37,10 @@ var (
 	ErrUnknownBatch = errors.New("core: unknown or completed batch stream")
 )
 
-// Default pipeline shape.
+// Pipeline shape: chunk N+1 leaves before the ack for N returns.
 const (
-	defaultBatchWindow = 8       // sealed chunks in flight per batch
-	defaultChunkBytes  = 8 << 10 // target chunk payload size
+	streamWindow = 8       // sealed chunks in flight per stream
+	chunkBytes   = 8 << 10 // target chunk payload size
 )
 
 // Destination-side resource bounds. Both tables are populated by
@@ -68,11 +69,6 @@ const batchAbortLabel = "batch-abort"
 
 // BatchOpts shapes one batch stream.
 type BatchOpts struct {
-	// Window is the maximum number of unacknowledged chunks in flight
-	// (default 8): chunk N+1 leaves before the ack for N returns.
-	Window int
-	// ChunkBytes is the target sealed-chunk payload size (default 8 KiB).
-	ChunkBytes int
 	// Compress applies WAN compression to each envelope beneath the AEAD
 	// boundary: the record is compressed, then sealed, so the link only
 	// carries ciphertext of the smaller frame.
@@ -107,8 +103,6 @@ type BatchSender struct {
 	count    int // declared member count (the destination's completion bar)
 	compress bool
 	link     string
-	chunkLen int
-	window   int
 
 	sp *obs.Span
 	tc obs.TraceContext
@@ -138,16 +132,15 @@ func (me *MigrationEnclave) BeginBatch(dest transport.Address, count int, opts B
 	if err := me.enclave.ECall(); err != nil {
 		return nil, err
 	}
+	return me.beginStream(dest, count, opts)
+}
+
+// beginStream is BeginBatch from inside the enclave (no entry transition).
+func (me *MigrationEnclave) beginStream(dest transport.Address, count int, opts BatchOpts) (*BatchSender, error) {
 	if count <= 0 || count > maxBatchCount {
 		return nil, fmt.Errorf("core: batch size %d out of range [1, %d]", count, maxBatchCount)
 	}
-	if opts.Window <= 0 {
-		opts.Window = defaultBatchWindow
-	}
-	if opts.ChunkBytes <= 0 {
-		opts.ChunkBytes = defaultChunkBytes
-	}
-	sp, tc := me.observer().StartSpan("me.batch", opts.Trace)
+	sp, tc := me.observer().StartSpan("me.transfer", opts.Trace)
 	if sp != nil {
 		sp.Site = string(me.addr)
 	}
@@ -189,6 +182,14 @@ func (me *MigrationEnclave) beginResumed(dest transport.Address, count int, opts
 		me.observer().M().Add("me.session.resume.miss", 1)
 		return nil, nil
 	}
+	if err := me.recheckPeer(sess); err != nil {
+		// The destination we attested is no longer a valid partner (R2).
+		// Forget the session; the full handshake below refuses it with the
+		// precise reason, exactly as a first contact would.
+		me.dropSession(dest, sess)
+		me.observer().M().Add("me.session.resume.refused", 1)
+		return nil, nil
+	}
 	ticket := &resumeTicket{
 		SessionID: sess.id,
 		Epoch:     sess.epoch,
@@ -200,8 +201,8 @@ func (me *MigrationEnclave) beginResumed(dest transport.Address, count int, opts
 	if err != nil {
 		return nil, err
 	}
-	offerSp, offerTC := me.observer().StartSpan("me.batch-offer", tc)
-	replyRaw, err := me.net.Send(me.addr, dest, kindBatchOffer, obs.Inject(offerTC, offerRaw))
+	offerSp, offerTC := me.observer().StartSpan("me.offer", tc)
+	replyRaw, err := me.net.Send(me.addr, dest, kindOffer, obs.Inject(offerTC, offerRaw))
 	offerSp.End()
 	if err != nil {
 		return nil, fmt.Errorf("send batch offer: %w", err)
@@ -216,11 +217,7 @@ func (me *MigrationEnclave) beginResumed(dest transport.Address, count int, opts
 			// the session secret yet will not honor it (epoch rolled,
 			// counter replayed). Drop the cache so future batches
 			// handshake fresh immediately.
-			me.mu.Lock()
-			if me.sessions[string(dest)] == sess {
-				delete(me.sessions, string(dest))
-			}
-			me.mu.Unlock()
+			me.dropSession(dest, sess)
 		}
 		// An unauthenticated refusal proves nothing: it is either a
 		// restarted destination that lost the session (and so cannot MAC
@@ -246,8 +243,31 @@ func (me *MigrationEnclave) beginResumed(dest transport.Address, count int, opts
 	return me.newBatchSender(dest, count, opts, reply.BatchID, dataKey, ackKey, false, nil, nil)
 }
 
-// beginFresh runs the full mutual remote attestation (the Fig. 2
-// offer round, batch-framed) and caches the resulting session.
+// dropSession forgets the cached source-side session for dest, unless a
+// concurrent handshake already replaced it.
+func (me *MigrationEnclave) dropSession(dest transport.Address, sess *resumableSession) {
+	me.mu.Lock()
+	if me.sessions[string(dest)] == sess {
+		delete(me.sessions, string(dest))
+	}
+	me.mu.Unlock()
+}
+
+// recheckPeer re-validates, for a session about to be resumed, everything
+// the handshake established about the peer that can since have been
+// withdrawn: its provider certificate (chain, expiry, revocation,
+// federation grant) and its platform credential. The session secret only
+// proves what was true at handshake time; without this a revoked machine
+// stayed a migration partner for as long as its session was cached.
+func (me *MigrationEnclave) recheckPeer(sess *resumableSession) error {
+	if err := me.cred.RecheckPeer(sess.peerCert); err != nil {
+		return err
+	}
+	return me.ias.RecheckPlatform(sess.peerQuote)
+}
+
+// beginFresh runs the full mutual remote attestation (the Fig. 2 attest
+// round) and caches the resulting session.
 func (me *MigrationEnclave) beginFresh(dest transport.Address, count int, opts BatchOpts, tc obs.TraceContext) (*BatchSender, error) {
 	dh, err := xcrypto.NewKeyExchange()
 	if err != nil {
@@ -265,8 +285,8 @@ func (me *MigrationEnclave) beginFresh(dest transport.Address, count int, opts B
 	if err != nil {
 		return nil, err
 	}
-	offerSp, offerTC := me.observer().StartSpan("me.batch-offer", tc)
-	replyRaw, err := me.net.Send(me.addr, dest, kindBatchOffer, obs.Inject(offerTC, offerRaw))
+	offerSp, offerTC := me.observer().StartSpan("me.offer", tc)
+	replyRaw, err := me.net.Send(me.addr, dest, kindOffer, obs.Inject(offerTC, offerRaw))
 	offerSp.End()
 	if err != nil {
 		return nil, fmt.Errorf("send batch offer: %w", err)
@@ -282,9 +302,10 @@ func (me *MigrationEnclave) beginFresh(dest transport.Address, count int, opts B
 	if err != nil {
 		return nil, err
 	}
-	// Same peer checks as the single-migration path: genuine enclave
-	// (IAS), identical ME code (MRENCLAVE equality), quote binds both
-	// handshake keys, and provider authentication over the transcript.
+	// The peer must be a genuine SGX enclave (IAS) running EXACTLY the same
+	// Migration Enclave code (MRENCLAVE equality, §VI-A), its quote must
+	// bind both handshake keys, and its machine must belong to the same
+	// cloud provider (R2): certificate chain plus transcript signature.
 	if err := me.ias.Verify(peerQuote); err != nil {
 		return nil, fmt.Errorf("verify destination quote: %w", err)
 	}
@@ -313,10 +334,12 @@ func (me *MigrationEnclave) beginFresh(dest transport.Address, count int, opts B
 	secret := deriveSessionSecret(shared, transcript)
 	me.mu.Lock()
 	me.sessions[string(dest)] = &resumableSession{
-		id:      reply.SessionID,
-		secret:  secret,
-		epoch:   append([]byte(nil), reply.Epoch...),
-		counter: 1, // counter 0 keys this batch
+		id:        reply.SessionID,
+		secret:    secret,
+		epoch:     append([]byte(nil), reply.Epoch...),
+		counter:   1, // counter 0 keys this batch
+		peerCert:  peerCert,
+		peerQuote: peerQuote,
 	}
 	me.mu.Unlock()
 	myCert, err := certToWire(me.cred.Certificate())
@@ -348,8 +371,6 @@ func (me *MigrationEnclave) newBatchSender(dest transport.Address, count int, op
 		count:     count,
 		compress:  opts.Compress,
 		link:      opts.Link,
-		chunkLen:  opts.ChunkBytes,
-		window:    opts.Window,
 		seen:      make(map[uint32]bool),
 		statuses:  make(map[uint32]BatchMemberStatus),
 		tokens:    make(map[uint32][]byte),
@@ -368,17 +389,10 @@ func (bs *BatchSender) Add(index uint32, token []byte) error {
 	me := bs.me
 	key := hex.EncodeToString(token)
 	me.mu.Lock()
-	rec, ok := me.outgoing[key]
-	switch {
-	case !ok:
+	rec := me.outgoing[key]
+	if err := sendable(rec); err != nil {
 		me.mu.Unlock()
-		return ErrUnknownToken
-	case rec.done || rec.envelope == nil:
-		me.mu.Unlock()
-		return ErrMigrationDone
-	case rec.inFlight:
-		me.mu.Unlock()
-		return ErrTransferInFlight
+		return err
 	}
 	rec.inFlight = true
 	rec.dest = bs.dest
@@ -446,11 +460,8 @@ func (bs *BatchSender) Add(index uint32, token []byte) error {
 // (short per-enclave latency), a saturated window accumulates records
 // into larger, better-amortized chunks.
 func (bs *BatchSender) maybeFlushLocked() {
-	for len(bs.buf) > 0 && bs.inFlight < bs.window && bs.sendErr == nil {
-		n := len(bs.buf)
-		if n > bs.chunkLen {
-			n = bs.chunkLen
-		}
+	for len(bs.buf) > 0 && bs.inFlight < streamWindow && bs.sendErr == nil {
+		n := min(len(bs.buf), chunkBytes)
 		chunk := append([]byte(nil), bs.buf[:n]...)
 		bs.buf = bs.buf[n:]
 		seq := bs.nextSeq
@@ -475,8 +486,8 @@ func (bs *BatchSender) sendChunk(seq uint64, chunk []byte) {
 	raw, err := encodeBatchChunk(msg)
 	var replyRaw []byte
 	if err == nil {
-		sp, tc := me.observer().StartSpan("me.batch-chunk", bs.tc)
-		replyRaw, err = me.net.Send(me.addr, bs.dest, kindBatchChunk, obs.Inject(tc, raw))
+		sp, tc := me.observer().StartSpan("me.data", bs.tc)
+		replyRaw, err = me.net.Send(me.addr, bs.dest, kindData, obs.Inject(tc, raw))
 		sp.End()
 	}
 	var list *batchStatusList
@@ -524,7 +535,7 @@ func (bs *BatchSender) sendChunk(seq uint64, chunk []byte) {
 }
 
 // markSent records that the member's envelope is stored at the
-// destination (the single-path equivalent of transfer returning nil).
+// destination.
 func (bs *BatchSender) markSent(index uint32) {
 	bs.mu.Lock()
 	token := bs.tokens[index]
@@ -573,7 +584,7 @@ func (bs *BatchSender) Finish() (map[uint32]BatchMemberStatus, error) {
 	bs.mu.Unlock()
 	close(bs.delivered)
 	// Release every member's in-flight latch: unacked records go back to
-	// held-and-retryable (parked), exactly like a failed single transfer.
+	// held-and-retryable (parked).
 	me := bs.me
 	me.mu.Lock()
 	for _, t := range tokens {
@@ -609,7 +620,7 @@ func (bs *BatchSender) Finish() (map[uint32]BatchMemberStatus, error) {
 		// destination's cap-based eviction reclaims the state instead.
 		sealed := bs.stream.SealAt(batchAbortSeq, []byte(batchAbortLabel), bs.batchID)
 		if raw, aerr := encodeBatchAbort(&batchAbort{BatchID: bs.batchID, Sealed: sealed}); aerr == nil {
-			_, _ = me.net.Send(me.addr, bs.dest, kindBatchAbort, obs.Inject(bs.tc, raw))
+			_, _ = me.net.Send(me.addr, bs.dest, kindAbort, obs.Inject(bs.tc, raw))
 		}
 	}
 	if bs.sp != nil {
@@ -633,7 +644,8 @@ type batchRecvState struct {
 	acks       *xcrypto.StreamSealer // ack direction (seal)
 	transcript []byte
 	fresh      bool
-	authed     bool // source provider authenticated (seq 0 of fresh)
+	authed     bool              // source provider authenticated (seq 0 of fresh)
+	sess       *resumableSession // fresh only: the session this handshake admitted
 	count      uint32
 	nextSeq    uint64
 	seen       map[uint64]bool
@@ -713,9 +725,8 @@ func (me *MigrationEnclave) AcceptedSessions() int {
 }
 
 // storeIncoming applies the destination's fork-prevention rules to one
-// decoded envelope and stores it for the matching local enclave. It is
-// the shared core of handleData and the batch chunk drain.
-func (me *MigrationEnclave) storeIncoming(env *migrationEnvelope, tc obs.TraceContext, batch bool) error {
+// decoded envelope and stores it for the matching local enclave.
+func (me *MigrationEnclave) storeIncoming(env *migrationEnvelope, tc obs.TraceContext, solo bool) error {
 	me.mu.Lock()
 	defer me.mu.Unlock()
 	if me.restored[hex.EncodeToString(env.DoneToken)] {
@@ -738,7 +749,7 @@ func (me *MigrationEnclave) storeIncoming(env *migrationEnvelope, tc obs.TraceCo
 		return fmt.Errorf("%w (%v)", ErrAlreadyPending, env.MREnclave)
 	}
 	if !duplicate {
-		me.incoming[env.MREnclave] = &incomingRecord{env: env, trace: tc, batch: batch}
+		me.incoming[env.MREnclave] = &incomingRecord{env: env, trace: tc, solo: solo}
 	}
 	return nil
 }
@@ -752,7 +763,9 @@ func (me *MigrationEnclave) handleBatchOffer(payload []byte) ([]byte, error) {
 	if offer.Resume != nil {
 		return me.handleBatchResume(offer)
 	}
-	// Fresh handshake: identical peer verification to handleOffer.
+	// Fresh handshake: the source must be a genuine enclave running this
+	// same ME code, with a quote that binds its handshake key. Its provider
+	// certificate follows on the first data frame (see handleBatchChunk).
 	srcQuote, err := quoteFromWire(offer.Quote)
 	if err != nil {
 		return nil, err
@@ -801,13 +814,17 @@ func (me *MigrationEnclave) handleBatchOffer(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	// peerCert stays nil — and the session unresumable — until the source
+	// authenticates on frame 0.
+	st.sess = &resumableSession{
+		id:        sid,
+		secret:    secret,
+		epoch:     append([]byte(nil), me.epoch...),
+		counter:   0, // counter 0 keys this batch; resumes must exceed it
+		peerQuote: srcQuote,
+	}
 	me.mu.Lock()
-	evictedSess := me.storeAcceptedLocked(&resumableSession{
-		id:      sid,
-		secret:  secret,
-		epoch:   append([]byte(nil), me.epoch...),
-		counter: 0, // counter 0 keys this batch; resumes must exceed it
-	})
+	evictedSess := me.storeAcceptedLocked(st.sess)
 	evictedRx := me.storeRxBatchLocked(batchID, st)
 	epoch := append([]byte(nil), me.epoch...)
 	me.mu.Unlock()
@@ -815,7 +832,7 @@ func (me *MigrationEnclave) handleBatchOffer(payload []byte) ([]byte, error) {
 		me.observer().M().Add("me.session.evicted", int64(evictedSess))
 	}
 	if evictedRx > 0 {
-		me.observer().M().Add("me.batch.rx.evicted", int64(evictedRx))
+		me.observer().M().Add("me.stream.rx.evicted", int64(evictedRx))
 	}
 	return encodeBatchOfferReply(&batchOfferReply{
 		BatchID:   batchID,
@@ -847,6 +864,7 @@ func (me *MigrationEnclave) handleBatchResume(offer *batchOffer) ([]byte, error)
 	}
 	me.mu.Lock()
 	sess := me.accepted[hex.EncodeToString(t.SessionID)]
+	authed := sess != nil && sess.peerCert != nil
 	epoch := me.epoch
 	me.mu.Unlock()
 	if sess == nil {
@@ -862,6 +880,15 @@ func (me *MigrationEnclave) handleBatchResume(offer *batchOffer) ([]byte, error)
 	// the source may safely evict its cache on seeing it.
 	refuseProof := resumeRefuseMAC(sess.secret, t.SessionID, t.Counter)
 	if !macEqual(t.Epoch, epoch) {
+		return refuse(refuseProof)
+	}
+	if !authed || me.recheckPeer(sess) != nil {
+		// The source never proved provider membership on this session, or
+		// what it proved has been withdrawn since (R2). Forget the session;
+		// the source's fallback handshake is judged on today's facts.
+		me.mu.Lock()
+		delete(me.accepted, hex.EncodeToString(t.SessionID))
+		me.mu.Unlock()
 		return refuse(refuseProof)
 	}
 	me.mu.Lock()
@@ -880,7 +907,7 @@ func (me *MigrationEnclave) handleBatchResume(offer *batchOffer) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	st.authed = true // authenticated at the original handshake
+	st.authed = true // at the original handshake, re-checked above
 	batchID, err := xcrypto.RandomBytes(16)
 	if err != nil {
 		return nil, err
@@ -889,7 +916,7 @@ func (me *MigrationEnclave) handleBatchResume(offer *batchOffer) ([]byte, error)
 	evictedRx := me.storeRxBatchLocked(batchID, st)
 	me.mu.Unlock()
 	if evictedRx > 0 {
-		me.observer().M().Add("me.batch.rx.evicted", int64(evictedRx))
+		me.observer().M().Add("me.stream.rx.evicted", int64(evictedRx))
 	}
 	me.observer().M().Add("me.session.resumed", 1)
 	return encodeBatchOfferReply(&batchOfferReply{
@@ -966,6 +993,9 @@ func (me *MigrationEnclave) handleBatchChunk(payload []byte) ([]byte, error) {
 			return nil, fmt.Errorf("authenticate source: %w", err)
 		}
 		st.authed = true
+		me.mu.Lock()
+		st.sess.peerCert = srcCert // the session becomes resumable
+		me.mu.Unlock()
 	}
 	if !st.seen[msg.Seq] {
 		st.seen[msg.Seq] = true
@@ -1035,7 +1065,7 @@ func (me *MigrationEnclave) handleBatchAbort(payload []byte) ([]byte, error) {
 	me.mu.Lock()
 	delete(me.rxBatches, key)
 	me.mu.Unlock()
-	me.observer().M().Add("me.batch.rx.aborted", 1)
+	me.observer().M().Add("me.stream.rx.aborted", 1)
 	return []byte(statusOK), nil
 }
 
@@ -1071,7 +1101,7 @@ func (me *MigrationEnclave) drainRecordsLocked(st *batchRecvState) error {
 			env, err = decodeEnvelope(envRaw)
 		}
 		if err == nil {
-			err = me.storeIncoming(env, obs.UnmarshalTrace(rec.Trace), true)
+			err = me.storeIncoming(env, obs.UnmarshalTrace(rec.Trace), st.count == 1)
 		}
 		if err != nil {
 			status.Status = batchStatusError
@@ -1081,9 +1111,11 @@ func (me *MigrationEnclave) drainRecordsLocked(st *batchRecvState) error {
 	}
 }
 
-// handleBatchDone applies one aggregated DONE flush. Unknown tokens are
-// tolerated: a re-flush after a lost reply must converge, exactly like
-// duplicate single DONEs.
+// handleBatchDone is the source side's receipt of DONE confirmations: the
+// destination libraries restored successfully, so the source copies of the
+// migration data can be deleted safely (§V-D). Repeats converge (a
+// completed record stays in the table); a token this ME never issued is
+// reported, after every known one has been applied.
 func (me *MigrationEnclave) handleBatchDone(payload []byte) ([]byte, error) {
 	msg, err := decodeBatchDoneMessage(payload)
 	if err != nil {
@@ -1091,11 +1123,20 @@ func (me *MigrationEnclave) handleBatchDone(payload []byte) ([]byte, error) {
 	}
 	me.mu.Lock()
 	defer me.mu.Unlock()
+	unknown := 0
 	for _, token := range msg.Tokens {
-		if rec, ok := me.outgoing[hex.EncodeToString(token)]; ok {
-			rec.done = true
-			rec.envelope = nil
+		rec, ok := me.outgoing[hex.EncodeToString(token)]
+		if !ok {
+			unknown++
+			continue
 		}
+		rec.done = true
+		// Delete the migration data itself; keep the completion marker so
+		// the source library can observe it via MigrationComplete.
+		rec.envelope = nil
+	}
+	if unknown > 0 {
+		return nil, fmt.Errorf("%w (%d of %d)", ErrUnknownToken, unknown, len(msg.Tokens))
 	}
 	return []byte(statusOK), nil
 }

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/attest"
 	"repro/internal/obs"
 	"repro/internal/sgx"
+	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/xcrypto"
 )
@@ -32,6 +34,47 @@ func newBareME() *MigrationEnclave {
 		rxBatches: make(map[string]*batchRecvState),
 		doneQueue: make(map[string][][]byte),
 	}
+}
+
+// attestedPeer equips me with a provider credential and an IAS, and
+// returns a peer certificate and quote they accept — what a completed
+// handshake caches in a resumable session — plus the provider, so a test
+// can revoke the peer afterwards.
+func attestedPeer(t *testing.T, me *MigrationEnclave) (*attest.Provider, *xcrypto.Certificate, *attest.Quote) {
+	t.Helper()
+	prov, err := attest.NewProvider("prov")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if me.cred, err = prov.ProvisionME("self"); err != nil {
+		t.Fatal(err)
+	}
+	peer, err := prov.ProvisionME("peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	group, err := xcrypto.NewAuthority("epid-group")
+	if err != nil {
+		t.Fatal(err)
+	}
+	me.ias = attest.NewIAS(group, sim.NewInstantLatency())
+	machine, err := sgx.NewMachine("peer", sim.NewInstantLatency())
+	if err != nil {
+		t.Fatal(err)
+	}
+	qe, err := attest.NewQuotingEnclave(machine, group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enclave, err := machine.Load(MigrationEnclaveImage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	quote, err := qe.Quote(enclave, sgx.ReportData{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prov, peer.Certificate(), quote
 }
 
 // installRxBatch derives a batch's directional keys from secret+counter,
@@ -178,8 +221,10 @@ func TestBatchResumeRefusalAuthentication(t *testing.T) {
 	me.epoch = bytes.Repeat([]byte{0xEE}, 16)
 	secret := bytes.Repeat([]byte{0x33}, 32)
 	sid := []byte("session-id-00001")
+	_, peerCert, peerQuote := attestedPeer(t, me)
 	me.accepted[hex.EncodeToString(sid)] = &resumableSession{
 		id: sid, secret: secret, epoch: me.epoch, counter: 5,
+		peerCert: peerCert, peerQuote: peerQuote,
 	}
 
 	refusalFor := func(t *testing.T, ticket *resumeTicket) *batchOfferReply {
@@ -231,6 +276,81 @@ func TestBatchResumeRefusalAuthentication(t *testing.T) {
 	}
 }
 
+// TestResumeRechecksPeerRevocation is the R2 regression for session
+// resume: a cached session only proves what was true at handshake time,
+// so both ends re-check the peer's provider certificate and platform
+// credential on every resume. A revoked (or never provider-authenticated)
+// peer gets an authenticated refusal and the session is forgotten; the
+// source side drops its cache without sending a ticket.
+func TestResumeRechecksPeerRevocation(t *testing.T) {
+	secret := bytes.Repeat([]byte{0x44}, 32)
+	sid := []byte("session-id-00003")
+	resume := func(me *MigrationEnclave, counter uint64) *batchOfferReply {
+		t.Helper()
+		raw, err := encodeBatchOffer(&batchOffer{Count: 1, Resume: &resumeTicket{
+			SessionID: sid, Epoch: me.epoch, Counter: counter, Count: 1,
+			MAC: resumeMAC(secret, sid, me.epoch, counter, 1),
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		replyRaw, err := me.handleBatchOffer(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, err := decodeBatchOfferReply(replyRaw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply
+	}
+
+	// Destination role.
+	me := newBareME()
+	me.epoch = bytes.Repeat([]byte{0xEE}, 16)
+	prov, peerCert, peerQuote := attestedPeer(t, me)
+	me.accepted[hex.EncodeToString(sid)] = &resumableSession{
+		id: sid, secret: secret, epoch: me.epoch, peerCert: peerCert, peerQuote: peerQuote,
+	}
+	if reply := resume(me, 1); !reply.Resumed {
+		t.Fatalf("resume by a peer in good standing refused: %+v", reply)
+	}
+	prov.Revoke("peer")
+	reply := resume(me, 2)
+	if !reply.Refused || !macEqual(reply.RefuseMAC, resumeRefuseMAC(secret, sid, 2)) {
+		t.Fatalf("resume by a revoked peer: %+v, want an authenticated refusal", reply)
+	}
+	if me.AcceptedSessions() != 0 {
+		t.Fatal("revoked peer's session still cached at the destination")
+	}
+
+	// A session whose source never authenticated on frame 0 never resumes.
+	me.accepted[hex.EncodeToString(sid)] = &resumableSession{
+		id: sid, secret: secret, epoch: me.epoch, peerQuote: peerQuote,
+	}
+	if reply := resume(me, 3); !reply.Refused {
+		t.Fatalf("resume of a never-authenticated session accepted: %+v", reply)
+	}
+
+	// Source role: the ticket is not even sent.
+	src := newBareME()
+	prov, peerCert, peerQuote = attestedPeer(t, src)
+	dest := transport.Address("dest-me")
+	src.sessions[string(dest)] = &resumableSession{id: sid, secret: secret, counter: 1,
+		peerCert: peerCert, peerQuote: peerQuote}
+	src.net = &scriptedNet{reply: func(kind string, _ []byte) ([]byte, error) {
+		t.Errorf("source sent %s to a revoked destination's cached session", kind)
+		return nil, fmt.Errorf("unreachable")
+	}}
+	prov.Revoke("peer")
+	if bs, err := src.beginResumed(dest, 1, BatchOpts{}, obs.TraceContext{}); err != nil || bs != nil {
+		t.Fatalf("resume toward a revoked peer should fall back (nil, nil), got (%v, %v)", bs, err)
+	}
+	if src.sessions[string(dest)] != nil {
+		t.Fatal("revoked destination's session still cached at the source")
+	}
+}
+
 // scriptedNet is a Messenger whose Send is answered by a test callback
 // (the on-path attacker / scripted destination).
 type scriptedNet struct {
@@ -253,11 +373,13 @@ func TestForgedRefusalDoesNotEvictCachedSession(t *testing.T) {
 	secret := bytes.Repeat([]byte{0x55}, 32)
 	sid := []byte("session-id-00002")
 	dest := transport.Address("dest-me")
-	me.sessions[string(dest)] = &resumableSession{id: sid, secret: secret, counter: 7}
+	_, peerCert, peerQuote := attestedPeer(t, me)
+	me.sessions[string(dest)] = &resumableSession{id: sid, secret: secret, counter: 7,
+		peerCert: peerCert, peerQuote: peerQuote}
 
 	// Forged refusal: no proof of the session secret.
 	me.net = &scriptedNet{reply: func(kind string, _ []byte) ([]byte, error) {
-		if kind != kindBatchOffer {
+		if kind != kindOffer {
 			return nil, fmt.Errorf("unexpected kind %q", kind)
 		}
 		return encodeBatchOfferReply(&batchOfferReply{Refused: true})

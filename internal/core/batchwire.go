@@ -4,13 +4,14 @@ import (
 	"fmt"
 )
 
-// Wire messages of the batched migration pipeline (Fig. 2 amortized):
-// one batchOffer per (source, dest) batch — carrying either a full
+// Wire messages of the ME<->ME migration protocol (Fig. 2 as a stream):
+// one batchOffer per stream (kind migrate-offer) — carrying either a full
 // attestation quote or a resume ticket — then a pipelined stream of
-// AEAD-sealed batchChunk frames, and one aggregated batchDone flushing
-// many DONE confirmations at once. All messages use the shared wirec
-// framing with core's tag/version header and the same length-bomb
-// clamps as the single-migration codecs.
+// AEAD-sealed batchChunk frames (migrate-data), each answered by a sealed
+// batchStatusList, a batchDoneMessage (migrate-done) confirming one or
+// many restores, and a batchAbort (migrate-abort) for streams that end
+// short. All messages use the shared wirec framing with core's
+// tag/version header and the same length-bomb clamps as the local codecs.
 
 // maxBatchCount clamps the member count a batch offer may declare.
 const maxBatchCount = 1 << 16
@@ -27,8 +28,9 @@ type resumeTicket struct {
 	MAC       []byte
 }
 
-// batchOffer opens a batch: either Resume is present (session resume)
-// or Quote+DHPub are (full handshake, same binding as offerMessage).
+// batchOffer opens a stream: either Resume is present (session resume)
+// or Quote+DHPub are (full handshake: the source ME's quote binds its
+// ephemeral DH public key).
 type batchOffer struct {
 	Count  uint32
 	Quote  *wireQuote
@@ -38,8 +40,10 @@ type batchOffer struct {
 
 // batchOfferReply either refuses resumption (Refused — not an error:
 // the source falls back to a full handshake), confirms it (Resumed +
-// ConfirmMAC), or completes a fresh handshake (Quote/DHPub/Cert/Sig as
-// in offerReply, plus the new session's id and the destination epoch).
+// ConfirmMAC), or completes a fresh handshake: the destination's quote
+// binds both DH keys, its provider certificate and transcript signature
+// authenticate the machine (R2), and the reply names the new session and
+// the destination epoch.
 // RefuseMAC accompanies a refusal from a destination that still holds
 // the session secret (proof the refusal is genuine, see resumeRefuseMAC);
 // it is absent when the destination lost the session, and the source

@@ -120,24 +120,45 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	})
 }
 
+// FuzzDecodeProtocolMessages feeds one input to every ME<->ME message
+// decoder at once (each also has its own target in batch_fuzz_test.go).
+// Beyond never panicking, at most one of them may accept it: the four
+// kinds and their replies are told apart by tag, so bytes meant for one
+// handler can never be taken for a well-formed message of another.
 func FuzzDecodeProtocolMessages(f *testing.F) {
 	fuzzSeeds(f)
-	if off, err := encodeOffer(&offerMessage{Quote: &wireQuote{Data: []byte("d")}, DHPub: []byte("p")}); err == nil {
+	if off, err := encodeBatchOffer(&batchOffer{Count: 1, Quote: fuzzTestQuote(), DHPub: []byte("p")}); err == nil {
 		f.Add(off)
 	}
-	if rep, err := encodeOfferReply(&offerReply{SessionID: "s", Quote: &wireQuote{}, DHPub: []byte("p")}); err == nil {
+	if rep, err := encodeBatchOfferReply(&batchOfferReply{BatchID: []byte("b"), SessionID: []byte("s"), Quote: fuzzTestQuote(), DHPub: []byte("p")}); err == nil {
 		f.Add(rep)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		// None of these may panic; errors are expected and fine.
-		if m, err := decodeOffer(raw); err == nil && m.Quote == nil {
-			t.Fatal("offer decoded with nil quote")
+		accepted := 0
+		if m, err := decodeBatchOffer(raw); err == nil {
+			accepted++
+			if (m.Quote == nil) == (m.Resume == nil) {
+				t.Fatal("offer decoded with neither or both of quote and resume ticket")
+			}
 		}
-		if m, err := decodeOfferReply(raw); err == nil && m.Quote == nil {
-			t.Fatal("offer reply decoded with nil quote")
+		if _, err := decodeBatchOfferReply(raw); err == nil {
+			accepted++
 		}
-		_, _ = decodeDataMessage(raw)
-		_, _ = decodeDoneMessage(raw)
+		if _, err := decodeBatchChunk(raw); err == nil {
+			accepted++
+		}
+		if _, err := decodeBatchStatusList(raw); err == nil {
+			accepted++
+		}
+		if _, err := decodeBatchDoneMessage(raw); err == nil {
+			accepted++
+		}
+		if _, err := decodeBatchAbort(raw); err == nil {
+			accepted++
+		}
+		if accepted > 1 {
+			t.Fatalf("%d decoders accepted the same bytes", accepted)
+		}
 	})
 }
 

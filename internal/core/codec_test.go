@@ -194,40 +194,54 @@ func TestProtocolMessageRoundTrips(t *testing.T) {
 		quote.MRSigner[i] = byte(i * 2)
 	}
 
-	offer := &offerMessage{Quote: quote, DHPub: []byte("dh-a")}
-	rawOffer, err := encodeOffer(offer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotOffer, err := decodeOffer(rawOffer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(offer, gotOffer) {
-		t.Fatalf("offer mismatch:\n in=%+v\nout=%+v", offer, gotOffer)
-	}
-
-	reply := &offerReply{SessionID: "s1", Quote: quote, DHPub: []byte("dh-b"),
-		Cert: []byte("c"), Sig: []byte("s")}
-	rawReply, err := encodeOfferReply(reply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotReply, err := decodeOfferReply(rawReply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(reply, gotReply) {
-		t.Fatalf("offer reply mismatch")
+	// migrate-offer, both forms: a fresh handshake and a session resume.
+	for _, offer := range []*batchOffer{
+		{Count: 1, Quote: quote, DHPub: []byte("dh-a")},
+		{Count: 64, Resume: &resumeTicket{SessionID: []byte("sid"), Epoch: []byte("epoch"),
+			Counter: 9, Count: 64, MAC: bytes.Repeat([]byte{7}, 32)}},
+	} {
+		raw, err := encodeBatchOffer(offer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeBatchOffer(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(offer, got) {
+			t.Fatalf("offer mismatch:\n in=%+v\nout=%+v", offer, got)
+		}
 	}
 
-	data := &dataMessage{SessionID: "s2", Cert: []byte("c2"), Sig: []byte("s2"),
+	// Its reply: handshake completion, resume confirmation, refusal.
+	for _, reply := range []*batchOfferReply{
+		{BatchID: []byte("b1"), SessionID: []byte("s1"), Epoch: []byte("e1"),
+			Quote: quote, DHPub: []byte("dh-b"), Cert: []byte("c"), Sig: []byte("s")},
+		{Resumed: true, BatchID: []byte("b2"), ConfirmMAC: bytes.Repeat([]byte{2}, 32)},
+		{Refused: true, RefuseMAC: bytes.Repeat([]byte{3}, 32)},
+	} {
+		raw, err := encodeBatchOfferReply(reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeBatchOfferReply(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(reply, got) {
+			t.Fatalf("offer reply mismatch:\n in=%+v\nout=%+v", reply, got)
+		}
+	}
+
+	// migrate-data: a sealed frame, frame 0 of a fresh stream carrying the
+	// source's provider authentication.
+	data := &batchChunk{BatchID: []byte("b1"), Seq: 0, Cert: []byte("c2"), Sig: []byte("s2"),
 		Sealed: bytes.Repeat([]byte{0xEE}, maxFieldLen)}
-	rawData, err := encodeDataMessage(data)
+	rawData, err := encodeBatchChunk(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotData, err := decodeDataMessage(rawData)
+	gotData, err := decodeBatchChunk(rawData)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,17 +249,36 @@ func TestProtocolMessageRoundTrips(t *testing.T) {
 		t.Fatalf("data message mismatch")
 	}
 
-	done := &doneMessage{Token: []byte("tok")}
-	rawDone, err := encodeDoneMessage(done)
+	// migrate-done: one token (Fig. 2) or many.
+	for _, done := range []*batchDoneMessage{
+		{Tokens: [][]byte{[]byte("tok")}},
+		{Tokens: [][]byte{[]byte("tok-a"), []byte("tok-b"), []byte("tok-c")}},
+	} {
+		raw, err := encodeBatchDoneMessage(done)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeBatchDoneMessage(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(done, got) {
+			t.Fatalf("done message mismatch")
+		}
+	}
+
+	// migrate-abort.
+	abort := &batchAbort{BatchID: []byte("b1"), Sealed: []byte("sealed-label")}
+	rawAbort, err := encodeBatchAbort(abort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotDone, err := decodeDoneMessage(rawDone)
+	gotAbort, err := decodeBatchAbort(rawAbort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(done, gotDone) {
-		t.Fatalf("done message mismatch")
+	if !reflect.DeepEqual(abort, gotAbort) {
+		t.Fatalf("abort message mismatch")
 	}
 }
 

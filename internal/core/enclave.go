@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/attest"
@@ -19,7 +20,6 @@ var (
 	ErrPeerIdentity   = errors.New("core: peer migration enclave has a different identity")
 	ErrQuoteBinding   = errors.New("core: quote does not bind the handshake keys")
 	ErrUnknownToken   = errors.New("core: unknown migration token")
-	ErrBadHandshake   = errors.New("core: unknown or expired attestation session")
 	// ErrAlreadyPending reports a delivery refused because the destination
 	// already holds an unrestored migration for the same enclave identity.
 	// The text doubles as the cross-transport marker for this condition
@@ -77,31 +77,16 @@ type outgoingRecord struct {
 	trace obs.TraceContext
 }
 
-// incomingRecord is a stored incoming migration plus the trace context it
-// traveled with, so the restoring library joins the originating trace.
-// batch marks deliveries that arrived via the batch stream: their DONE
-// confirmations are queued and flushed in aggregated batchDone messages
-// instead of one network exchange each.
+// incomingRecord is an incoming migration — stored awaiting its enclave,
+// then delivered and awaiting the library's ack — plus the trace context
+// it traveled with, so the restoring library joins the originating trace.
+// solo marks the only member of its stream: nothing else will queue a
+// DONE behind it, so its confirmation is flushed at ack time (Fig. 2's
+// final arrow) instead of waiting for an aggregated flush.
 type incomingRecord struct {
 	env   *migrationEnvelope
 	trace obs.TraceContext
-	batch bool
-}
-
-// handshakeState is the destination ME's remote-attestation session
-// between the offer and the data message.
-type handshakeState struct {
-	channel    *xcrypto.Channel
-	transcript []byte
-}
-
-// pendingAck tracks an incoming migration delivered to a local library
-// but not yet acknowledged; the ack triggers the DONE to the source
-// (queued for an aggregated flush when the delivery was batched).
-type pendingAck struct {
-	envelope *migrationEnvelope
-	trace    obs.TraceContext
-	batch    bool
+	solo  bool
 }
 
 // MigrationEnclave is the per-machine migration manager (paper §V-B,
@@ -129,9 +114,8 @@ type MigrationEnclave struct {
 	// the ME's lifetime (like outgoing's done records): pruning one would
 	// reopen the window where a late re-delivery of that envelope forks
 	// the restored enclave.
-	restored   map[string]bool // key: hex done-token
-	handshakes map[string]*handshakeState
-	acks       map[string]*pendingAck // key: local session ID
+	restored map[string]bool            // key: hex done-token
+	acks     map[string]*incomingRecord // delivered, unacknowledged; key: local session ID
 
 	// epoch is this ME instance's trust epoch, minted at construction.
 	// Session-resume tickets are MAC-bound to the destination's epoch; a
@@ -148,8 +132,8 @@ type MigrationEnclave struct {
 	accepted  map[string]*resumableSession
 	rxBatches map[string]*batchRecvState // key: hex batch id
 	admitSeq  uint64
-	// doneQueue accumulates DONE tokens per source-ME address for
-	// aggregated batchDone flushes.
+	// doneQueue accumulates DONE tokens per source-ME address until the
+	// next flush.
 	doneQueue map[string][][]byte
 }
 
@@ -173,23 +157,22 @@ func NewMigrationEnclave(
 		return nil, fmt.Errorf("mint me epoch: %w", err)
 	}
 	me := &MigrationEnclave{
-		enclave:    e,
-		cred:       cred,
-		qe:         qe,
-		ias:        ias,
-		net:        net,
-		addr:       addr,
-		locals:     make(map[string]*localConn),
-		outgoing:   make(map[string]*outgoingRecord),
-		incoming:   make(map[sgx.Measurement]*incomingRecord),
-		restored:   make(map[string]bool),
-		handshakes: make(map[string]*handshakeState),
-		acks:       make(map[string]*pendingAck),
-		epoch:      epoch,
-		sessions:   make(map[string]*resumableSession),
-		accepted:   make(map[string]*resumableSession),
-		rxBatches:  make(map[string]*batchRecvState),
-		doneQueue:  make(map[string][][]byte),
+		enclave:   e,
+		cred:      cred,
+		qe:        qe,
+		ias:       ias,
+		net:       net,
+		addr:      addr,
+		locals:    make(map[string]*localConn),
+		outgoing:  make(map[string]*outgoingRecord),
+		incoming:  make(map[sgx.Measurement]*incomingRecord),
+		restored:  make(map[string]bool),
+		acks:      make(map[string]*incomingRecord),
+		epoch:     epoch,
+		sessions:  make(map[string]*resumableSession),
+		accepted:  make(map[string]*resumableSession),
+		rxBatches: make(map[string]*batchRecvState),
+		doneQueue: make(map[string][][]byte),
 	}
 	if err := net.Register(addr, me.handleNetwork); err != nil {
 		return nil, fmt.Errorf("register migration enclave: %w", err)
@@ -274,10 +257,8 @@ func (me *MigrationEnclave) LocalCall(sessionID string, wire []byte) ([]byte, er
 // dispatchLocal routes one library request.
 func (me *MigrationEnclave) dispatchLocal(sessionID string, conn *localConn, req *localRequest) *localResponse {
 	switch req.Op {
-	case opMigrateOut:
+	case opMigrateOut, opMigrateOutHold:
 		return me.handleMigrateOut(conn, req)
-	case opMigrateOutHold:
-		return me.handleMigrateOutHold(conn, req)
 	case opFetchIncoming:
 		return me.handleFetchIncoming(sessionID, conn)
 	case opAckRestored:
@@ -289,7 +270,9 @@ func (me *MigrationEnclave) dispatchLocal(sessionID string, conn *localConn, req
 	}
 }
 
-// handleMigrateOut stores the outgoing migration and attempts transfer.
+// handleMigrateOut stores the outgoing migration, held for retry until
+// its DONE arrives (§V-D). For opMigrateOut the ME then sends it itself,
+// as a stream of one; for opMigrateOutHold the caller's stream will.
 func (me *MigrationEnclave) handleMigrateOut(conn *localConn, req *localRequest) *localResponse {
 	data, err := DecodeMigrationData(req.Body)
 	if err != nil {
@@ -313,55 +296,17 @@ func (me *MigrationEnclave) handleMigrateOut(conn *localConn, req *localRequest)
 		sp.Site = string(me.addr)
 		defer sp.End()
 	}
-	rec := &outgoingRecord{envelope: env, dest: transport.Address(req.Dest), inFlight: true, trace: tc}
-	key := hex.EncodeToString(token)
+	dest := transport.Address(req.Dest)
 	me.mu.Lock()
-	me.outgoing[key] = rec
+	me.outgoing[hex.EncodeToString(token)] = &outgoingRecord{envelope: env, dest: dest, trace: tc}
 	me.mu.Unlock()
-
-	err = me.transfer(rec)
-	me.mu.Lock()
-	rec.inFlight = false
-	if err == nil {
-		rec.sent = true
+	if req.Op == opMigrateOutHold {
+		return &localResponse{Status: statusHeld, Token: token}
 	}
-	me.mu.Unlock()
-	if err != nil {
-		// Keep the data for retry (§V-D) and tell the library.
+	if err := me.streamOne(token, dest, tc); err != nil {
 		return &localResponse{Status: statusPending, Detail: err.Error(), Token: token}
 	}
 	return &localResponse{Status: statusSent, Token: token}
-}
-
-// handleMigrateOutHold stores the outgoing migration WITHOUT attempting
-// a transfer: the batch pipeline will stream the held envelope itself
-// (BatchSender.Add), so the enclave's freeze window starts only just
-// before its own chunks go out, independent of batch size.
-func (me *MigrationEnclave) handleMigrateOutHold(conn *localConn, req *localRequest) *localResponse {
-	data, err := DecodeMigrationData(req.Body)
-	if err != nil {
-		return &localResponse{Status: "error", Detail: err.Error()}
-	}
-	token, err := xcrypto.RandomBytes(16)
-	if err != nil {
-		return &localResponse{Status: "error", Detail: err.Error()}
-	}
-	env := &migrationEnvelope{
-		Data:      data,
-		MREnclave: conn.session.PeerMREnclave,
-		SourceME:  string(me.addr),
-		DoneToken: token,
-	}
-	sp, tc := me.observer().StartSpan("me.migrate-out", obs.UnmarshalTrace(req.Trace))
-	if sp != nil {
-		sp.Site = string(me.addr)
-		defer sp.End()
-	}
-	rec := &outgoingRecord{envelope: env, dest: transport.Address(req.Dest), trace: tc}
-	me.mu.Lock()
-	me.outgoing[hex.EncodeToString(token)] = rec
-	me.mu.Unlock()
-	return &localResponse{Status: statusHeld, Token: token}
 }
 
 // handleFetchIncoming hands stored migration data to a local library
@@ -381,7 +326,7 @@ func (me *MigrationEnclave) handleFetchIncoming(sessionID string, conn *localCon
 	// migration (a retry racing the restore) must never be stored again —
 	// it would fork the restored enclave.
 	me.restored[hex.EncodeToString(env.DoneToken)] = true
-	me.acks[sessionID] = &pendingAck{envelope: env, trace: inc.trace, batch: inc.batch}
+	me.acks[sessionID] = inc
 	raw, err := env.encode()
 	if err != nil {
 		return &localResponse{Status: "error", Detail: err.Error()}
@@ -391,7 +336,10 @@ func (me *MigrationEnclave) handleFetchIncoming(sessionID string, conn *localCon
 	return &localResponse{Status: statusData, Body: raw, Trace: inc.trace.Marshal()}
 }
 
-// handleAckRestored sends the DONE confirmation back to the source ME.
+// handleAckRestored queues the DONE confirmation for the source ME and
+// flushes the queue when this was a stream of one or enough have piled
+// up. A failed flush keeps the tokens queued and the source keeps its
+// copy — the safe failure mode of a lost DONE.
 func (me *MigrationEnclave) handleAckRestored(sessionID string, req *localRequest) *localResponse {
 	me.mu.Lock()
 	ack, ok := me.acks[sessionID]
@@ -413,31 +361,15 @@ func (me *MigrationEnclave) handleAckRestored(sessionID string, req *localReques
 		sp.Site = string(me.addr)
 		defer sp.End()
 	}
-	if ack.batch {
-		// Batched delivery: queue the DONE for an aggregated flush instead
-		// of one network exchange per restore. The source keeps its copy
-		// until the flush lands — the same safe failure mode as a lost
-		// single DONE.
-		source := ack.envelope.SourceME
-		me.mu.Lock()
-		me.doneQueue[source] = append(me.doneQueue[source], ack.envelope.DoneToken)
-		flush := len(me.doneQueue[source]) >= doneFlushThreshold
-		me.mu.Unlock()
-		if flush {
-			if err := me.FlushDones(transport.Address(source)); err != nil {
-				return &localResponse{Status: statusOK, Detail: "restore complete; DONE flush failed: " + err.Error()}
-			}
+	source := ack.env.SourceME
+	me.mu.Lock()
+	me.doneQueue[source] = append(me.doneQueue[source], ack.env.DoneToken)
+	flush := ack.solo || len(me.doneQueue[source]) >= doneFlushThreshold
+	me.mu.Unlock()
+	if flush {
+		if err := me.flushDones(transport.Address(source), tc); err != nil {
+			return &localResponse{Status: statusOK, Detail: "restore complete; " + err.Error()}
 		}
-		return &localResponse{Status: statusOK, Detail: "restore complete; confirmation queued"}
-	}
-	payload, err := encodeDoneMessage(&doneMessage{Token: ack.envelope.DoneToken})
-	if err != nil {
-		return &localResponse{Status: "error", Detail: err.Error()}
-	}
-	if _, err := me.net.Send(me.addr, transport.Address(ack.envelope.SourceME), kindDone, obs.Inject(tc, payload)); err != nil {
-		// The restore itself succeeded; only the confirmation was lost.
-		// The source will keep its copy — a safe failure mode.
-		return &localResponse{Status: statusOK, Detail: "restore complete; DONE not delivered: " + err.Error()}
 	}
 	return &localResponse{Status: statusOK}
 }
@@ -464,9 +396,14 @@ func (me *MigrationEnclave) handleCheckDone(req *localRequest) *localResponse {
 const doneFlushThreshold = 64
 
 // FlushDones sends every queued DONE confirmation for the given source
-// ME in one aggregated batchDone exchange. On failure the tokens are
-// re-queued (the source keeps its copies; retries converge).
+// ME in one exchange. On failure the tokens are re-queued (the source
+// keeps its copies; retries converge).
 func (me *MigrationEnclave) FlushDones(source transport.Address) error {
+	return me.flushDones(source, obs.TraceContext{})
+}
+
+// flushDones is FlushDones under the trace of the restore that triggered it.
+func (me *MigrationEnclave) flushDones(source transport.Address, tc obs.TraceContext) error {
 	me.mu.Lock()
 	tokens := me.doneQueue[string(source)]
 	delete(me.doneQueue, string(source))
@@ -476,15 +413,21 @@ func (me *MigrationEnclave) FlushDones(source transport.Address) error {
 	}
 	payload, err := encodeBatchDoneMessage(&batchDoneMessage{Tokens: tokens})
 	if err == nil {
-		_, err = me.net.Send(me.addr, source, kindBatchDone, payload)
+		_, err = me.net.Send(me.addr, source, kindDone, obs.Inject(tc, payload))
 	}
-	if err != nil {
+	if err == nil {
+		return nil
+	}
+	// An unknown-token refusal (matched by text: handler errors cross TCP
+	// as strings) means the source applied every token it still has a
+	// record for and restarted out of the rest, so nothing is left to
+	// confirm. Any other failure may have lost the message: re-queue.
+	if !strings.Contains(err.Error(), ErrUnknownToken.Error()) {
 		me.mu.Lock()
 		me.doneQueue[string(source)] = append(tokens, me.doneQueue[string(source)]...)
 		me.mu.Unlock()
-		return fmt.Errorf("flush batched DONEs: %w", err)
 	}
-	return nil
+	return fmt.Errorf("flush DONE confirmations: %w", err)
 }
 
 // QueuedDones reports how many DONE confirmations await flushing to the
@@ -547,29 +490,26 @@ func (me *MigrationEnclave) OutgoingStatus(token []byte) (dest transport.Address
 	return rec.dest, rec.sent, rec.done, nil
 }
 
-// RetryOutgoing retries the transfer of every unsent outgoing migration
-// (skipping any whose transfer is already in flight), returning the
-// first error encountered (nil if all succeeded).
+// RetryOutgoing re-sends every unsent outgoing migration to its recorded
+// destination (skipping any already in a stream), returning the first
+// error encountered (nil if all succeeded).
 func (me *MigrationEnclave) RetryOutgoing() error {
+	type held struct {
+		token []byte
+		dest  transport.Address
+		trace obs.TraceContext
+	}
 	me.mu.Lock()
-	var retry []*outgoingRecord
+	var retry []held
 	for _, rec := range me.outgoing {
 		if !rec.sent && !rec.done && !rec.inFlight {
-			rec.inFlight = true
-			retry = append(retry, rec)
+			retry = append(retry, held{rec.envelope.DoneToken, rec.dest, rec.trace})
 		}
 	}
 	me.mu.Unlock()
 	var firstErr error
-	for _, rec := range retry {
-		err := me.transfer(rec)
-		me.mu.Lock()
-		rec.inFlight = false
-		if err == nil {
-			rec.sent = true
-		}
-		me.mu.Unlock()
-		if err != nil && firstErr == nil {
+	for _, h := range retry {
+		if err := me.streamOne(h.token, h.dest, h.trace); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -588,31 +528,29 @@ func (me *MigrationEnclave) RetryOutgoing() error {
 // destination.
 func (me *MigrationEnclave) Redirect(token []byte, newDest transport.Address) error {
 	me.mu.Lock()
-	rec, ok := me.outgoing[hex.EncodeToString(token)]
+	rec := me.outgoing[hex.EncodeToString(token)]
+	err := sendable(rec)
+	me.mu.Unlock()
+	if err != nil {
+		// Refuse before any exchange: a stale or busy record must not cost
+		// the new destination a handshake.
+		return err
+	}
+	return me.streamOne(token, newDest, rec.trace) // trace is set once, at creation
+}
+
+// sendable reports why an outgoing record (nil: no such token) may not
+// enter a stream now. Callers hold the ME's mu.
+func sendable(rec *outgoingRecord) error {
 	switch {
-	case !ok:
-		me.mu.Unlock()
+	case rec == nil:
 		return ErrUnknownToken
-	case rec.done:
-		me.mu.Unlock()
+	case rec.done || rec.envelope == nil:
 		return ErrMigrationDone
 	case rec.inFlight:
-		// Another transfer of this record is running; a second concurrent
-		// send could deliver the envelope to two destinations.
-		me.mu.Unlock()
+		// Another send of this record is running; a second concurrent one
+		// could deliver the envelope to two destinations.
 		return ErrTransferInFlight
 	}
-	rec.inFlight = true
-	rec.dest = newDest
-	rec.sent = false
-	me.mu.Unlock()
-
-	err := me.transfer(rec)
-	me.mu.Lock()
-	rec.inFlight = false
-	if err == nil {
-		rec.sent = true
-	}
-	me.mu.Unlock()
-	return err
+	return nil
 }

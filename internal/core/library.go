@@ -613,28 +613,24 @@ func effective(offset, hw uint32) (uint32, error) {
 // error is resolved or the migration is redirected (§V-D); the library
 // remains frozen either way.
 func (l *Library) StartMigration(dest transport.Address) error {
-	return l.StartMigrationCtx(obs.TraceContext{}, dest)
-}
-
-// StartMigrationCtx is StartMigration under an existing trace context:
-// the freeze span and the whole downstream protocol (offer, data, WAN
-// hops, destination restore, DONE) join the caller's trace. A zero
-// context starts a fresh trace when an observer is installed.
-func (l *Library) StartMigrationCtx(tc obs.TraceContext, dest transport.Address) error {
-	return l.startMigration(tc, dest, false)
+	return l.startMigration(obs.TraceContext{}, dest, false)
 }
 
 // StartMigrationHeld freezes and exports exactly like StartMigration but
 // leaves the migration data HELD at the source Migration Enclave instead
-// of transferring it: the batch pipeline streams the held envelope via
-// BatchSender.Add, so many enclaves share one attested stream while each
-// freeze window stays its own. The fork-prevention sequence (counter
-// destruction before any data leaves, R3/R4) is identical.
+// of having the ME send it as a stream of one: the caller streams the
+// held envelope via BatchSender.Add, so many enclaves share one attested
+// stream while each freeze window stays its own. The fork-prevention
+// sequence (counter destruction before any data leaves, R3/R4) is
+// identical.
 func (l *Library) StartMigrationHeld(dest transport.Address) error {
 	return l.startMigration(obs.TraceContext{}, dest, true)
 }
 
-// StartMigrationHeldCtx is StartMigrationHeld under an existing trace.
+// StartMigrationHeldCtx is StartMigrationHeld under an existing trace
+// context: the freeze span and everything downstream of it (the record's
+// WAN hops, destination restore, DONE) join the caller's trace. A zero
+// context starts a fresh trace when an observer is installed.
 func (l *Library) StartMigrationHeldCtx(tc obs.TraceContext, dest transport.Address) error {
 	return l.startMigration(tc, dest, true)
 }
@@ -733,8 +729,8 @@ func (l *Library) startMigration(tc obs.TraceContext, dest transport.Address, ho
 	}
 	l.obs.Event(obs.EventFreeze, l.actor(), "frozen for migration to "+string(dest), tc)
 
-	// 4. Ship the migration data to the Migration Enclave (held batches
-	// stop at the ME; the batch stream moves the envelope itself).
+	// 4. Ship the migration data to the Migration Enclave, which sends it
+	// on as a stream of one — unless the caller holds it for its own stream.
 	raw, err := data.Encode()
 	if err != nil {
 		return err

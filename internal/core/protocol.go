@@ -10,11 +10,12 @@ import (
 // Local (Library <-> Migration Enclave) operations, carried over the
 // attested channel established at migration_init.
 const (
+	// opMigrateOut stores the outgoing migration at the source ME, which
+	// then streams it to the destination as a stream of one.
 	opMigrateOut = "migrate-out"
-	// opMigrateOutHold stores the outgoing migration at the source ME
-	// WITHOUT attempting a transfer: the batch pipeline freezes each
-	// enclave just before its chunks are sent and streams the held
-	// envelope itself, so the freeze-to-send gap stays per-enclave.
+	// opMigrateOutHold only stores it: the caller's own stream carries the
+	// held envelope (BatchSender.Add), so each enclave freezes just before
+	// its frames are sent however many members share the stream.
 	opMigrateOutHold = "migrate-out-hold"
 	opFetchIncoming  = "fetch-incoming"
 	opAckRestored    = "ack-restored"
@@ -25,7 +26,7 @@ const (
 const (
 	statusSent    = "sent"      // data transferred to destination ME
 	statusPending = "pending"   // transfer failed; held at source ME
-	statusHeld    = "held"      // data held at source ME for a batch stream
+	statusHeld    = "held"      // data held at source ME for the caller's stream
 	statusNone    = "none"      // no incoming migration waiting
 	statusData    = "data"      // incoming migration data attached
 	statusOK      = "ok"        // generic success
@@ -113,55 +114,19 @@ func decodeLocalResponse(raw []byte) (*localResponse, error) {
 	return r, nil
 }
 
-// Network message kinds between Migration Enclaves (Fig. 2's attest /
-// data / DONE arrows).
+// Network message kinds between Migration Enclaves: Fig. 2's attest /
+// data / DONE arrows, plus the authenticated abort of a stream that ends
+// short. The paper's single migration is a stream of one (batchwire.go
+// holds the message layouts).
 const (
-	kindOffer = "migrate-offer"
-	kindData  = "migrate-data"
-	kindDone  = "migrate-done"
-	// Batched pipeline kinds: one offer (full handshake or session
-	// resume), a pipelined chunk stream, and one aggregated DONE.
-	kindBatchOffer = "migrate-batch-offer"
-	kindBatchChunk = "migrate-batch-chunk"
-	kindBatchDone  = "migrate-batch-done"
-	kindBatchAbort = "migrate-batch-abort"
+	kindOffer = "migrate-offer" // full mutual attestation, or resume of a cached session
+	kindData  = "migrate-data"  // one sealed stream frame, answered by the cumulative ack
+	kindDone  = "migrate-done"  // DONE confirmations, one token or many
+	kindAbort = "migrate-abort" // sender ends a stream whose members were not all acked
 )
 
 // transcriptContext labels the remote-attestation transcript binding.
 const transcriptContext = "me-remote-attestation"
-
-// offerMessage opens the mutual remote attestation: the source ME's quote
-// binds its ephemeral DH public key.
-type offerMessage struct {
-	Quote *wireQuote
-	DHPub []byte
-}
-
-// offerReply completes the attestation from the destination side: its
-// quote binds both DH keys; the provider certificate and transcript
-// signature authenticate the destination machine (R2).
-type offerReply struct {
-	SessionID string
-	Quote     *wireQuote
-	DHPub     []byte
-	Cert      []byte
-	Sig       []byte
-}
-
-// dataMessage carries the channel-sealed migration envelope, plus the
-// source's provider credential so the destination can authenticate the
-// source machine before accepting (mutual authentication).
-type dataMessage struct {
-	SessionID string
-	Cert      []byte
-	Sig       []byte
-	Sealed    []byte
-}
-
-// doneMessage confirms restore completion back to the source ME.
-type doneMessage struct {
-	Token []byte
-}
 
 // wireQuote is the wire-transportable form of attest.Quote.
 type wireQuote struct {
@@ -193,99 +158,6 @@ func (r *wireReader) quote() *wireQuote {
 		return nil
 	}
 	return &q
-}
-
-func encodeOffer(m *offerMessage) ([]byte, error) {
-	if m.Quote == nil {
-		return nil, fmt.Errorf("%w: missing quote", ErrDataFormat)
-	}
-	out := appendHeader(make([]byte, 0, 256+len(m.Quote.Cert)), tagOffer)
-	out = appendQuote(out, m.Quote)
-	return appendBytes(out, m.DHPub), nil
-}
-
-func decodeOffer(raw []byte) (*offerMessage, error) {
-	rd := newWireReader(raw)
-	if !rd.header(tagOffer) {
-		return nil, rd.errState()
-	}
-	m := &offerMessage{Quote: rd.quote(), DHPub: rd.bytes()}
-	if err := rd.done(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-func encodeOfferReply(m *offerReply) ([]byte, error) {
-	if m.Quote == nil {
-		return nil, fmt.Errorf("%w: missing quote", ErrDataFormat)
-	}
-	out := appendHeader(make([]byte, 0, 512+len(m.Quote.Cert)+len(m.Cert)), tagOfferReply)
-	out = appendString(out, m.SessionID)
-	out = appendQuote(out, m.Quote)
-	out = appendBytes(out, m.DHPub)
-	out = appendBytes(out, m.Cert)
-	return appendBytes(out, m.Sig), nil
-}
-
-func decodeOfferReply(raw []byte) (*offerReply, error) {
-	rd := newWireReader(raw)
-	if !rd.header(tagOfferReply) {
-		return nil, rd.errState()
-	}
-	m := &offerReply{
-		SessionID: rd.string(),
-		Quote:     rd.quote(),
-		DHPub:     rd.bytes(),
-		Cert:      rd.bytes(),
-		Sig:       rd.bytes(),
-	}
-	if err := rd.done(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-func encodeDataMessage(m *dataMessage) ([]byte, error) {
-	out := appendHeader(make([]byte, 0, 64+len(m.SessionID)+len(m.Cert)+len(m.Sig)+len(m.Sealed)), tagDataMessage)
-	out = appendString(out, m.SessionID)
-	out = appendBytes(out, m.Cert)
-	out = appendBytes(out, m.Sig)
-	return appendBytes(out, m.Sealed), nil
-}
-
-func decodeDataMessage(raw []byte) (*dataMessage, error) {
-	rd := newWireReader(raw)
-	if !rd.header(tagDataMessage) {
-		return nil, rd.errState()
-	}
-	m := &dataMessage{
-		SessionID: rd.string(),
-		Cert:      rd.bytes(),
-		Sig:       rd.bytes(),
-		Sealed:    rd.bytes(),
-	}
-	if err := rd.done(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-func encodeDoneMessage(m *doneMessage) ([]byte, error) {
-	out := appendHeader(make([]byte, 0, 8+len(m.Token)), tagDoneMessage)
-	return appendBytes(out, m.Token), nil
-}
-
-func decodeDoneMessage(raw []byte) (*doneMessage, error) {
-	rd := newWireReader(raw)
-	if !rd.header(tagDoneMessage) {
-		return nil, rd.errState()
-	}
-	m := &doneMessage{Token: rd.bytes()}
-	if err := rd.done(); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // certToWire serializes a certificate for embedding in protocol messages.

@@ -1,14 +1,13 @@
 package core
 
 import (
-	"encoding/hex"
+	"errors"
 	"fmt"
 
 	"repro/internal/attest"
 	"repro/internal/obs"
 	"repro/internal/sgx"
 	"repro/internal/transport"
-	"repro/internal/xcrypto"
 )
 
 // quoteToWire converts an attest.Quote for JSON transport.
@@ -45,126 +44,29 @@ func quoteFromWire(w *wireQuote) (*attest.Quote, error) {
 	return q, nil
 }
 
-// transfer runs the source side of the Fig. 2 remote protocol for one
-// outgoing record: mutual remote attestation with the destination ME,
-// provider authentication in both directions, and delivery of the
-// channel-sealed migration envelope.
-func (me *MigrationEnclave) transfer(rec *outgoingRecord) error {
-	me.mu.Lock()
-	dest := rec.dest
-	trace := rec.trace
-	me.mu.Unlock()
-
-	sp, tc := me.observer().StartSpan("me.transfer", trace)
-	if sp != nil {
-		sp.Site = string(me.addr)
-		defer sp.End()
-	}
-
-	// --- Attestation round ---------------------------------------------
-	dh, err := xcrypto.NewKeyExchange()
-	if err != nil {
-		return fmt.Errorf("migration dh: %w", err)
-	}
-	myQuote, err := me.qe.Quote(me.enclave, sgx.MakeReportData(dh.PublicBytes()))
-	if err != nil {
-		return fmt.Errorf("source quote: %w", err)
-	}
-	wq, err := quoteToWire(myQuote)
+// streamOne runs the source side of Fig. 2 for one held record: attest
+// (or resume the attested session), data, and the delivery ack — a stream
+// of one member. StartMigration, RetryOutgoing and Redirect all send
+// through it; on any error the record stays held at this ME (§V-D).
+func (me *MigrationEnclave) streamOne(token []byte, dest transport.Address, tc obs.TraceContext) error {
+	bs, err := me.beginStream(dest, 1, BatchOpts{Trace: tc})
 	if err != nil {
 		return err
 	}
-	offerRaw, err := encodeOffer(&offerMessage{Quote: wq, DHPub: dh.PublicBytes()})
+	addErr := bs.Add(0, token)
+	statuses, err := bs.Finish()
+	if addErr != nil {
+		return addErr
+	}
 	if err != nil {
 		return err
 	}
-	offerSp, offerTC := me.observer().StartSpan("me.offer", tc)
-	replyRaw, err := me.net.Send(me.addr, dest, kindOffer, obs.Inject(offerTC, offerRaw))
-	offerSp.End()
-	if err != nil {
-		return fmt.Errorf("send offer: %w", err)
-	}
-	reply, err := decodeOfferReply(replyRaw)
-	if err != nil {
-		return err
-	}
-	peerQuote, err := quoteFromWire(reply.Quote)
-	if err != nil {
-		return err
-	}
-	// Verify the peer is a genuine SGX enclave (IAS) running EXACTLY the
-	// same Migration Enclave code (MRENCLAVE equality, §VI-A).
-	if err := me.ias.Verify(peerQuote); err != nil {
-		return fmt.Errorf("verify destination quote: %w", err)
-	}
-	if peerQuote.MREnclave != me.enclave.MREnclave() {
-		return fmt.Errorf("%w: destination %v, expected %v",
-			ErrPeerIdentity, peerQuote.MREnclave, me.enclave.MREnclave())
-	}
-	// The destination quote must bind both handshake keys.
-	if peerQuote.Data != sgx.MakeReportData(dh.PublicBytes(), reply.DHPub) {
-		return ErrQuoteBinding
-	}
-	transcript := xcrypto.Transcript(transcriptContext, dh.PublicBytes(), reply.DHPub)
-	// Authenticate the destination machine as belonging to the same cloud
-	// provider (R2): certificate chain plus signature over the transcript.
-	peerCert, err := certFromWire(reply.Cert)
-	if err != nil {
-		return err
-	}
-	if err := me.cred.VerifyPeer(peerCert, transcript, reply.Sig); err != nil {
-		return fmt.Errorf("authenticate destination: %w", err)
-	}
-	shared, err := dh.Shared(reply.DHPub)
-	if err != nil {
-		return fmt.Errorf("shared secret: %w", err)
-	}
-	channel := xcrypto.NewChannel(shared, transcript, true)
-
-	// --- Data round -----------------------------------------------------
-	me.mu.Lock()
-	// Re-check completion atomically with the envelope read: a DONE may
-	// have arrived during the attestation round (delivered-but-ack-lost
-	// migration restored concurrently), and the stale envelope must not
-	// leave the machine after that.
-	if rec.done || rec.envelope == nil {
-		me.mu.Unlock()
-		return ErrMigrationDone
-	}
-	envRaw, err := rec.envelope.encode()
-	me.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	sealed, err := channel.Seal(envRaw)
-	if err != nil {
-		return fmt.Errorf("seal migration data: %w", err)
-	}
-	myCert, err := certToWire(me.cred.Certificate())
-	if err != nil {
-		return err
-	}
-	dataRaw, err := encodeDataMessage(&dataMessage{
-		SessionID: reply.SessionID,
-		Cert:      myCert,
-		Sig:       me.cred.Sign(transcript),
-		Sealed:    sealed,
-	})
-	if err != nil {
-		return err
-	}
-	dataSp, dataTC := me.observer().StartSpan("me.data", tc)
-	ackRaw, err := me.net.Send(me.addr, dest, kindData, obs.Inject(dataTC, dataRaw))
-	dataSp.End()
-	if err != nil {
-		return fmt.Errorf("send migration data: %w", err)
-	}
-	ack, err := channel.Open(ackRaw)
-	if err != nil {
-		return fmt.Errorf("open data ack: %w", err)
-	}
-	if string(ack) != statusOK {
-		return fmt.Errorf("destination rejected migration: %s", ack)
+	st, acked := statuses[0]
+	switch {
+	case !acked:
+		return errors.New("core: migration not acknowledged by destination")
+	case !st.OK:
+		return fmt.Errorf("destination rejected migration: %s", st.Detail)
 	}
 	return nil
 }
@@ -174,154 +76,21 @@ func (me *MigrationEnclave) handleNetwork(msg transport.Message) ([]byte, error)
 	if err := me.enclave.ECall(); err != nil {
 		return nil, err
 	}
-	sp, tc := me.observer().StartSpan("me.handle-"+msg.Kind, msg.Trace)
+	sp, _ := me.observer().StartSpan("me.handle-"+msg.Kind, msg.Trace)
 	if sp != nil {
 		sp.Site = string(me.addr)
 		defer sp.End()
 	}
 	switch msg.Kind {
 	case kindOffer:
-		return me.handleOffer(msg.Payload)
-	case kindData:
-		return me.handleData(msg.Payload, tc)
-	case kindDone:
-		return me.handleDone(msg.Payload)
-	case kindBatchOffer:
 		return me.handleBatchOffer(msg.Payload)
-	case kindBatchChunk:
+	case kindData:
 		return me.handleBatchChunk(msg.Payload)
-	case kindBatchAbort:
+	case kindAbort:
 		return me.handleBatchAbort(msg.Payload)
-	case kindBatchDone:
+	case kindDone:
 		return me.handleBatchDone(msg.Payload)
 	default:
 		return nil, fmt.Errorf("core: unknown message kind %q", msg.Kind)
 	}
-}
-
-// handleOffer is the destination side of the attestation round.
-func (me *MigrationEnclave) handleOffer(payload []byte) ([]byte, error) {
-	offer, err := decodeOffer(payload)
-	if err != nil {
-		return nil, err
-	}
-	srcQuote, err := quoteFromWire(offer.Quote)
-	if err != nil {
-		return nil, err
-	}
-	if err := me.ias.Verify(srcQuote); err != nil {
-		return nil, fmt.Errorf("verify source quote: %w", err)
-	}
-	if srcQuote.MREnclave != me.enclave.MREnclave() {
-		return nil, fmt.Errorf("%w: source %v", ErrPeerIdentity, srcQuote.MREnclave)
-	}
-	if srcQuote.Data != sgx.MakeReportData(offer.DHPub) {
-		return nil, ErrQuoteBinding
-	}
-	dh, err := xcrypto.NewKeyExchange()
-	if err != nil {
-		return nil, fmt.Errorf("destination dh: %w", err)
-	}
-	shared, err := dh.Shared(offer.DHPub)
-	if err != nil {
-		return nil, fmt.Errorf("shared secret: %w", err)
-	}
-	transcript := xcrypto.Transcript(transcriptContext, offer.DHPub, dh.PublicBytes())
-	channel := xcrypto.NewChannel(shared, transcript, false)
-
-	myQuote, err := me.qe.Quote(me.enclave, sgx.MakeReportData(offer.DHPub, dh.PublicBytes()))
-	if err != nil {
-		return nil, fmt.Errorf("destination quote: %w", err)
-	}
-	wq, err := quoteToWire(myQuote)
-	if err != nil {
-		return nil, err
-	}
-	idBytes, err := xcrypto.RandomBytes(8)
-	if err != nil {
-		return nil, err
-	}
-	sessionID := hex.EncodeToString(idBytes)
-	me.mu.Lock()
-	me.handshakes[sessionID] = &handshakeState{channel: channel, transcript: transcript}
-	me.mu.Unlock()
-
-	myCert, err := certToWire(me.cred.Certificate())
-	if err != nil {
-		return nil, err
-	}
-	return encodeOfferReply(&offerReply{
-		SessionID: sessionID,
-		Quote:     wq,
-		DHPub:     dh.PublicBytes(),
-		Cert:      myCert,
-		Sig:       me.cred.Sign(transcript),
-	})
-}
-
-// handleData is the destination side of the data round: it authenticates
-// the source machine, decrypts the envelope, and stores it for the
-// matching local enclave.
-func (me *MigrationEnclave) handleData(payload []byte, tc obs.TraceContext) ([]byte, error) {
-	msg, err := decodeDataMessage(payload)
-	if err != nil {
-		return nil, err
-	}
-	me.mu.Lock()
-	hs, ok := me.handshakes[msg.SessionID]
-	if ok {
-		delete(me.handshakes, msg.SessionID)
-	}
-	me.mu.Unlock()
-	if !ok {
-		return nil, ErrBadHandshake
-	}
-	// Mutual provider authentication: the source must prove it belongs to
-	// the same cloud provider before its data is accepted (R2).
-	srcCert, err := certFromWire(msg.Cert)
-	if err != nil {
-		return nil, err
-	}
-	if err := me.cred.VerifyPeer(srcCert, hs.transcript, msg.Sig); err != nil {
-		return nil, fmt.Errorf("authenticate source: %w", err)
-	}
-	envRaw, err := hs.channel.Open(msg.Sealed)
-	if err != nil {
-		return nil, fmt.Errorf("open migration data: %w", err)
-	}
-	env, err := decodeEnvelope(envRaw)
-	if err != nil {
-		return nil, err
-	}
-	if err := me.storeIncoming(env, tc, false); err != nil {
-		return nil, err
-	}
-
-	ack, err := hs.channel.Seal([]byte(statusOK))
-	if err != nil {
-		return nil, fmt.Errorf("seal data ack: %w", err)
-	}
-	return ack, nil
-}
-
-// handleDone is the source side's receipt of the DONE confirmation: the
-// destination library restored successfully, so the source copy of the
-// migration data can be deleted safely (§V-D).
-func (me *MigrationEnclave) handleDone(payload []byte) ([]byte, error) {
-	msg, err := decodeDoneMessage(payload)
-	if err != nil {
-		return nil, err
-	}
-	key := hex.EncodeToString(msg.Token)
-	me.mu.Lock()
-	defer me.mu.Unlock()
-	rec, ok := me.outgoing[key]
-	if !ok {
-		return nil, ErrUnknownToken
-	}
-	rec.done = true
-	// Delete the migration data itself; keep the completion marker so
-	// the source library can observe it via MigrationComplete.
-	rec.envelope = nil
-	return []byte(statusOK), nil
 }

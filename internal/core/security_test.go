@@ -136,20 +136,55 @@ func TestDroppedDoneIsSafe(t *testing.T) {
 	if e.src.ME.PendingOutgoing() != 1 {
 		t.Fatal("source deleted data without DONE")
 	}
+	// The destination kept the confirmation queued; once the network lets
+	// it through, the source releases its copy.
+	if n := e.dst.ME.QueuedDones(e.src.MEAddress()); n != 1 {
+		t.Fatalf("destination queues %d confirmations after the dropped DONE, want 1", n)
+	}
+	e.dc.Network.SetAdversary(nil)
+	if err := e.dst.ME.FlushDones(e.src.MEAddress()); err != nil {
+		t.Fatalf("re-flush of the dropped DONE: %v", err)
+	}
+	if e.src.ME.PendingOutgoing() != 0 {
+		t.Fatal("source kept its copy after the DONE finally arrived")
+	}
 }
 
-// A forged DONE with a random token must be rejected.
+// A forged DONE must be rejected: a well-formed one naming a token the
+// source never issued, and plain garbage, alike.
 func TestForgedDoneRejected(t *testing.T) {
 	e := newEnv(t)
+	adv := &transport.Interceptor{}
+	e.dc.Network.SetAdversary(adv)
+	// A completed migration shows the adversary what a genuine DONE is.
+	first, _ := e.src.LaunchApp(testAppImage(t, "first"), core.NewMemoryStorage(), core.InitNew)
+	migrateApp(t, e, first, e.dst)
+	var genuine []byte
+	for _, m := range adv.Captured() {
+		if m.Kind == "migrate-done" {
+			genuine = m.Payload
+		}
+	}
+	if genuine == nil {
+		t.Fatal("no migrate-done captured")
+	}
+
 	img := testAppImage(t, "app")
 	app, _ := e.src.LaunchApp(img, core.NewMemoryStorage(), core.InitNew)
 	_, _, _ = app.Library.CreateCounter()
 	if err := app.Library.StartMigration(e.dst.MEAddress()); err != nil {
 		t.Fatal(err)
 	}
-	forged := []byte(`{"token":"YWJjZGVmZ2hpamtsbW5vcA=="}`)
-	if _, err := e.dc.Network.Send("attacker", e.src.MEAddress(), "migrate-done", forged); err == nil {
-		t.Fatal("forged DONE accepted")
+	// Same shape, one bit of the (trailing) token changed.
+	guessed := append([]byte(nil), genuine...)
+	guessed[len(guessed)-1] ^= 1
+	for name, forged := range map[string][]byte{
+		"unknown token": guessed,
+		"garbage":       []byte(`{"token":"YWJjZGVmZ2hpamtsbW5vcA=="}`),
+	} {
+		if _, err := e.dc.Network.Send("attacker", e.src.MEAddress(), "migrate-done", forged); err == nil {
+			t.Fatalf("forged DONE (%s) accepted", name)
+		}
 	}
 	if e.src.ME.PendingOutgoing() != 1 {
 		t.Fatal("forged DONE deleted source data")
@@ -157,7 +192,8 @@ func TestForgedDoneRejected(t *testing.T) {
 }
 
 // Replaying a captured migrate-data message must not re-install the
-// migration at the destination (the handshake session is single-use).
+// migration at the destination (a stream's reassembly state is dropped
+// once every member is acked, and the fetched envelope is tombstoned).
 func TestReplayedDataMessageRejected(t *testing.T) {
 	e := newEnv(t)
 	adv := &transport.Interceptor{}

@@ -4,6 +4,7 @@ import (
 	"crypto/subtle"
 	"encoding/binary"
 
+	"repro/internal/attest"
 	"repro/internal/xcrypto"
 )
 
@@ -46,6 +47,12 @@ type resumableSession struct {
 	secret  []byte // 32-byte secret bound to the original transcript
 	epoch   []byte // destination ME's epoch at handshake time
 	counter uint64
+	// peerCert and peerQuote are what the handshake authenticated about
+	// the peer; every resume re-checks them for revocation (recheckPeer).
+	// On the destination side peerCert is set only once the source has
+	// authenticated on frame 0, and a session without it never resumes.
+	peerCert  *xcrypto.Certificate
+	peerQuote *attest.Quote
 	// order is the destination-side LRU stamp for cap eviction (bumped on
 	// admission and on every successful resume); guarded by the ME's mu.
 	order uint64

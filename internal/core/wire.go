@@ -32,10 +32,6 @@ const (
 	tagLibraryState  byte = 0xA4
 	tagEnvelope      byte = 0xA5
 	tagEscrowRecord  byte = 0xA6
-	tagOffer         byte = 0xB1
-	tagOfferReply    byte = 0xB2
-	tagDataMessage   byte = 0xB3
-	tagDoneMessage   byte = 0xB4
 	tagBatchOffer    byte = 0xB5
 	tagBatchReply    byte = 0xB6
 	tagBatchChunk    byte = 0xB7

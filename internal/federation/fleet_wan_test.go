@@ -2,6 +2,7 @@ package federation
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/obs"
+	"repro/internal/obs/analyze"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
@@ -262,6 +264,146 @@ func TestWANPartitionDrainParksAndResumes(t *testing.T) {
 	for _, app := range b1.Apps() {
 		if v, err := app.Library.ReadCounter(ctrs[app.Image().Name]); err != nil || v != 1 {
 			t.Fatalf("%s counter = %d, %v; want 1", app.Image().Name, v, err)
+		}
+	}
+}
+
+// TestRevokedFederationCutsOffCachedSession: two federated sites with a
+// resumable session between a1 and b1; either operator withdrawing the
+// trust grant must stop deliveries to b1 while the WAN link stays up —
+// a single StartMigration and a 4-wide stream alike. The members stay
+// frozen and held at a1, and a later local plan lands them on a2.
+func TestRevokedFederationCutsOffCachedSession(t *testing.T) {
+	for _, revoker := range []string{"source site", "destination site"} {
+		t.Run(revoker, func(t *testing.T) {
+			_, dcA, dcB, link := twoPlainSites(t, transport.WANConfig{})
+			a1, _ := dcA.Machine("a1")
+			a2, _ := dcA.Machine("a2")
+			b1, _ := dcB.Machine("b1")
+			launch := func(prefix string, n int) {
+				t.Helper()
+				for i := 0; i < n; i++ {
+					app, err := a1.LaunchApp(appImage(fmt.Sprintf("%s-%d", prefix, i)), core.NewMemoryStorage(), core.InitNew)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, _, err := app.Library.CreateCounter(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			cfg := fleet.Config{Workers: 2, BatchSize: 4, MaxAttempts: 2, RetryBackoff: time.Millisecond}
+			toB1 := fleet.Plan{Intent: fleet.IntentEvacuate, Sources: []string{"a1"},
+				RemoteTargets: remoteTargets(t, dcB, link.Name(), "b1")}
+
+			launch("before", 4)
+			report, err := fleet.New(dcA, cfg).Execute(context.Background(), toB1)
+			if err != nil || report.Completed != 4 {
+				t.Fatalf("evacuation before revocation: %v %+v", err, report)
+			}
+
+			if revoker == "source site" {
+				dcA.Provider.RevokeFederation(dcB.Provider.Name())
+			} else {
+				dcB.Provider.RevokeFederation(dcA.Provider.Name())
+			}
+
+			launch("single", 1)
+			single := a1.Apps()[0]
+			if err := single.Library.StartMigration(b1.MEAddress()); !errors.Is(err, core.ErrMigrationPending) {
+				t.Fatalf("StartMigration across a revoked federation: %v, want ErrMigrationPending", err)
+			}
+			launch("after", 4)
+			report, err = fleet.New(dcA, cfg).Execute(context.Background(), toB1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.Failed != 5 || report.Completed != 0 {
+				t.Fatalf("evacuation across a revoked federation: %+v, want all 5 failed", report)
+			}
+			if n := b1.ME.PendingIncoming(); n != 0 {
+				t.Fatalf("b1 stores %d envelopes from an unfederated site", n)
+			}
+			if n := b1.AppCount(); n != 4 {
+				t.Fatalf("b1 hosts %d apps, want the 4 from before the revocation", n)
+			}
+			for _, app := range a1.Apps() {
+				if !app.Library.Frozen() || app.Library.MigrationToken() == nil {
+					t.Fatalf("%s not frozen and held after the refused evacuation", app.Image().Name)
+				}
+			}
+			if down := link.Down(); down {
+				t.Fatal("link went down; the refusal must come from the trust check")
+			}
+
+			// A later plan that no longer names the remote site.
+			report, err = fleet.New(dcA, cfg).Execute(context.Background(),
+				fleet.Plan{Intent: fleet.IntentDrain, Sources: []string{"a1"}, Targets: []string{"a2"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.Completed != 5 || report.Failed != 0 {
+				t.Fatalf("local drain after the revocation: %+v", report)
+			}
+			if n := a2.AppCount(); n != 5 {
+				t.Fatalf("a2 hosts %d apps, want 5", n)
+			}
+		})
+	}
+}
+
+// TestCrossDCStreamCriticalPathNamed: the path behind the headline drain
+// numbers — a multi-member stream across the WAN — must be explainable
+// from its own telemetry. Every fleet.migrate trace partitions into named
+// phases with at most 1% left in "other", and the stream's legs (offer,
+// data frames, link hops) show up under attest, transfer and wan through
+// the same span names a stream of one uses. (The destination's resume and
+// DONE spans hang off the source's long-finished me.migrate-out span, so
+// the partition books their time to the enclosing fleet.migrate span as
+// "orchestrate" — for streams of every width, as before.)
+func TestCrossDCStreamCriticalPathNamed(t *testing.T) {
+	fed, dcA, dcB, link := twoPlainSites(t, transport.WANConfig{RTT: time.Millisecond})
+	observer := obs.NewObserver()
+	fed.SetObserver(observer)
+	dcA.SetObserver(observer)
+	dcB.SetObserver(observer)
+	a1, _ := dcA.Machine("a1")
+
+	const apps = 8
+	for i := 0; i < apps; i++ {
+		app, err := a1.LaunchApp(appImage(fmt.Sprintf("path-%d", i)), core.NewMemoryStorage(), core.InitNew)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := app.Library.CreateCounter(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	orch := fleet.New(dcA, fleet.Config{Workers: 2, BatchSize: 4, Obs: observer})
+	report, err := orch.Execute(context.Background(), fleet.Plan{
+		Intent:        fleet.IntentEvacuate,
+		Sources:       []string{"a1"},
+		RemoteTargets: remoteTargets(t, dcB, link.Name(), "b1"),
+	})
+	if err != nil || report.Completed != apps {
+		t.Fatalf("evacuation: %v %+v", err, report)
+	}
+
+	sum := analyze.Summarize(observer.Tracer.Spans(), "fleet.migrate")
+	if sum.Count != apps {
+		t.Fatalf("summarized %d fleet.migrate traces, want %d", sum.Count, apps)
+	}
+	share := map[string]float64{}
+	for _, p := range sum.Phases {
+		share[p.Phase] = p.Fraction
+	}
+	if share[analyze.PhaseOther] > 0.01 {
+		t.Errorf("%.1f%% of the streamed drain's critical path is unattributed (other): %+v",
+			100*share[analyze.PhaseOther], sum.Phases)
+	}
+	for _, phase := range []string{analyze.PhaseFreeze, analyze.PhaseAttest, analyze.PhaseTransfer, analyze.PhaseWAN} {
+		if share[phase] == 0 {
+			t.Errorf("no critical-path time attributed to %q: %+v", phase, sum.Phases)
 		}
 	}
 }

@@ -13,8 +13,7 @@ import (
 
 // TestDrainBatched drains a large fleet with BatchSize 16: every
 // migration must complete with its DONE confirmed, and all counter
-// values and sealed secrets must survive, exactly as in the classic
-// one-at-a-time path.
+// values and sealed secrets must survive, exactly as in streams of one.
 func TestDrainBatched(t *testing.T) {
 	lat := sim.NewInstantLatency()
 	net := transport.NewNetwork(lat)

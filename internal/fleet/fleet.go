@@ -96,18 +96,12 @@ type Config struct {
 	// Workers bounds concurrent migrations. Default 8.
 	Workers int
 	// BatchSize groups migrations that share a (source, destination)
-	// pair into batched stream deliveries of up to this many enclaves
+	// pair into streams of up to this many enclaves
 	// (core.MigrationEnclave.BeginBatch): one attested session — resumed
 	// when cached — and one pipelined chunk stream amortize the per-
-	// migration protocol cost. Default 1 preserves the classic one-
-	// migration-per-exchange path. Recoveries and token-resumed
-	// migrations always run the classic path.
+	// migration protocol cost. Default 1: every migration is a stream of
+	// one, the paper's Fig. 2 exchange.
 	BatchSize int
-	// BatchWindow and BatchChunkBytes tune the batch stream's pipelining
-	// (max chunks in flight, bytes per chunk). Zero means the core
-	// defaults; mainly a bench/test knob.
-	BatchWindow     int
-	BatchChunkBytes int
 	// MaxAttempts bounds delivery attempts per migration. Default 4.
 	MaxAttempts int
 	// RetryBackoff is the delay before the second attempt; it grows by
@@ -569,8 +563,8 @@ func (o *Orchestrator) Run(ctx context.Context, plan Plan, assignments []Assignm
 		}
 	}
 	start := time.Now()
-	// Workers consume whole groups: singletons run the classic
-	// one-migration path, larger groups run the batched stream pipeline.
+	// Workers consume whole groups: a recovery alone, migrations as the
+	// members of one stream.
 	work := make(chan []Assignment)
 	cancelGroup := func(group []Assignment) {
 		for _, as := range group {
@@ -598,22 +592,28 @@ func (o *Orchestrator) Run(ctx context.Context, plan Plan, assignments []Assignm
 					cancelGroup(group)
 					continue
 				}
-				if len(group) > 1 {
-					for _, e := range o.migrateBatch(ctx, group, targets, policy, links) {
-						record(e)
-					}
+				if group[0].Recover {
+					record(o.recoverOne(ctx, group[0], targets, policy))
 					continue
 				}
-				as := group[0]
-				if as.Recover {
-					record(o.recoverOne(ctx, as, targets, policy))
-				} else {
-					record(o.migrateOne(ctx, as, targets, policy, links))
+				for _, e := range o.migrateGroup(ctx, group, targets, policy, links) {
+					record(e)
 				}
 			}
 		}()
 	}
-	for _, g := range groupAssignments(assignments, o.cfg.BatchSize) {
+	// Migrations left parked by an earlier plan are resolved first: what
+	// still has data to send is re-targeted and grouped with the rest.
+	streamable := make([]Assignment, 0, len(assignments))
+	for _, as := range assignments {
+		as, settled := o.resolveParked(ctx, as, links)
+		if settled != nil {
+			record(*settled)
+			continue
+		}
+		streamable = append(streamable, as)
+	}
+	for _, g := range groupAssignments(streamable, o.cfg.BatchSize) {
 		work <- g
 	}
 	close(work)
@@ -806,9 +806,9 @@ func (o *Orchestrator) recoverOne(ctx context.Context, as Assignment, targets []
 // unfinished business of crashed or interrupted orchestrators — and runs
 // it to completion: for each machine, the source ME's OutstandingTokens
 // name the migrations without a DONE, and the frozen libraries holding a
-// matching token are re-driven through the normal resume path (which
-// prefers the previously targeted machine, restores delivered-but-
-// unconfirmed data in place, and redirects only away from dead
+// matching token are re-driven through the normal resume path
+// (resolveParked: prefer the previously targeted machine, restore
+// delivered-but-unconfirmed data in place, redirect only away from dead
 // destinations). Call it on orchestrator start; together with mid-plan
 // SnapshotStore writes it makes plans survive their orchestrator.
 func (o *Orchestrator) ResumeParked(ctx context.Context) (*Report, error) {
@@ -851,252 +851,4 @@ func (o *Orchestrator) ResumeParked(ctx context.Context) (*Report, error) {
 		}
 	}
 	return o.Run(ctx, Plan{Intent: IntentDrain, Policy: policy}, assignments)
-}
-
-// migrateOne runs one migration end to end: freeze + transfer at the
-// source, restore at the destination, verification, and source teardown —
-// with retry, backoff, and redirect-on-dead-destination.
-//
-// Fork-freedom is preserved in every path: the library freezes before any
-// data leaves the machine (core.Library.StartMigration), the orchestrator
-// redirects only when the previous destination ME is dead (its stored
-// copy, if any, died with its enclave memory), and a restore failure on a
-// live destination fails the migration instead of re-sending the state.
-func (o *Orchestrator) migrateOne(ctx context.Context, as Assignment, targets []*cloud.Machine, policy Policy, links map[*cloud.Machine]string) Entry {
-	locks := o.locks
-	app, src, dest := as.App, as.Source, as.Dest
-	lib := app.Library
-	mre := app.Image().Measure()
-	entry := Entry{
-		App:         app.Image().Name,
-		Source:      src.ID(),
-		PlannedDest: dest.ID(),
-		StateBytes:  stateBytes(app),
-		Counters:    app.Library.ActiveCounters(),
-		Link:        links[dest],
-	}
-	o.emit(Event{Type: EventStart, App: entry.App, Source: entry.Source, Dest: dest.ID(), Link: links[dest]})
-
-	start := time.Now()
-	sp, tc := o.cfg.Obs.StartSpan("fleet.migrate", obs.TraceContext{})
-	if sp != nil {
-		sp.Site = entry.App
-	}
-	finish := func(st Status, err error) Entry {
-		entry.Status = st
-		entry.Dest = dest.ID()
-		entry.Link = links[dest]
-		entry.Latency = time.Since(start)
-		entry.SourceFrozen = lib.Frozen()
-		if err != nil {
-			entry.Err = err.Error()
-		}
-		sp.End()
-		if st == StatusCompleted && entry.Attempts > 0 {
-			o.cfg.Obs.M().Histogram("fleet.migration.latency").Observe(entry.Latency)
-		}
-		o.cfg.Obs.M().Add("fleet.migration."+st.String(), 1)
-		evType := EventFailed
-		switch st {
-		case StatusCompleted:
-			evType = EventCompleted
-		case StatusCanceled:
-			evType = EventCanceled
-		}
-		o.emit(Event{Type: evType, App: entry.App, Source: entry.Source, Dest: dest.ID(), Attempt: entry.Attempts, Link: links[dest], Err: err})
-		return entry
-	}
-
-	// complete finalizes a successful restore on dest.
-	complete := func() Entry {
-		if !lib.Frozen() {
-			return finish(StatusFailed, ErrSourceNotFrozen)
-		}
-		done, derr := lib.MigrationComplete()
-		entry.DoneConfirmed = derr == nil && done
-		app.Terminate()
-		return finish(StatusCompleted, nil)
-	}
-	// completedElsewhere finalizes a migration whose restore was performed
-	// outside this worker (an earlier plan, or a concurrent same-identity
-	// worker consuming our envelope): only the frozen source remains.
-	completedElsewhere := func() Entry {
-		entry.DoneConfirmed = true
-		app.Terminate()
-		return finish(StatusCompleted, nil)
-	}
-
-	// A non-nil token here means the app already froze in an earlier plan
-	// that did not finish; this run resumes it instead of calling
-	// StartMigration (which would fail with ErrFrozen). Where the data
-	// sits decides the fork-safe move: parked at the source ME → redirect;
-	// delivered to a still-live destination → finish the restore *there*,
-	// never re-send; delivered to a dead destination → its copy died with
-	// the ME, redirect is safe.
-	token := lib.MigrationToken()
-	if token != nil {
-		prevDest, sent, done, serr := src.ME.OutgoingStatus(token)
-		if serr != nil {
-			return finish(StatusFailed, fmt.Errorf("resume parked migration: %w", serr))
-		}
-		if done {
-			// The destination confirmed its restore in the earlier plan;
-			// nothing to move — report where the enclave actually landed,
-			// not this plan's choice.
-			if prev := o.machineByAddress(prevDest); prev != nil {
-				dest = prev
-			}
-			return completedElsewhere()
-		}
-		if sent {
-			// DataCenter machines are never removed, so a delivered-to
-			// address always resolves; nil means the address was never one
-			// of ours (cannot happen via this orchestrator).
-			if prev := o.machineByAddress(prevDest); prev != nil && prev.ME.Enclave().Alive() {
-				// Restore-only: the data was delivered by the earlier
-				// plan, so this plan performs no delivery (Attempts
-				// stays 0 and the entry is excluded from the latency
-				// summary, which measures full freeze-through-restore).
-				dest = prev
-				release, cerr := o.acquireLink(ctx, links[dest])
-				if cerr != nil {
-					return finish(StatusCanceled, cerr)
-				}
-				unlock := locks.lock(dest.ID(), mre)
-				defer release()
-				// Re-check under the lock: a concurrent same-identity
-				// worker may just have consumed our envelope (its
-				// delivery was refused, so it restored ours instead).
-				if _, _, doneNow, serr := src.ME.OutgoingStatus(token); serr == nil && doneNow {
-					unlock()
-					return completedElsewhere()
-				}
-				_, err := dest.LaunchApp(app.Image(), core.NewMemoryStorage(), core.InitMigrated)
-				unlock()
-				if err != nil {
-					if doneNow, derr := lib.MigrationComplete(); derr == nil && doneNow {
-						return completedElsewhere()
-					}
-					return finish(StatusFailed, fmt.Errorf("%w: %v", ErrRestoreOnLiveDestination, err))
-				}
-				return complete()
-			}
-		}
-		// Data is (as far as the source knows) parked at the source ME.
-		// Prefer the previously targeted machine while it lives: if a
-		// delivered-but-ack-lost transfer actually parked our envelope
-		// there, idempotent re-delivery reuses that copy instead of
-		// creating a second one on a policy-chosen machine.
-		if prev := o.machineByAddress(prevDest); prev != nil && prev.ME.Enclave().Alive() {
-			dest = prev
-		}
-	}
-
-	var lastErr error
-	for attempt := 1; attempt <= o.cfg.MaxAttempts; attempt++ {
-		entry.Attempts = attempt
-		if attempt > 1 {
-			if err := o.backoff(ctx, attempt, links[dest] != ""); err != nil {
-				return finish(StatusCanceled, err)
-			}
-			// The planned destination may have died; re-target if a
-			// healthy alternative exists (§V-D: "another destination
-			// machine is selected").
-			if !dest.ME.Enclave().Alive() {
-				if alt := o.pickAlternate(app, dest, src, targets, policy); alt != nil {
-					entry.Redirects++
-					o.emit(Event{Type: EventRedirect, App: entry.App, Source: entry.Source, Dest: alt.ID(), Attempt: attempt, Link: links[alt]})
-					dest = alt
-				}
-			}
-		}
-
-		// Deliver, then restore, holding this enclave identity's delivery
-		// slot at the destination throughout — and, for WAN destinations,
-		// one of the link's concurrency slots (LinkCap). Every retry
-		// re-delivers: the only failure mode that reaches the next
-		// attempt with data at a destination is a dead destination ME,
-		// whose copy died with its enclave memory.
-		release, cerr := o.acquireLink(ctx, links[dest])
-		if cerr != nil {
-			return finish(StatusCanceled, cerr)
-		}
-		unlock := locks.lock(dest.ID(), mre)
-		unlockAll := unlock
-		unlock = func() { unlockAll(); release() }
-		var err error
-		if token == nil {
-			// First delivery attempt: freeze, destroy source counters,
-			// hand the data to the source ME, try the transfer.
-			err = lib.StartMigrationCtx(tc, dest.MEAddress())
-			token = lib.MigrationToken()
-			if err != nil && !errors.Is(err, core.ErrMigrationPending) {
-				unlock()
-				return finish(StatusFailed, err)
-			}
-		} else {
-			// Data is parked at the source ME; re-target and re-send. A
-			// concurrent same-identity worker may have consumed our
-			// envelope in the meantime — the source ME refuses the re-send
-			// then, and the migration is in fact complete.
-			err = src.ME.Redirect(token, dest.MEAddress())
-			if isMigrationDone(err) {
-				unlock()
-				return completedElsewhere()
-			}
-			if isEnvelopeConsumed(err) {
-				// The destination handed our envelope to a restoring
-				// library. The source's DONE flag says whether that
-				// restore completed; without it the state died with a
-				// failed restore, and re-sending is impossible (the
-				// tombstone protects the completed-restore case).
-				unlock()
-				if doneNow, derr := lib.MigrationComplete(); derr == nil && doneNow {
-					return completedElsewhere()
-				}
-				return finish(StatusFailed, fmt.Errorf("fleet: envelope consumed at %s without restore confirmation; not re-sending: %v", dest.ID(), err))
-			}
-		}
-		if err != nil && isAlreadyPending(err) {
-			// A deliverable same-identity envelope already sits at this
-			// live destination — possibly ours, from an earlier transfer
-			// whose ack was lost. Restore it; MigrationComplete then tells
-			// us whether it was ours.
-			_, lerr := dest.LaunchApp(app.Image(), core.NewMemoryStorage(), core.InitMigrated)
-			unlock()
-			if lerr != nil {
-				return finish(StatusFailed, fmt.Errorf("%w: %v", ErrRestoreOnLiveDestination, lerr))
-			}
-			if done, derr := lib.MigrationComplete(); derr == nil && done {
-				return complete()
-			}
-			// The restored envelope belonged to a same-identity sibling;
-			// our data is still parked at the source ME. Stop here rather
-			// than risk racing the sibling's own worker — a later plan
-			// resumes this migration through its token.
-			return finish(StatusFailed, ErrIdentityBusy)
-		}
-		if err != nil {
-			unlock()
-			lastErr = err
-			o.emit(Event{Type: EventRetry, App: entry.App, Source: entry.Source, Dest: dest.ID(), Attempt: attempt, Err: err})
-			continue
-		}
-		o.emit(Event{Type: EventDelivered, App: entry.App, Source: entry.Source, Dest: dest.ID(), Attempt: attempt})
-
-		_, err = dest.LaunchApp(app.Image(), core.NewMemoryStorage(), core.InitMigrated)
-		unlock()
-		if err == nil {
-			return complete()
-		}
-		if dest.ME.Enclave().Alive() {
-			return finish(StatusFailed, fmt.Errorf("%w: %v", ErrRestoreOnLiveDestination, err))
-		}
-		// The destination machine restarted after accepting the data: the
-		// envelope died with the ME's enclave memory, and the source still
-		// holds its copy (no DONE arrived), so re-sending cannot fork.
-		lastErr = err
-		o.emit(Event{Type: EventRetry, App: entry.App, Source: entry.Source, Dest: dest.ID(), Attempt: attempt, Err: err})
-	}
-	return finish(StatusFailed, fmt.Errorf("%w after %d attempts: %v", ErrAttemptsExhausted, entry.Attempts, lastErr))
 }

@@ -43,22 +43,22 @@ func drainFreezeWindows(t *testing.T, n, batchSize int) obs.HistogramSnapshot {
 	return h
 }
 
-// TestFreezeWindowIndependentOfBatchSize is the batching acceptance
-// check for availability: members of a 64-wide batch are frozen only
+// TestFreezeWindowIndependentOfBatchSize is the stream-width acceptance
+// check for availability: members of a 64-wide stream are frozen only
 // just before their chunks enter the stream, so the per-enclave
-// unavailability window must stay in the same band as the classic
-// one-at-a-time path, not grow with the batch.
+// unavailability window must stay in the same band as in streams of
+// one, not grow with the width.
 func TestFreezeWindowIndependentOfBatchSize(t *testing.T) {
 	const n = 64
-	classic := drainFreezeWindows(t, n, 1)
+	single := drainFreezeWindows(t, n, 1)
 	batched := drainFreezeWindows(t, n, n)
 
 	// Generous statistical slack: the claim is "does not scale with the
 	// batch" (a serialize-then-send design would be ~64× worse), not
 	// "identical to the nanosecond".
-	slack := 3*classic.Mean + 2*time.Millisecond
+	slack := 3*single.Mean + 2*time.Millisecond
 	if batched.Mean > slack {
-		t.Fatalf("freeze window grew with batch size: batched mean %v vs classic mean %v",
-			batched.Mean, classic.Mean)
+		t.Fatalf("freeze window grew with stream width: 64-wide mean %v vs stream-of-one mean %v",
+			batched.Mean, single.Mean)
 	}
 }

@@ -17,10 +17,9 @@ func groupTestImage(name string) *sgx.Image {
 	return &sgx.Image{Name: name, Version: 1, Code: []byte(name), SignerPublicKey: ed25519.PublicKey(key[:])}
 }
 
-// TestGroupAssignments checks the batching grouper directly: grouping by
-// (source, destination), the batch-size cap, singleton fallbacks for
-// recoveries and token-resumed members, and the one-identity-per-batch
-// rule.
+// TestGroupAssignments checks the grouper directly: grouping by (source,
+// destination), the stream-width cap, recoveries kept alone, token-resumed
+// members grouped like any other, and the one-identity-per-stream rule.
 func TestGroupAssignments(t *testing.T) {
 	dc, err := cloud.NewDataCenter("dc", sim.NewInstantLatency())
 	if err != nil {
@@ -39,9 +38,14 @@ func TestGroupAssignments(t *testing.T) {
 	}
 
 	var as []Assignment
-	// Five distinct apps A→B: should pack into groups of ≤3.
+	// Five distinct apps A→B: should pack into groups of ≤3. One of them
+	// already froze in an earlier plan (its library holds a done-token).
 	for i := 0; i < 5; i++ {
 		as = append(as, Assignment{App: launch(a, fmt.Sprintf("ab-%d", i)), Source: a, Dest: b})
+	}
+	parked := as[1].App
+	if err := parked.Library.StartMigrationHeld(b.MEAddress()); err != nil {
+		t.Fatal(err)
 	}
 	// Two apps A→C: separate group key.
 	for i := 0; i < 2; i++ {
@@ -72,6 +76,9 @@ func TestGroupAssignments(t *testing.T) {
 				t.Fatal("two same-identity members share a batch")
 			}
 			seen[mre] = true
+			if m.App == parked && len(g) != 3 {
+				t.Fatalf("token-resumed member in a group of %d, want it packed with its neighbours (3)", len(g))
+			}
 			if m.Source != g[0].Source || m.Dest != g[0].Dest {
 				t.Fatal("group mixes (source, dest) pairs")
 			}

@@ -2,7 +2,7 @@ package fleet_test
 
 import (
 	"context"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,23 +50,18 @@ func TestBatchDrainWANFlapParksAndResumes(t *testing.T) {
 	const n = 16
 	states := launchApps(t, a1, n)
 
-	// One batch, one chunk in flight at a time, roughly one record per
-	// chunk: acks arrive one by one, so downing the link on the first
-	// delivery deterministically strands later members un-acknowledged.
-	var flap sync.Once
-	cfg := fleet.Config{
-		Workers:         2,
-		BatchSize:       n,
-		BatchWindow:     1,
-		BatchChunkBytes: 600,
-		MaxAttempts:     1,
-		OnEvent: func(e fleet.Event) {
-			if e.Type == fleet.EventDelivered {
-				flap.Do(func() { link.SetDown(true) })
-			}
-		},
-	}
-	orch := fleet.New(dcA, cfg)
+	// One stream. The link carries its offer and first data frame — the
+	// first member to freeze, cut into a frame of its own because the
+	// window is idle — and goes down as the second frame leaves a1, so
+	// every later member is deterministically stranded un-acknowledged.
+	var frames atomic.Int32
+	dcA.Network.SetAdversary(&transport.Interceptor{Request: func(msg *transport.Message) error {
+		if msg.Kind == "migrate-data" && frames.Add(1) == 2 {
+			link.SetDown(true)
+		}
+		return nil
+	}})
+	orch := fleet.New(dcA, fleet.Config{Workers: 2, BatchSize: n, MaxAttempts: 1})
 	plan := fleet.Plan{
 		Intent:        fleet.IntentEvacuate,
 		Sources:       []string{"a1"},
@@ -96,6 +91,7 @@ func TestBatchDrainWANFlapParksAndResumes(t *testing.T) {
 
 	// Link restored: the same orchestrator resumes every parked member.
 	// The held data re-streams to the originally targeted machine.
+	dcA.Network.SetAdversary(nil)
 	link.SetDown(false)
 	resume, err := orch.ResumeParked(context.Background())
 	if err != nil {

@@ -203,6 +203,7 @@ var phaseBySpan = map[string]string{
 	"me.transfer":             PhaseTransfer,
 	"me.data":                 PhaseTransfer,
 	"me.handle-migrate-data":  PhaseTransfer,
+	"me.handle-migrate-abort": PhaseTransfer,
 	"lib.resume":              PhaseResume,
 	"me.done":                 PhaseCommit,
 	"me.handle-migrate-done":  PhaseCommit,

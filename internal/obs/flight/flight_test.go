@@ -20,7 +20,7 @@ func populatedObserver() *obs.Observer {
 	child, _ := o.StartSpan("me.offer", tc)
 	child.End()
 	root.End()
-	o.StartSpan("me.batch", obs.TraceContext{}) // stays open
+	o.StartSpan("me.transfer", obs.TraceContext{}) // stays open
 	o.Event(obs.EventZombieRefused, "lib:abc", "probe refused", tc)
 	o.Event(obs.EventSLOViolation, "slo:mirror-rpo-age", "age 6m > 5m", obs.TraceContext{})
 	o.M().Add("wire.msgs", 42)
@@ -74,7 +74,7 @@ func TestBundleRoundTrip(t *testing.T) {
 			t.Errorf("span %d mismatch: %+v vs %+v", i, g, w)
 		}
 	}
-	if len(got.Open) != 1 || got.Open[0].Name != "me.batch" {
+	if len(got.Open) != 1 || got.Open[0].Name != "me.transfer" {
 		t.Errorf("open spans mismatch: %+v", got.Open)
 	}
 	if len(got.Events) != len(b.Events) {

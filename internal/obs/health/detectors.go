@@ -279,7 +279,7 @@ func (d *LinkDetector) Detect(s *Sample) []Finding {
 }
 
 // StuckSpanDetector is the watchdog over the tracer's open-span
-// registry: a fleet.migrate, fleet.recover, or me.batch root operation
+// registry: a fleet.migrate, fleet.recover, or me.transfer operation
 // still open past its deadline means a migration or drain has wedged —
 // precisely the failure that leaves no finished span to alert on.
 type StuckSpanDetector struct {
@@ -292,14 +292,14 @@ type StuckSpanDetector struct {
 }
 
 // NewStuckSpanDetector returns a StuckSpanDetector covering the fleet
-// planner and the batched-drain sender.
+// planner and the source ME's stream sender.
 func NewStuckSpanDetector() *StuckSpanDetector {
 	return &StuckSpanDetector{
 		Deadline: 2 * time.Minute,
 		Watch: map[string]Entity{
 			"fleet.migrate": {Kind: "fleet", Name: "migrate"},
 			"fleet.recover": {Kind: "fleet", Name: "recover"},
-			"me.batch":      {Kind: "me", Name: "batch"},
+			"me.transfer":   {Kind: "me", Name: "transfer"},
 		},
 	}
 }

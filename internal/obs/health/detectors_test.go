@@ -199,19 +199,19 @@ func TestStuckSpanDetector(t *testing.T) {
 	now := time.Unix(100000, 0)
 	s := &Sample{Now: now, Open: []obs.OpenSpan{
 		{Name: "fleet.migrate", SpanID: 7, Start: now.Add(-3 * time.Minute)},
-		{Name: "me.batch", SpanID: 9, Start: now.Add(-5 * time.Minute)},
-		{Name: "me.batch-offer", SpanID: 11, Start: now.Add(-time.Hour)}, // unwatched
+		{Name: "me.transfer", SpanID: 9, Start: now.Add(-5 * time.Minute)},
+		{Name: "me.offer", SpanID: 11, Start: now.Add(-time.Hour)}, // unwatched
 	}}
 	fs := d.Detect(s)
 	f, ok := findEntity(fs, "fleet", "migrate")
 	if !ok || f.Level != Degraded {
 		t.Fatalf("3m-old fleet.migrate not degraded: %+v", f)
 	}
-	f, ok = findEntity(fs, "me", "batch")
+	f, ok = findEntity(fs, "me", "transfer")
 	if !ok || f.Level != Critical {
-		t.Fatalf("5m-old me.batch not critical: %+v", f)
+		t.Fatalf("5m-old me.transfer not critical: %+v", f)
 	}
-	if _, ok := findEntity(fs, "me", "batch-offer"); ok {
+	if _, ok := findEntity(fs, "me", "offer"); ok {
 		t.Error("unwatched span produced a finding")
 	}
 

@@ -785,18 +785,21 @@ func (g *Group) commitOp(m *opMessage) (uint32, error) {
 		g.drainLate(m, late, len(members)-len(votes))
 		return 0, err
 	}
-	if err := g.confirmDurable(m, votes, v); err != nil {
+	if converging, err := g.confirmDurable(m, votes, v); err != nil {
 		// The late channel is handed to exactly one drainer: from here on
 		// drainLate owns it (repairLate must not also consume it — each
 		// straggler vote is sent once).
 		g.drainLate(m, late, len(members)-len(votes))
-		if !g.counterInflight(m.UUID.ID) {
+		if !converging {
 			return 0, err
 		}
-		// The shortfall involves replicas whose relative applies are
-		// still in flight: they could not be counted (unrepairable
-		// without double-counting) but WILL converge on their own. Wait
-		// for the applies to land, then re-confirm v durable.
+		// The shortfall involves replicas whose relative applies were
+		// still in flight when confirmDurable looked: they could not be
+		// counted (unrepairable without double-counting) but WILL converge
+		// on their own. Wait for the applies to land, then re-confirm v
+		// durable. (confirmDurable's own observation decides this, not a
+		// second sample: a straggler landing in between would turn a
+		// converged group into ErrNoQuorum.)
 		if err := g.awaitConverged(m, v); err != nil {
 			return 0, err
 		}
@@ -837,7 +840,8 @@ func (g *Group) awaitConverged(m *opMessage, v uint32) error {
 	if _, err := g.tally(votes, false); err != nil {
 		return err
 	}
-	return g.confirmDurable(rd, votes, v)
+	_, err = g.confirmDurable(rd, votes, v)
+	return err
 }
 
 // confirmDurable makes the value an operation is about to return
@@ -846,8 +850,9 @@ func (g *Group) awaitConverged(m *opMessage, v uint32) error {
 // replicas then holds v, the operation reports ErrNoQuorum instead of
 // returning a value a single ≤f failure could make unobservable. The
 // common case — all ackers already agree on v — confirms without any
-// extra round trip.
-func (g *Group) confirmDurable(m *opMessage, votes []vote, v uint32) error {
+// extra round trip. converging reports that a shortfall left out at least
+// one replica only because its relative applies were still in flight.
+func (g *Group) confirmDurable(m *opMessage, votes []vote, v uint32) (converging bool, err error) {
 	confirmed := 0
 	var lagging []string
 	for _, vt := range votes {
@@ -862,7 +867,9 @@ func (g *Group) confirmDurable(m *opMessage, votes []vote, v uint32) error {
 			// still in flight must not be advanced (the apply would land
 			// on top and double-count); its own applies will carry it to
 			// v. It counts as neither confirmed nor repairable.
-			if !g.hasInflight(m.UUID.ID, vt.id) {
+			if g.hasInflight(m.UUID.ID, vt.id) {
+				converging = true
+			} else {
 				lagging = append(lagging, vt.id)
 			}
 		case vt.reply.Status == statusNotFound:
@@ -874,7 +881,7 @@ func (g *Group) confirmDurable(m *opMessage, votes []vote, v uint32) error {
 		}
 	}
 	if confirmed >= g.Quorum() && len(lagging) == 0 {
-		return nil
+		return false, nil
 	}
 	for _, vt := range g.advanceSubset(m, lagging, v) {
 		if vt.err == nil && vt.reply != nil && vt.reply.Status == statusOK && vt.reply.Value >= v {
@@ -882,10 +889,10 @@ func (g *Group) confirmDurable(m *opMessage, votes []vote, v uint32) error {
 		}
 	}
 	if confirmed < g.Quorum() {
-		return fmt.Errorf("%w: value %d confirmed on %d replicas, need %d",
+		return converging, fmt.Errorf("%w: value %d confirmed on %d replicas, need %d",
 			ErrNoQuorum, v, confirmed, g.Quorum())
 	}
-	return nil
+	return false, nil
 }
 
 // advanceSubset read-repairs the named members up to v for m's counter

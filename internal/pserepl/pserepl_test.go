@@ -216,6 +216,10 @@ func TestReseedRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Early-quorum returns can leave a straggler's create still in flight;
+	// settle them, or with rep-0 down the destroy below can meet a replica
+	// that has not heard of the counter yet and (safely) find no quorum.
+	g.Quiesce()
 	r.machines[0].Restart() // rep-0 goes down
 	if _, err := g.IncrementN(r.client, uuid, 4); err != nil {
 		t.Fatal(err)
