@@ -54,33 +54,34 @@ type report struct {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "benchfig:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("benchfig", flag.ExitOnError)
 	var (
-		fig       = flag.Int("fig", 0, "regenerate figure 3 or 4")
-		table     = flag.Int("table", 0, "report table 1 or 2 structure size")
-		migration = flag.Bool("migration", false, "measure enclave migration overhead")
-		repl      = flag.Bool("repl", false, "measure replicated-counter increment latency vs. replication factor")
-		recov     = flag.Bool("recover", false, "measure kill-to-recovered latency vs. replication factor and escrow blob size")
-		wan       = flag.Bool("wan", false, "measure cross-DC drain throughput and recovery latency vs. WAN RTT")
-		wanBatch  = flag.Int("wan-batch", 0, "stream width N for WAN drain scenarios: each (source, destination) pair migrates in streams of N (0 = default 64, 1 = stream of one, the Fig. 2 exchange)")
-		drain100k = flag.Bool("drain100k", false, "drain a 100k-enclave machine across a 200ms WAN link with the batched pipeline")
-		drainN    = flag.Int("drain-n", 100_000, "enclave count for -drain100k (reduce for CI smoke)")
-		drainSc   = flag.Float64("drain-scale", 1, "latency scale for -drain100k (1 = wall time is simulated time)")
-		tcb       = flag.Bool("tcb", false, "report software TCB size")
-		all       = flag.Bool("all", false, "run every experiment")
-		n         = flag.Int("n", 200, "iterations per operation (paper: 1000)")
-		scale     = flag.Float64("scale", 0.01, "latency scale (1 = paper-magnitude ME latencies)")
-		conf      = flag.Float64("conf", 0.99, "confidence level")
-		jsonPath  = flag.String("json", "", "write results that ran to this file as JSON")
-		omPath    = flag.String("openmetrics", "", "write the run's metric snapshot to this file as OpenMetrics text")
+		fig       = fs.Int("fig", 0, "regenerate figure 3 or 4")
+		table     = fs.Int("table", 0, "report table 1 or 2 structure size")
+		migration = fs.Bool("migration", false, "measure enclave migration overhead")
+		repl      = fs.Bool("repl", false, "measure replicated-counter increment latency vs. replication factor")
+		recov     = fs.Bool("recover", false, "measure kill-to-recovered latency vs. replication factor and escrow blob size")
+		wan       = fs.Bool("wan", false, "measure cross-DC drain throughput and recovery latency vs. WAN RTT")
+		wanBatch  = fs.Int("wan-batch", 0, "stream width N for WAN drain scenarios: each (source, destination) pair migrates in streams of N (0 = default 64, 1 = stream of one, the Fig. 2 exchange)")
+		drain100k = fs.Bool("drain100k", false, "drain a 100k-enclave machine across a 200ms WAN link with the batched pipeline")
+		drainN    = fs.Int("drain-n", 100_000, "enclave count for -drain100k (reduce for CI smoke)")
+		drainSc   = fs.Float64("drain-scale", 1, "latency scale for -drain100k (1 = wall time is simulated time)")
+		tcb       = fs.Bool("tcb", false, "report software TCB size")
+		all       = fs.Bool("all", false, "run every experiment")
+		n         = fs.Int("n", 200, "iterations per operation (paper: 1000)")
+		scale     = fs.Float64("scale", 0.01, "latency scale (1 = paper-magnitude ME latencies)")
+		conf      = fs.Float64("conf", 0.99, "confidence level")
+		jsonPath  = fs.String("json", "", "write results that ran to this file as JSON")
+		omPath    = fs.String("openmetrics", "", "write the run's metric snapshot to this file as OpenMetrics text")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: Parse does not return on a bad flag
 
 	metrics := obs.NewMetrics()
 	cfg := bench.Config{N: *n, Scale: *scale, Confidence: *conf, BatchSize: *wanBatch, Metrics: metrics}
@@ -159,7 +160,7 @@ func run() error {
 		}
 	}
 	if !ran {
-		flag.Usage()
+		fs.Usage()
 		return nil
 	}
 	if *jsonPath != "" {

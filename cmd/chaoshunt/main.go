@@ -219,8 +219,8 @@ func dumpFlight(path string, asJSON bool) error {
 	}
 	fmt.Printf("trigger:  %s (actor %q) %s\n", b.Trigger.Kind, b.Trigger.Actor, b.Trigger.Detail)
 	fmt.Printf("captured: %s\n", time.Unix(0, b.CreatedUnixNs).UTC().Format(time.RFC3339Nano))
-	fmt.Printf("contents: %d spans, %d open spans, %d events, %d counters, %d gauges, %d histograms, %d journal bytes\n",
-		len(b.Spans), len(b.Open), len(b.Events), len(b.Metrics.Counters), len(b.Metrics.Gauges), len(b.Metrics.Histograms), len(b.Journal))
+	fmt.Printf("contents: %d spans, %d open spans, %d events, %d metric series, %d journal bytes\n",
+		len(b.Spans), len(b.Open), len(b.Events), len(b.Metrics.Series), len(b.Journal))
 	if b.Note != "" {
 		fmt.Printf("note:     %s\n", b.Note)
 	}
@@ -228,8 +228,8 @@ func dumpFlight(path string, asJSON bool) error {
 		fmt.Printf("health:   %s/%s %s  %s\n", h.Kind, h.Name, h.State, h.Reason)
 	}
 	for _, v := range b.SLO {
-		if v.Violated {
-			fmt.Printf("slo:      %s VIOLATED (%s: %d > %d ns)\n", v.Name, v.Metric, v.ActualNs, v.MaxNs)
+		if v.Violated() {
+			fmt.Printf("slo:      %s VIOLATED (%s: %v > %v)\n", v.Rule, v.Reason, v.Actual, v.Bound)
 		}
 	}
 	for _, sp := range b.Open {

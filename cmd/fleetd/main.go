@@ -20,6 +20,7 @@ import (
 	"crypto/ed25519"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -42,7 +43,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "fleetd:", err)
 		os.Exit(1)
 	}
@@ -72,39 +73,40 @@ func printJournalFailures(report *fleet.Report) {
 // wire traffic: how many spans each migration generated, the tail of the
 // migration-latency distribution, and which message kinds moved the
 // bytes — the at-a-glance health readout next to the journal numbers.
-func printTelemetry(o *obs.Observer, report *fleet.Report) {
-	fmt.Println("telemetry:")
+func printTelemetry(out io.Writer, o *obs.Observer, report *fleet.Report) {
+	fmt.Fprintln(out, "telemetry:")
 	if report.Completed > 0 {
-		fmt.Printf("  traces: %d spans across %d traces (%.1f spans/migration)\n",
+		fmt.Fprintf(out, "  traces: %d spans across %d traces (%.1f spans/migration)\n",
 			o.Tracer.Len(), len(o.Tracer.ByTrace()), float64(o.Tracer.Len())/float64(report.Completed))
 	} else {
-		fmt.Printf("  traces: %d spans across %d traces\n", o.Tracer.Len(), len(o.Tracer.ByTrace()))
+		fmt.Fprintf(out, "  traces: %d spans across %d traces\n", o.Tracer.Len(), len(o.Tracer.ByTrace()))
 	}
 	snap := o.Metrics.Snapshot()
-	if h, ok := snap.Histograms["fleet.migration.latency"]; ok && h.Count > 0 {
-		fmt.Printf("  migration latency: n=%d p50=%s p99=%s p999=%s\n",
+	if h, ok := snap.Histogram(obs.FleetMigrationLatency); ok {
+		fmt.Fprintf(out, "  migration latency: n=%d p50=%s p99=%s p999=%s\n",
 			h.Count, h.P50.Round(time.Microsecond), h.P99.Round(time.Microsecond), h.P999.Round(time.Microsecond))
 	}
-	if h, ok := snap.Histograms["fleet.recovery.latency"]; ok && h.Count > 0 {
-		fmt.Printf("  recovery latency:  n=%d p50=%s p99=%s p999=%s\n",
+	if h, ok := snap.Histogram(obs.FleetRecoveryLatency); ok {
+		fmt.Fprintf(out, "  recovery latency:  n=%d p50=%s p99=%s p999=%s\n",
 			h.Count, h.P50.Round(time.Microsecond), h.P99.Round(time.Microsecond), h.P999.Round(time.Microsecond))
 	}
 	type kindRow struct {
-		kind  string
-		bytes int64
+		kind        string
+		bytes, msgs int64
 	}
 	var kinds []kindRow
-	for name, v := range snap.Counters {
-		if k, ok := strings.CutPrefix(name, "wire.bytes."); ok {
-			kinds = append(kinds, kindRow{k, v})
-		}
-	}
+	snap.Each(obs.WireBytesKind, func(lv []string, sr obs.Series) {
+		msgs, _ := snap.Counter(obs.WireMsgsKind, lv[0])
+		kinds = append(kinds, kindRow{lv[0], sr.Value, msgs})
+	})
 	sort.Slice(kinds, func(i, j int) bool { return kinds[i].bytes > kinds[j].bytes })
-	fmt.Printf("  wire: %d msgs, %d bytes by kind:\n", snap.Counters["wire.msgs"], snap.Counters["wire.bytes"])
+	msgs, _ := snap.Counter(obs.WireMsgs)
+	bytes, _ := snap.Counter(obs.WireBytes)
+	fmt.Fprintf(out, "  wire: %d msgs, %d bytes by kind:\n", msgs, bytes)
 	for _, k := range kinds {
-		fmt.Printf("    %-16s %9d B (%d msgs)\n", k.kind, k.bytes, snap.Counters["wire.msgs."+k.kind])
+		fmt.Fprintf(out, "    %-16s %9d B (%d msgs)\n", k.kind, k.bytes, k.msgs)
 	}
-	fmt.Printf("  audit events: %d\n", o.Events.Len())
+	fmt.Fprintf(out, "  audit events: %d\n", o.Events.Len())
 }
 
 // printAnalysis runs the trace analytics over the finished plan: the
@@ -113,51 +115,53 @@ func printTelemetry(o *obs.Observer, report *fleet.Report) {
 // verdicts, and how much telemetry the bounded rings shed. The phase
 // durations are a partition of each trace's root window, so the summary
 // mean tracks the measured fleet.migration.latency mean.
-func printAnalysis(plane *analyze.Plane, o *obs.Observer) {
-	verdicts := plane.Refresh()
+func printAnalysis(out io.Writer, plane *analyze.Plane, o *obs.Observer) {
+	pass := plane.Refresh()
 	spans := o.Tracer.Spans()
-	for _, root := range []string{"fleet.migrate", "fleet.recover"} {
-		sum := analyze.Summarize(spans, root)
+	for _, root := range []*obs.SpanDesc{obs.SpanFleetMigrate, obs.SpanFleetRecover} {
+		sum := analyze.Summarize(spans, root.Name)
 		if sum.Count == 0 {
 			continue
 		}
-		fmt.Printf("critical path (%s, %d traces, mean %s):\n",
-			root, sum.Count, sum.Mean.Round(time.Microsecond))
+		fmt.Fprintf(out, "critical path (%s, %d traces, mean %s):\n",
+			root.Name, sum.Count, sum.Mean.Round(time.Microsecond))
 		for _, p := range sum.Phases {
 			mean := p.Total / time.Duration(sum.Count)
-			fmt.Printf("    %-12s %10s/trace  %5.1f%%\n",
+			fmt.Fprintf(out, "    %-12s %10s/trace  %5.1f%%\n",
 				p.Phase, mean.Round(time.Nanosecond), 100*p.Fraction)
 		}
 	}
 	snap := o.Metrics.Snapshot()
-	for _, kind := range []string{"freeze", "recovery"} {
-		if h, ok := snap.Histograms["unavail."+kind+".window"]; ok && h.Count > 0 {
-			fmt.Printf("unavailability (%s): n=%d p50=%s p99=%s max<=%s\n",
-				kind, h.Count, h.P50.Round(time.Microsecond), h.P99.Round(time.Microsecond), h.Max)
-		}
+	if h, ok := snap.Histogram(obs.UnavailFreezeWindow); ok {
+		fmt.Fprintf(out, "unavailability (freeze): n=%d p50=%s p99=%s max<=%s\n",
+			h.Count, h.P50.Round(time.Microsecond), h.P99.Round(time.Microsecond), h.Max)
 	}
-	for _, v := range verdicts {
-		fmt.Println(" ", v)
+	if h, ok := snap.Histogram(obs.UnavailRecoveryWindow); ok {
+		fmt.Fprintf(out, "unavailability (recovery): n=%d p50=%s p99=%s max<=%s\n",
+			h.Count, h.P50.Round(time.Microsecond), h.P99.Round(time.Microsecond), h.Max)
+	}
+	for _, v := range pass.Objectives {
+		fmt.Fprintln(out, " ", v)
 	}
 	// Always printed, even at zero: a reader checking whether the rings
 	// clipped this plan's telemetry should not have to infer it from an
 	// absent line.
-	fmt.Printf("  rings dropped: %d spans, %d events\n", o.Tracer.Dropped(), o.Events.Dropped())
-	fmt.Printf("health: %s", plane.Health.Overall())
+	fmt.Fprintf(out, "  rings dropped: %d spans, %d events\n", o.Tracer.Dropped(), o.Events.Dropped())
+	fmt.Fprintf(out, "health: %s", plane.Health.Overall())
 	unhealthy := 0
-	for _, e := range plane.Health.States() {
+	for _, e := range pass.States {
 		if e.State == health.Healthy {
 			continue
 		}
 		unhealthy++
-		fmt.Printf("\n  %-8s %s/%s: %s", e.State, e.Kind, e.Name, e.Reason)
+		fmt.Fprintf(out, "\n  %-8s %s/%s: %s", e.State, e.Kind, e.Name, e.Reason)
 	}
 	if unhealthy == 0 {
-		fmt.Printf(" (%d entities)", len(plane.Health.States()))
+		fmt.Fprintf(out, " (%d entities)", len(pass.States))
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 	if n := plane.Flight.Trips(); n > 0 {
-		fmt.Printf("flight recorder: %d bundle(s) captured (latest served at /flight)\n", n)
+		fmt.Fprintf(out, "flight recorder: %d bundle(s) captured (latest served at /flight)\n", n)
 	}
 }
 
@@ -195,27 +199,30 @@ func runChaos(seed int64, seeds, steps, apps, counters int, verbose bool) error 
 	return nil
 }
 
-func run() error {
+// run is main without the process: args is the command line, out
+// receives the report, and closing stop ends a -linger early (tests).
+func run(args []string, out io.Writer, stop <-chan struct{}) error {
+	fs := flag.NewFlagSet("fleetd", flag.ExitOnError)
 	var (
-		machines    = flag.Int("machines", 3, "number of SGX machines in the data center")
-		apps        = flag.Int("apps", 100, "number of migratable enclaves to launch")
-		workers     = flag.Int("workers", 8, "concurrent migration workers")
-		planName    = flag.String("plan", "drain", "plan: drain | rebalance | evacuate")
-		source      = flag.String("source", "machine-0", "comma-separated machines to drain/evacuate")
-		targets     = flag.String("targets", "", "comma-separated destination machines (evacuate)")
-		policy      = flag.String("policy", "least-loaded", "placement policy: least-loaded | round-robin")
-		counters    = flag.Int("counters", 2, "monotonic counters per enclave")
-		scale       = flag.Float64("scale", 0, "latency scale (1 = paper-magnitude latencies)")
-		verbose     = flag.Bool("v", false, "log each migration outcome")
-		metricsAddr = flag.String("metrics-addr", "", "serve the observability plane on this address (e.g. 127.0.0.1:9090): OpenMetrics at /metrics, JSON at /metrics.json, /traces, /events, /slo, /health, /flight")
-		flightDir   = flag.String("flight-dir", "", "persist flight-recorder bundles into this directory (latest 16 kept)")
-		linger      = flag.Duration("linger", 0, "keep serving -metrics-addr for this long after the plan finishes (for scrapers)")
-		chaosMode   = flag.Bool("chaos", false, "run seeded chaos schedules against a two-DC federation instead of a single plan; exits non-zero with a minimal repro on any invariant violation")
-		chaosSeed   = flag.Int64("chaos-seed", 0, "first chaos schedule seed")
-		chaosSeeds  = flag.Int("chaos-seeds", 8, "number of chaos schedules to run")
-		chaosSteps  = flag.Int("chaos-steps", 30, "steps per chaos schedule")
+		machines    = fs.Int("machines", 3, "number of SGX machines in the data center")
+		apps        = fs.Int("apps", 100, "number of migratable enclaves to launch")
+		workers     = fs.Int("workers", 8, "concurrent migration workers")
+		planName    = fs.String("plan", "drain", "plan: drain | rebalance | evacuate")
+		source      = fs.String("source", "machine-0", "comma-separated machines to drain/evacuate")
+		targets     = fs.String("targets", "", "comma-separated destination machines (evacuate)")
+		policy      = fs.String("policy", "least-loaded", "placement policy: least-loaded | round-robin")
+		counters    = fs.Int("counters", 2, "monotonic counters per enclave")
+		scale       = fs.Float64("scale", 0, "latency scale (1 = paper-magnitude latencies)")
+		verbose     = fs.Bool("v", false, "log each migration outcome")
+		metricsAddr = fs.String("metrics-addr", "", "serve the observability plane on this address (e.g. 127.0.0.1:9090): OpenMetrics at /metrics, JSON at /metrics.json, /traces, /events, /slo, /health, /flight")
+		flightDir   = fs.String("flight-dir", "", "persist flight-recorder bundles into this directory (latest 16 kept)")
+		linger      = fs.Duration("linger", 0, "keep serving -metrics-addr for this long after the plan finishes or fails (for scrapers; a failed plan's black box is at /flight)")
+		chaosMode   = fs.Bool("chaos", false, "run seeded chaos schedules against a two-DC federation instead of a single plan; exits non-zero with a minimal repro on any invariant violation")
+		chaosSeed   = fs.Int64("chaos-seed", 0, "first chaos schedule seed")
+		chaosSeeds  = fs.Int("chaos-seeds", 8, "number of chaos schedules to run")
+		chaosSteps  = fs.Int("chaos-steps", 30, "steps per chaos schedule")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: Parse does not return on a bad flag
 	if *chaosMode {
 		return runChaos(*chaosSeed, *chaosSeeds, *chaosSteps, *apps, *counters, *verbose)
 	}
@@ -278,20 +285,47 @@ func run() error {
 		}
 		defer ln.Close()
 		go func() { _ = http.Serve(ln, plane.Handler()) }()
-		fmt.Printf("serving observability plane at http://%s/metrics (.json, /traces, /events, /slo)\n", ln.Addr())
+		fmt.Fprintf(out, "serving observability plane at http://%s/metrics (.json, /traces, /events, /slo)\n", ln.Addr())
 	}
 	for i := 0; i < *machines; i++ {
 		if _, err := dc.AddMachine(fmt.Sprintf("machine-%d", i)); err != nil {
 			return err
 		}
 	}
+	cfg := fleet.Config{Workers: *workers, Meter: meter, Obs: observer}
+	if *verbose {
+		cfg.OnEvent = func(e fleet.Event) {
+			switch e.Type {
+			case fleet.EventCompleted:
+				fmt.Fprintf(out, "  %-12s %s -> %s (attempt %d)\n", e.App, e.Source, e.Dest, e.Attempt)
+			case fleet.EventRedirect:
+				fmt.Fprintf(out, "  %-12s redirected to %s\n", e.App, e.Dest)
+			case fleet.EventFailed:
+				fmt.Fprintf(out, "  %-12s FAILED: %v\n", e.App, e.Err)
+			}
+		}
+	}
+	err = drive(out, dc, plane, cfg, plan, *apps, *counters)
+	if *metricsAddr != "" && *linger > 0 {
+		fmt.Fprintf(out, "lingering %s for scrapers on %s\n", linger, *metricsAddr)
+		select {
+		case <-time.After(*linger):
+		case <-stop:
+		}
+	}
+	return err
+}
+
+// drive populates the data center, executes the plan, prints the report
+// and verifies the fleet afterwards.
+func drive(out io.Writer, dc *cloud.DataCenter, plane *analyze.Plane, cfg fleet.Config, plan fleet.Plan, apps, counters int) error {
 	first, _ := dc.Machine("machine-0")
 
 	signer := xcrypto.DeriveKey([]byte("fleetd"), "signer")
-	expected := make(map[string]uint32, *apps)
-	ctrIDs := make(map[string][]int, *apps)
-	fmt.Printf("provisioned %d machines; launching %d enclaves on %s\n", *machines, *apps, first.ID())
-	for i := 0; i < *apps; i++ {
+	expected := make(map[string]uint32, apps)
+	ctrIDs := make(map[string][]int, apps)
+	fmt.Fprintf(out, "provisioned %d machines; launching %d enclaves on %s\n", len(dc.Machines()), apps, first.ID())
+	for i := 0; i < apps; i++ {
 		name := fmt.Sprintf("tenant-%04d", i)
 		img := &sgx.Image{
 			Name:            name,
@@ -304,7 +338,7 @@ func run() error {
 			return fmt.Errorf("launch %s: %w", name, err)
 		}
 		incs := uint32(i%7 + 1)
-		for c := 0; c < *counters; c++ {
+		for c := 0; c < counters; c++ {
 			id, _, err := app.Library.CreateCounter()
 			if err != nil {
 				return err
@@ -319,21 +353,7 @@ func run() error {
 		expected[name] = incs
 	}
 
-	cfg := fleet.Config{Workers: *workers, Meter: meter, Obs: observer}
-	if *verbose {
-		cfg.OnEvent = func(e fleet.Event) {
-			switch e.Type {
-			case fleet.EventCompleted:
-				fmt.Printf("  %-12s %s -> %s (attempt %d)\n", e.App, e.Source, e.Dest, e.Attempt)
-			case fleet.EventRedirect:
-				fmt.Printf("  %-12s redirected to %s\n", e.App, e.Dest)
-			case fleet.EventFailed:
-				fmt.Printf("  %-12s FAILED: %v\n", e.App, e.Err)
-			}
-		}
-	}
-
-	fmt.Printf("executing %s plan (%s policy, %d workers)\n\n", plan.Intent, pol.Name(), *workers)
+	fmt.Fprintf(out, "executing %s plan (%s policy, %d workers)\n\n", plan.Intent, plan.Policy.Name(), cfg.Workers)
 	orch := fleet.New(dc, cfg)
 	report, err := orch.Execute(context.Background(), plan)
 	if report != nil && report.Journal != nil {
@@ -356,9 +376,9 @@ func run() error {
 		})
 		return err
 	}
-	fmt.Println(report)
-	printTelemetry(observer, report)
-	printAnalysis(plane, observer)
+	fmt.Fprintln(out, report)
+	printTelemetry(out, cfg.Obs, report)
+	printAnalysis(out, plane, cfg.Obs)
 	// A plan with failed or canceled migrations is a failed operation:
 	// surface every non-completed journal entry and exit non-zero, so
 	// scripts and CI catch it instead of parsing logs.
@@ -378,10 +398,10 @@ func run() error {
 	for _, m := range dc.Machines() {
 		n := m.AppCount()
 		live += n
-		fmt.Printf("%-12s %3d enclaves\n", m.ID(), n)
+		fmt.Fprintf(out, "%-12s %3d enclaves\n", m.ID(), n)
 	}
-	if live != *apps {
-		return fmt.Errorf("enclaves lost: %d live, want %d", live, *apps)
+	if live != apps {
+		return fmt.Errorf("enclaves lost: %d live, want %d", live, apps)
 	}
 	verified := 0
 	for _, m := range dc.Machines() {
@@ -402,10 +422,6 @@ func run() error {
 			verified++
 		}
 	}
-	fmt.Printf("\nverified %d enclaves: all counters intact, no rollback, no forks\n", verified)
-	if *metricsAddr != "" && *linger > 0 {
-		fmt.Printf("lingering %s for scrapers on %s\n", linger, *metricsAddr)
-		time.Sleep(*linger)
-	}
+	fmt.Fprintf(out, "\nverified %d enclaves: all counters intact, no rollback, no forks\n", verified)
 	return nil
 }

@@ -39,8 +39,9 @@ func internalImports(t *testing.T, pkg string) []string {
 }
 
 // TestImportDAG pins the layering consolidation relies on: the protocol
-// core never imports the management planes built on top of it, and the
-// leaf packages import nothing of ours at all.
+// core never imports the management planes built on top of it, the leaf
+// packages import nothing of ours at all, and obs imports only the wirec
+// framing primitives.
 func TestImportDAG(t *testing.T) {
 	for _, imp := range internalImports(t, "core") {
 		switch imp {
@@ -48,9 +49,14 @@ func TestImportDAG(t *testing.T) {
 			t.Errorf("internal/core imports internal/%s (core must not import upward)", imp)
 		}
 	}
-	for _, leaf := range []string{"obs", "sim", "wirec", "xcrypto", "stats"} {
+	for _, leaf := range []string{"sim", "wirec", "xcrypto", "stats"} {
 		if imps := internalImports(t, leaf); len(imps) > 0 {
 			t.Errorf("internal/%s is a leaf but imports internal/%v", leaf, imps)
+		}
+	}
+	for _, imp := range internalImports(t, "obs") {
+		if imp != "wirec" {
+			t.Errorf("internal/obs imports internal/%s (it may import wirec and nothing else of ours)", imp)
 		}
 	}
 }

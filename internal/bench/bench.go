@@ -41,25 +41,25 @@ type Config struct {
 	// against.
 	BatchSize int
 	// Metrics, when set, additionally receives each experiment's raw
-	// sample durations as latency histograms ("fig3.increment.library",
-	// "fig3.increment.baseline", ...) and the run's simulated-cost op
-	// tallies as gauges ("sim.op.<name>"). Recording happens after the
-	// timed loops, off the measured path; nil (the default) records
-	// nothing.
+	// sample durations as latency histograms (the fig3 and fig4
+	// families, labelled by op and variant) and the run's simulated-cost
+	// op tallies as gauges (sim.op, labelled by op). Recording happens
+	// after the timed loops, off the measured path; nil (the default)
+	// records nothing.
 	Metrics *obs.Metrics `json:"-"`
 }
 
-// record folds one experiment's per-op sample sets into the configured
-// metrics registry under "<prefix>.<op>.<variant>".
-func (c Config) record(prefix, variant string, samples map[string][]float64) {
-	if c.Metrics == nil {
-		return
-	}
+// record folds one experiment's per-op sample sets (seconds) into the
+// configured metrics registry, one child of fig per (op, variant).
+func (c Config) record(fig *obs.HistogramDesc, variant string, samples map[string][]float64) {
 	for op, vals := range samples {
-		h := c.Metrics.Histogram(prefix + "." + op + "." + variant)
-		for _, s := range vals {
-			h.Observe(time.Duration(s * float64(time.Second)))
-		}
+		observeSeconds(c.Metrics.Histogram(fig, op, variant), vals)
+	}
+}
+
+func observeSeconds(h *obs.Histogram, samples []float64) {
+	for _, s := range samples {
+		h.Observe(time.Duration(s * float64(time.Second)))
 	}
 }
 
@@ -67,11 +67,8 @@ func (c Config) record(prefix, variant string, samples map[string][]float64) {
 // gauges, so a metrics snapshot carries the cost-model evidence next to
 // the wall-clock histograms.
 func (c Config) recordSimCounts(lat *sim.Latency) {
-	if c.Metrics == nil {
-		return
-	}
 	for op, n := range lat.Counts() {
-		c.Metrics.SetGauge("sim.op."+op.String(), int64(n))
+		c.Metrics.Gauge(obs.SimOp, op.String()).Set(int64(n))
 	}
 }
 
@@ -269,8 +266,8 @@ func Fig3(cfg Config) ([]Row, error) {
 		}
 		rows = append(rows, row)
 	}
-	cfg.record("fig3", "library", libSamples)
-	cfg.record("fig3", "baseline", baseSamples)
+	cfg.record(obs.Fig3, "library", libSamples)
+	cfg.record(obs.Fig3, "baseline", baseSamples)
 	cfg.recordSimCounts(w.dc.Latency)
 	return rows, nil
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"repro/internal/obs"
 
 	"repro/internal/core"
 	"repro/internal/seal"
@@ -154,8 +155,8 @@ func Fig4(cfg Config) ([]Row, error) {
 		}
 		rows = append(rows, row)
 	}
-	cfg.record("fig4", "library", libSamples)
-	cfg.record("fig4", "baseline", baseSamples)
+	cfg.record(obs.Fig4, "library", libSamples)
+	cfg.record(obs.Fig4, "baseline", baseSamples)
 	cfg.recordSimCounts(w.dc.Latency)
 	return rows, nil
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"repro/internal/obs"
 	"time"
 
 	"repro/internal/core"
@@ -73,7 +74,7 @@ func MigrationOverhead(cfg Config) (*MigrationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.record("migration", "overhead", map[string][]float64{"end-to-end": samples})
+	observeSeconds(cfg.Metrics.Histogram(obs.MigrationEndToEnd), samples)
 	cfg.recordSimCounts(w.dc.Latency)
 
 	// Reference VM migration: a 1 GiB guest.

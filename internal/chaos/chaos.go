@@ -195,7 +195,7 @@ func Run(cfg Config) (*Result, error) {
 		steps = w.generate(cfg.Steps)
 	}
 	w.quiesce()
-	states := w.mon.Evaluate(time.Now())
+	states := w.mon.Evaluate(time.Now()).States
 
 	events := w.obs.Events.Events()
 	violations, cov := CheckCoverage(w.h, events, w.ownerIndex())
@@ -248,7 +248,7 @@ func buildWorld(cfg Config) (*world, error) {
 	// TripAfter 1 (vs the serving default 2) because a chaos step is a
 	// coarse instant, not a scrape tick: the injected fault classes must
 	// reach degraded/critical within the schedule that provoked them.
-	w.mon = health.New(w.obs, health.Config{TripAfter: 1, ClearAfter: 2}, health.DefaultDetectors()...)
+	w.mon = health.New(w.obs, health.Config{TripAfter: 1, ClearAfter: 2}, health.DefaultRules()...)
 
 	for _, name := range []string{"dc-a", "dc-b"} {
 		dc, err := cloud.NewDataCenter(name, sim.NewInstantLatency())

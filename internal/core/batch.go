@@ -140,7 +140,7 @@ func (me *MigrationEnclave) beginStream(dest transport.Address, count int, opts 
 	if count <= 0 || count > maxBatchCount {
 		return nil, fmt.Errorf("core: batch size %d out of range [1, %d]", count, maxBatchCount)
 	}
-	sp, tc := me.observer().StartSpan("me.transfer", opts.Trace)
+	sp, tc := me.observer().StartSpan(obs.SpanMETransfer, opts.Trace)
 	if sp != nil {
 		sp.Site = string(me.addr)
 	}
@@ -179,7 +179,7 @@ func (me *MigrationEnclave) beginResumed(dest transport.Address, count int, opts
 	}
 	me.mu.Unlock()
 	if sess == nil {
-		me.observer().M().Add("me.session.resume.miss", 1)
+		me.observer().M().Counter(obs.MESessionResumeMiss).Add(1)
 		return nil, nil
 	}
 	if err := me.recheckPeer(sess); err != nil {
@@ -187,7 +187,7 @@ func (me *MigrationEnclave) beginResumed(dest transport.Address, count int, opts
 		// Forget the session; the full handshake below refuses it with the
 		// precise reason, exactly as a first contact would.
 		me.dropSession(dest, sess)
-		me.observer().M().Add("me.session.resume.refused", 1)
+		me.observer().M().Counter(obs.MESessionResumeRefused).Add(1)
 		return nil, nil
 	}
 	ticket := &resumeTicket{
@@ -201,7 +201,7 @@ func (me *MigrationEnclave) beginResumed(dest transport.Address, count int, opts
 	if err != nil {
 		return nil, err
 	}
-	offerSp, offerTC := me.observer().StartSpan("me.offer", tc)
+	offerSp, offerTC := me.observer().StartSpan(obs.SpanMEOffer, tc)
 	replyRaw, err := me.net.Send(me.addr, dest, kindOffer, obs.Inject(offerTC, offerRaw))
 	offerSp.End()
 	if err != nil {
@@ -225,7 +225,7 @@ func (me *MigrationEnclave) beginResumed(dest transport.Address, count int, opts
 		// below is a fully authenticated handshake that replaces the
 		// session on success, so a forged refusal costs one handshake,
 		// never a durable downgrade to per-batch attestation.
-		me.observer().M().Add("me.session.resume.refused", 1)
+		me.observer().M().Counter(obs.MESessionResumeRefused).Add(1)
 		return nil, nil
 	}
 	// An accepting destination must prove it holds the session secret and
@@ -237,8 +237,8 @@ func (me *MigrationEnclave) beginResumed(dest transport.Address, count int, opts
 	if len(reply.BatchID) == 0 {
 		return nil, fmt.Errorf("%w: resume reply missing batch id", ErrDataFormat)
 	}
-	me.observer().M().Add("me.session.resumed", 1)
-	me.observer().M().Add("me.session.resume.hit", 1)
+	me.observer().M().Counter(obs.MESessionResumed).Add(1)
+	me.observer().M().Counter(obs.MESessionResumeHit).Add(1)
 	dataKey, ackKey := batchKeys(sess.secret, ctr)
 	return me.newBatchSender(dest, count, opts, reply.BatchID, dataKey, ackKey, false, nil, nil)
 }
@@ -285,7 +285,7 @@ func (me *MigrationEnclave) beginFresh(dest transport.Address, count int, opts B
 	if err != nil {
 		return nil, err
 	}
-	offerSp, offerTC := me.observer().StartSpan("me.offer", tc)
+	offerSp, offerTC := me.observer().StartSpan(obs.SpanMEOffer, tc)
 	replyRaw, err := me.net.Send(me.addr, dest, kindOffer, obs.Inject(offerTC, offerRaw))
 	offerSp.End()
 	if err != nil {
@@ -486,7 +486,7 @@ func (bs *BatchSender) sendChunk(seq uint64, chunk []byte) {
 	raw, err := encodeBatchChunk(msg)
 	var replyRaw []byte
 	if err == nil {
-		sp, tc := me.observer().StartSpan("me.data", bs.tc)
+		sp, tc := me.observer().StartSpan(obs.SpanMEData, bs.tc)
 		replyRaw, err = me.net.Send(me.addr, bs.dest, kindData, obs.Inject(tc, raw))
 		sp.End()
 	}
@@ -594,19 +594,18 @@ func (bs *BatchSender) Finish() (map[uint32]BatchMemberStatus, error) {
 	}
 	me.mu.Unlock()
 	if savings > 0 {
-		me.observer().M().Add("wire.bytes.saved", savings)
+		me.observer().M().Counter(obs.WireBytesSaved).Add(savings)
 	}
 	if compIn > 0 {
 		// Compression effectiveness for the whole batch, as permille of
 		// the input that survived (compressed*1000/input). Histograms
 		// store time.Duration samples, so the ratio rides as a raw int64:
 		// 1000 means incompressible, 250 means 4:1. Recorded globally and,
-		// when the caller named the link, per link — the fleet health
-		// detectors and cost model read the per-link family.
+		// when the caller named the link, per link.
 		ratio := time.Duration(compOut * 1000 / compIn)
-		me.observer().M().Histogram("wan.compress.ratio").Observe(ratio)
+		me.observer().M().Histogram(obs.WANCompressRatio).Observe(ratio)
 		if bs.link != "" {
-			me.observer().M().Histogram("wan.compress.ratio." + bs.link).Observe(ratio)
+			me.observer().M().Histogram(obs.WANCompressRatioLink, bs.link).Observe(ratio)
 		}
 	}
 	if len(out) < bs.count {
@@ -829,10 +828,10 @@ func (me *MigrationEnclave) handleBatchOffer(payload []byte) ([]byte, error) {
 	epoch := append([]byte(nil), me.epoch...)
 	me.mu.Unlock()
 	if evictedSess > 0 {
-		me.observer().M().Add("me.session.evicted", int64(evictedSess))
+		me.observer().M().Counter(obs.MESessionEvicted).Add(int64(evictedSess))
 	}
 	if evictedRx > 0 {
-		me.observer().M().Add("me.stream.rx.evicted", int64(evictedRx))
+		me.observer().M().Counter(obs.MEStreamRxEvicted).Add(int64(evictedRx))
 	}
 	return encodeBatchOfferReply(&batchOfferReply{
 		BatchID:   batchID,
@@ -855,7 +854,7 @@ func (me *MigrationEnclave) handleBatchOffer(payload []byte) ([]byte, error) {
 // on-path forgery) is unauthenticated and triggers only the fallback.
 func (me *MigrationEnclave) handleBatchResume(offer *batchOffer) ([]byte, error) {
 	refuse := func(mac []byte) ([]byte, error) {
-		me.observer().M().Add("me.session.resume.refused", 1)
+		me.observer().M().Counter(obs.MESessionResumeRefused).Add(1)
 		return encodeBatchOfferReply(&batchOfferReply{Refused: true, RefuseMAC: mac})
 	}
 	t := offer.Resume
@@ -916,9 +915,9 @@ func (me *MigrationEnclave) handleBatchResume(offer *batchOffer) ([]byte, error)
 	evictedRx := me.storeRxBatchLocked(batchID, st)
 	me.mu.Unlock()
 	if evictedRx > 0 {
-		me.observer().M().Add("me.stream.rx.evicted", int64(evictedRx))
+		me.observer().M().Counter(obs.MEStreamRxEvicted).Add(int64(evictedRx))
 	}
-	me.observer().M().Add("me.session.resumed", 1)
+	me.observer().M().Counter(obs.MESessionResumed).Add(1)
 	return encodeBatchOfferReply(&batchOfferReply{
 		Resumed:    true,
 		BatchID:    batchID,
@@ -1065,7 +1064,7 @@ func (me *MigrationEnclave) handleBatchAbort(payload []byte) ([]byte, error) {
 	me.mu.Lock()
 	delete(me.rxBatches, key)
 	me.mu.Unlock()
-	me.observer().M().Add("me.stream.rx.aborted", 1)
+	me.observer().M().Counter(obs.MEStreamRxAborted).Add(1)
 	return []byte(statusOK), nil
 }
 

@@ -291,7 +291,7 @@ func (me *MigrationEnclave) handleMigrateOut(conn *localConn, req *localRequest)
 		SourceME:  string(me.addr),
 		DoneToken: token,
 	}
-	sp, tc := me.observer().StartSpan("me.migrate-out", obs.UnmarshalTrace(req.Trace))
+	sp, tc := me.observer().StartSpan(obs.SpanMEMigrateOut, obs.UnmarshalTrace(req.Trace))
 	if sp != nil {
 		sp.Site = string(me.addr)
 		defer sp.End()
@@ -356,7 +356,7 @@ func (me *MigrationEnclave) handleAckRestored(sessionID string, req *localReques
 	if !tc.Valid() {
 		tc = ack.trace
 	}
-	sp, tc := me.observer().StartSpan("me.done", tc)
+	sp, tc := me.observer().StartSpan(obs.SpanMEDone, tc)
 	if sp != nil {
 		sp.Site = string(me.addr)
 		defer sp.End()

@@ -234,7 +234,7 @@ func (l *Library) RecoverCtx(tc obs.TraceContext, me *MigrationEnclave, escrowID
 	if me == nil {
 		return errors.New("core: migration enclave required")
 	}
-	sp, tc := l.obs.StartSpan("lib.recover", tc)
+	sp, tc := l.obs.StartSpan(obs.SpanLibRecover, tc)
 	if sp != nil {
 		sp.Site = l.actor()
 		defer sp.End()
@@ -246,7 +246,7 @@ func (l *Library) RecoverCtx(tc obs.TraceContext, me *MigrationEnclave, escrowID
 	l.me, l.session, l.sessionID = me, session, sessionID
 
 	owner := l.enclave.MREnclave()
-	getSp, _ := l.obs.StartSpan("escrow.get", tc)
+	getSp, _ := l.obs.StartSpan(obs.SpanEscrowGet, tc)
 	ver, bind, blob, err := l.escrow.EscrowGet(owner, escrowID)
 	getSp.End()
 	if err != nil {
@@ -293,7 +293,7 @@ func (l *Library) RecoverCtx(tc obs.TraceContext, me *MigrationEnclave, escrowID
 	// The win: capture the old binding at exactly the sealed version.
 	final := ver
 	if !faultSkipBindingWin {
-		winSp, _ := l.obs.StartSpan("binding.win", tc)
+		winSp, _ := l.obs.StartSpan(obs.SpanBindingWin, tc)
 		final, err = l.counters.DestroyAndRead(l.enclave, bind)
 		winSp.End()
 		if err != nil {

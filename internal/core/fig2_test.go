@@ -104,7 +104,7 @@ func TestFig2MessageSequence(t *testing.T) {
 	if quotes != 0 {
 		t.Errorf("second migration produced %d quotes, want 0 (session resumed)", quotes)
 	}
-	if hit := observer.M().Counter("me.session.resume.hit").Value(); hit != 1 {
+	if hit := observer.M().Counter(obs.MESessionResumeHit).Value(); hit != 1 {
 		t.Errorf("me.session.resume.hit = %d, want 1", hit)
 	}
 }

@@ -357,7 +357,7 @@ func (l *Library) receiveMigrationLocked() error {
 	}
 	// The migration's trace context rode along with the envelope; the
 	// restore span joins it, so one trace covers freeze through resume.
-	sp, tc := l.obs.StartSpan("lib.resume", obs.UnmarshalTrace(reply.Trace))
+	sp, tc := l.obs.StartSpan(obs.SpanLibResume, obs.UnmarshalTrace(reply.Trace))
 	if sp != nil {
 		sp.Site = l.actor()
 		defer sp.End()
@@ -644,7 +644,7 @@ func (l *Library) startMigration(tc obs.TraceContext, dest transport.Address, ho
 	if err := l.ready(); err != nil {
 		return err
 	}
-	sp, tc := l.obs.StartSpan("lib.freeze", tc)
+	sp, tc := l.obs.StartSpan(obs.SpanLibFreeze, tc)
 	if sp != nil {
 		sp.Site = l.actor()
 		defer sp.End()

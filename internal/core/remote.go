@@ -71,12 +71,21 @@ func (me *MigrationEnclave) streamOne(token []byte, dest transport.Address, tc o
 	return nil
 }
 
+// handleSpans names the destination-side span of each ME↔ME message
+// kind; a kind the protocol does not know records no span.
+var handleSpans = map[string]*obs.SpanDesc{
+	kindOffer: obs.SpanMEHandleOffer,
+	kindData:  obs.SpanMEHandleData,
+	kindDone:  obs.SpanMEHandleDone,
+	kindAbort: obs.SpanMEHandleAbort,
+}
+
 // handleNetwork is the ME's untrusted-network entry point.
 func (me *MigrationEnclave) handleNetwork(msg transport.Message) ([]byte, error) {
 	if err := me.enclave.ECall(); err != nil {
 		return nil, err
 	}
-	sp, _ := me.observer().StartSpan("me.handle-"+msg.Kind, msg.Trace)
+	sp, _ := me.observer().StartSpan(handleSpans[msg.Kind], msg.Trace)
 	if sp != nil {
 		sp.Site = string(me.addr)
 		defer sp.End()

@@ -457,7 +457,7 @@ func (f *Federation) RecoverMachine(deadDC, deadID, destDC, targetID string, for
 func (f *Federation) recoverOne(mirror *Mirror, gA, gB *pserepl.Group, target *cloud.Machine, la cloud.LostApp, force bool, originDCName string, link *transport.WANLink) (*cloud.App, error) {
 	owner := la.Image.Measure()
 	k := instanceKey{owner: owner, id: la.EscrowID}
-	sp, tc := f.obs.Load().StartSpan("fed.recover", obs.TraceContext{})
+	sp, tc := f.obs.Load().StartSpan(obs.SpanFedRecover, obs.TraceContext{})
 	if sp != nil {
 		sp.Site = f.name
 		defer sp.End()

@@ -174,13 +174,13 @@ func TestCrossDCBatchCompressRatio(t *testing.T) {
 	}
 
 	snap := observer.M().Snapshot()
-	global, ok := snap.Histograms["wan.compress.ratio"]
-	if !ok || global.Count == 0 {
-		t.Fatalf("wan.compress.ratio not recorded: %+v", snap.Histograms)
-	}
-	perLink, ok := snap.Histograms["wan.compress.ratio."+link.Name()]
+	global, ok := snap.Histogram(obs.WANCompressRatio)
 	if !ok {
-		t.Fatalf("per-link family wan.compress.ratio.%s missing: %+v", link.Name(), snap.Histograms)
+		t.Fatalf("wan.compress.ratio not recorded: %+v", snap.Series)
+	}
+	perLink, ok := snap.Histogram(obs.WANCompressRatioLink, link.Name())
+	if !ok {
+		t.Fatalf("wan.compress.ratio.link{link=%q} missing: %+v", link.Name(), snap.Series)
 	}
 	if perLink.Count != global.Count {
 		t.Errorf("per-link count %d != global count %d (all batches crossed one link)", perLink.Count, global.Count)
@@ -357,10 +357,10 @@ func TestRevokedFederationCutsOffCachedSession(t *testing.T) {
 // from its own telemetry. Every fleet.migrate trace partitions into named
 // phases with at most 1% left in "other", and the stream's legs (offer,
 // data frames, link hops) show up under attest, transfer and wan through
-// the same span names a stream of one uses. (The destination's resume and
-// DONE spans hang off the source's long-finished me.migrate-out span, so
-// the partition books their time to the enclosing fleet.migrate span as
-// "orchestrate" — for streams of every width, as before.)
+// the same span names a stream of one uses. The destination's resume and
+// DONE spans hang off the source's long-finished me.migrate-out span; the
+// partition adopts them into the enclosing fleet.migrate span, so resume
+// and commit are phases of their own rather than "orchestrate" time.
 func TestCrossDCStreamCriticalPathNamed(t *testing.T) {
 	fed, dcA, dcB, link := twoPlainSites(t, transport.WANConfig{RTT: time.Millisecond})
 	observer := obs.NewObserver()
@@ -401,7 +401,7 @@ func TestCrossDCStreamCriticalPathNamed(t *testing.T) {
 		t.Errorf("%.1f%% of the streamed drain's critical path is unattributed (other): %+v",
 			100*share[analyze.PhaseOther], sum.Phases)
 	}
-	for _, phase := range []string{analyze.PhaseFreeze, analyze.PhaseAttest, analyze.PhaseTransfer, analyze.PhaseWAN} {
+	for _, phase := range []string{obs.PhaseFreeze, obs.PhaseAttest, obs.PhaseTransfer, obs.PhaseWAN, obs.PhaseResume, obs.PhaseCommit} {
 		if share[phase] == 0 {
 			t.Errorf("no critical-path time attributed to %q: %+v", phase, sum.Phases)
 		}

@@ -138,8 +138,8 @@ func (m *Mirror) enqueue(k instanceKey) {
 			m.seq[k] = m.nextSeq
 		}
 		met := m.obs.Load().M()
-		met.Add("mirror.enqueue.total", 1)
-		met.SetGauge("mirror.dirty", int64(len(m.pending)))
+		met.Counter(obs.MirrorEnqueueTotal).Add(1)
+		met.Gauge(obs.MirrorDirty).Set(int64(len(m.pending)))
 		m.cond.Broadcast()
 	}
 	m.mu.Unlock()
@@ -204,17 +204,17 @@ func (m *Mirror) Flush() error {
 
 // noteFlush records flush telemetry: the attempt counter always moves,
 // and a clean flush stamps mirror.flush.last_unix_ns — the gauge the
-// mirror-rpo-age SLO (internal/obs/analyze) measures freshness from.
+// mirror-rpo-age objective (internal/obs/health) measures freshness from.
 func (m *Mirror) noteFlush(err error) error {
 	met := m.obs.Load().M()
-	met.Add("mirror.flush.total", 1)
+	met.Counter(obs.MirrorFlushTotal).Add(1)
 	if err == nil {
-		met.SetGauge("mirror.flush.last_unix_ns", time.Now().UnixNano())
+		met.Gauge(obs.MirrorFlushLast).Set(time.Now().UnixNano())
 	} else {
-		met.Add("mirror.flush.errors", 1)
+		met.Counter(obs.MirrorFlushErrors).Add(1)
 	}
 	m.mu.Lock()
-	met.SetGauge("mirror.dirty", int64(len(m.pending)))
+	met.Gauge(obs.MirrorDirty).Set(int64(len(m.pending)))
 	m.publishKnownLocked(met)
 	m.mu.Unlock()
 	return err
@@ -231,7 +231,7 @@ func (m *Mirror) publishKnownLocked(met *obs.Metrics) {
 			n++
 		}
 	}
-	met.SetGauge("mirror.known", n)
+	met.Gauge(obs.MirrorKnown).Set(n)
 }
 
 func (m *Mirror) flush() error {
@@ -352,17 +352,17 @@ func (m *Mirror) syncOne(k instanceKey) (err error) {
 		return nil
 	}
 	o := m.obs.Load()
-	sp, tc := o.StartSpan("mirror.push", obs.TraceContext{})
+	sp, tc := o.StartSpan(obs.SpanMirrorPush, obs.TraceContext{})
 	if sp != nil {
 		sp.Site = m.name
 		defer sp.End()
 	}
 	start := time.Now()
 	defer func() {
-		o.M().Add("mirror.push.total", 1)
-		o.M().Histogram("mirror.push.latency").Observe(time.Since(start))
+		o.M().Counter(obs.MirrorPushTotal).Add(1)
+		o.M().Histogram(obs.MirrorPushLatency).Observe(time.Since(start))
 		if err != nil {
-			o.M().Add("mirror.push.errors", 1)
+			o.M().Counter(obs.MirrorPushErrors).Add(1)
 		}
 	}()
 	ver, bind, blob, err := m.origin.EscrowGet(k.owner, k.id)
@@ -468,7 +468,7 @@ func (m *Mirror) syncOne(k instanceKey) (err error) {
 		m.known[k] = &originInfo{bind: bind, version: ver}
 	}
 	met := o.M()
-	met.SetGauge("mirror.push.last_unix_ns", time.Now().UnixNano())
+	met.Gauge(obs.MirrorPushLast).Set(time.Now().UnixNano())
 	m.publishKnownLocked(met)
 	m.mu.Unlock()
 	return nil
@@ -554,9 +554,15 @@ func newMirrorEndpoint(name string, group *pserepl.Group, sealer *xcrypto.Sealer
 	return ep, nil
 }
 
+// handleSpans names the partner-side span of each mirror message kind.
+var handleSpans = map[string]*obs.SpanDesc{
+	kindEnsure: obs.SpanMirrorHandleEnsure,
+	kindPush:   obs.SpanMirrorHandlePush,
+}
+
 // handle authenticates and dispatches one mirror exchange.
 func (ep *mirrorEndpoint) handle(msg transport.Message) ([]byte, error) {
-	sp, _ := ep.obs.Load().StartSpan("mirror.handle-"+msg.Kind, msg.Trace)
+	sp, _ := ep.obs.Load().StartSpan(handleSpans[msg.Kind], msg.Trace)
 	if sp != nil {
 		sp.Site = ep.name
 		defer sp.End()

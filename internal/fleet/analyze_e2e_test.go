@@ -42,7 +42,7 @@ func TestCriticalPathMatchesMeasuredLatency(t *testing.T) {
 		phaseMean += p.Total / time.Duration(sum.Count)
 	}
 
-	h := observer.Metrics.Snapshot().Histograms["fleet.migration.latency"]
+	h, _ := observer.Metrics.Snapshot().Histogram(obs.FleetMigrationLatency)
 	if h.Count != apps {
 		t.Fatalf("latency histogram count = %d, want %d", h.Count, apps)
 	}
@@ -61,7 +61,7 @@ func TestCriticalPathMatchesMeasuredLatency(t *testing.T) {
 	for _, p := range sum.Phases {
 		phases[p.Phase] = p.Total
 	}
-	if phases[analyze.PhaseTransfer] == 0 {
+	if phases[obs.PhaseTransfer] == 0 {
 		t.Errorf("no time attributed to transfer: %+v", sum.Phases)
 	}
 	if other := phases[analyze.PhaseOther]; float64(other) > 0.01*float64(sum.Total) {
@@ -102,7 +102,7 @@ func TestUnavailabilityLedgerFromPlan(t *testing.T) {
 		t.Fatalf("derived %d freeze windows, want %d (windows: %+v)", freezes, apps, windows)
 	}
 	ld.Update(observer) // idempotent
-	h := observer.Metrics.Snapshot().Histograms["unavail.freeze.window"]
+	h, _ := observer.Metrics.Snapshot().Histogram(obs.UnavailFreezeWindow)
 	if h.Count != apps {
 		t.Fatalf("unavail.freeze.window count = %d, want %d", h.Count, apps)
 	}

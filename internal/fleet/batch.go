@@ -113,7 +113,7 @@ func (o *Orchestrator) newMember(as Assignment, links map[*cloud.Machine]string)
 		Counters:    as.App.Library.ActiveCounters(),
 		Link:        links[as.Dest],
 	}
-	m.sp, m.tc = o.cfg.Obs.StartSpan("fleet.migrate", obs.TraceContext{})
+	m.sp, m.tc = o.cfg.Obs.StartSpan(obs.SpanFleetMigrate, obs.TraceContext{})
 	if m.sp != nil {
 		m.sp.Site = m.entry.App
 	}
@@ -137,9 +137,9 @@ func (o *Orchestrator) finish(m *member, dest *cloud.Machine, links map[*cloud.M
 	}
 	m.sp.End()
 	if st == StatusCompleted && m.entry.Attempts > 0 {
-		o.cfg.Obs.M().Histogram("fleet.migration.latency").Observe(m.entry.Latency)
+		o.cfg.Obs.M().Histogram(obs.FleetMigrationLatency).Observe(m.entry.Latency)
 	}
-	o.cfg.Obs.M().Add("fleet.migration."+st.String(), 1)
+	o.cfg.Obs.M().Counter(obs.FleetMigration, st.String()).Add(1)
 	evType := EventFailed
 	switch st {
 	case StatusCompleted:

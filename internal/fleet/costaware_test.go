@@ -209,11 +209,11 @@ func TestCostAwareWatchLinks(t *testing.T) {
 	candidates := []*cloud.Machine{ok, bad}
 
 	o := obs.NewObserver()
-	mon := health.New(o, health.Config{TripAfter: 1, ClearAfter: 1}, health.NewLinkDetector())
+	mon := health.New(o, health.Config{TripAfter: 1, ClearAfter: 1}, health.LinkRule())
 
 	// The bad machine sits behind wan-x, already down at subscribe time.
-	o.M().SetGauge("wan.link.down.wan-x", 1)
-	o.M().Add("wan.link.msgs.wan-x", 1)
+	o.M().Gauge(obs.WANLinkDown, "wan-x").Set(1)
+	o.M().Counter(obs.WANLinkMsgs, "wan-x").Add(1)
 	mon.Evaluate(time.Now())
 
 	policy := NewCostAware(nil)
@@ -232,7 +232,7 @@ func TestCostAwareWatchLinks(t *testing.T) {
 	}
 
 	// The link heals; the change hook must clear the exclusion.
-	o.M().SetGauge("wan.link.down.wan-x", 0)
+	o.M().Gauge(obs.WANLinkDown, "wan-x").Set(0)
 	mon.Evaluate(time.Now())
 	load = map[string]int{}
 	okN, badN := 0, 0

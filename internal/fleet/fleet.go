@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cloud"
@@ -104,22 +102,12 @@ type Config struct {
 	BatchSize int
 	// MaxAttempts bounds delivery attempts per migration. Default 4.
 	MaxAttempts int
-	// RetryBackoff is the delay before the second attempt; it grows by
-	// BackoffFactor per attempt, capped at MaxBackoff. Defaults 5ms, 2, 250ms.
-	RetryBackoff  time.Duration
-	BackoffFactor float64
-	MaxBackoff    time.Duration
-	// BackoffJitter randomizes each retry delay: a computed delay d
-	// becomes d·(1 + u·BackoffJitter) with u uniform in [0, 1), which
-	// decorrelates a worker pool hammering the same recovering machine
-	// or WAN link. Zero (the default) disables jitter, keeping retry
-	// timing fully deterministic.
-	BackoffJitter float64
-	// Rand is the randomness source behind BackoffJitter. Chaos and
-	// replay harnesses inject a seeded source so jittered schedules
-	// replay identically; nil falls back to a fixed-seed source. The
-	// orchestrator serializes access to it.
-	Rand *rand.Rand
+	// RetryBackoff is the delay before the second attempt; it doubles
+	// per attempt, capped at MaxBackoff. Defaults 5ms and 250ms.
+	// Deliveries that traverse a WAN link back off from
+	// wanBackoffFactor times this base. Retry timing is deterministic.
+	RetryBackoff time.Duration
+	MaxBackoff   time.Duration
 	// Confidence is the CI level of the report's latency summary. Default 0.99
 	// (the paper's level).
 	Confidence float64
@@ -128,26 +116,16 @@ type Config struct {
 	// OnEvent, when set, receives progress events.
 	OnEvent func(Event)
 	// SnapshotStore, when set, receives an encoded journal snapshot
-	// mid-plan and at plan end — durable progress an orchestrator that
-	// crashes mid-plan can be resumed from (DecodeJournal +
-	// ResumeParked), instead of only plan-end snapshots. Writes are
-	// best-effort: a failing store never fails the plan.
+	// after every recorded outcome and at plan end — durable progress an
+	// orchestrator that crashes mid-plan can be resumed from
+	// (DecodeJournal + ResumeParked), instead of only plan-end
+	// snapshots. Writes are best-effort: a failing store never fails the
+	// plan.
 	SnapshotStore core.Storage
-	// SnapshotEvery is the snapshot cadence: one write per that many
-	// recorded outcomes (default 1 — after every outcome). Each write
-	// encodes the whole journal-so-far under one lock, so plans with
-	// thousands of migrations should raise it to keep the bookkeeping
-	// off the throughput path; the final snapshot is always written.
-	SnapshotEvery int
 	// LinkCap bounds concurrent deliveries per federation WAN link (by
 	// link name): a cross-DC drain must not stampede a constrained link
 	// with the whole worker pool. Zero/absent means no per-link cap.
 	LinkCap map[string]int
-	// WANRetryBackoff is the base backoff for retrying deliveries that
-	// traverse a WAN link (WAN failures — loss, congestion, partitions —
-	// clear on much longer scales than intra-DC blips). Default
-	// 4×RetryBackoff.
-	WANRetryBackoff time.Duration
 	// Obs, when set, receives fleet telemetry: one root span per
 	// migration ("fleet.migrate") and recovery ("fleet.recover") whose
 	// trace context is threaded through freeze, transfer, WAN hops, and
@@ -170,17 +148,11 @@ func (c Config) withDefaults() Config {
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 5 * time.Millisecond
 	}
-	if c.BackoffFactor < 1 {
-		c.BackoffFactor = 2
-	}
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 250 * time.Millisecond
 	}
 	if c.Confidence <= 0 || c.Confidence >= 1 {
 		c.Confidence = 0.99
-	}
-	if c.WANRetryBackoff <= 0 {
-		c.WANRetryBackoff = 4 * c.RetryBackoff
 	}
 	return c
 }
@@ -245,28 +217,17 @@ type Orchestrator struct {
 	remotes map[transport.Address]RemoteTarget
 	// linkSlots are the per-link concurrency semaphores (LinkCap).
 	linkSlots map[string]chan struct{}
-
-	// jitterMu serializes draws from the backoff-jitter source.
-	jitterMu sync.Mutex
-	jitter   *rand.Rand
 }
 
 // New creates an orchestrator for the data center.
 func New(dc *cloud.DataCenter, cfg Config) *Orchestrator {
-	o := &Orchestrator{
+	return &Orchestrator{
 		dc:        dc,
 		cfg:       cfg.withDefaults(),
 		locks:     newLockTable(),
 		remotes:   make(map[transport.Address]RemoteTarget),
 		linkSlots: make(map[string]chan struct{}),
 	}
-	if o.cfg.BackoffJitter > 0 {
-		o.jitter = o.cfg.Rand
-		if o.jitter == nil {
-			o.jitter = rand.New(rand.NewSource(1))
-		}
-	}
-	return o
 }
 
 // rememberRemotes records a plan's remote targets for later resolution
@@ -404,27 +365,24 @@ func isMigrationDone(err error) bool { return matchesSentinel(err, core.ErrMigra
 // tombstone refusal; completion is then decided by the source's record.
 func isEnvelopeConsumed(err error) bool { return matchesSentinel(err, core.ErrEnvelopeConsumed) }
 
-// backoff waits before retry attempt (attempt >= 2), honoring ctx. WAN
-// deliveries back off from a larger base (WANRetryBackoff): loss and
-// partitions on an inter-DC link clear on longer scales than intra-DC
-// blips, and hammering a lossy link just loses more.
+// wanBackoffFactor scales the backoff base of deliveries that traverse
+// a WAN link: loss and partitions on an inter-DC link clear on longer
+// scales than intra-DC blips, and hammering a lossy link just loses more.
+const wanBackoffFactor = 4
+
+// backoff waits before retry attempt (attempt >= 2), honoring ctx: the
+// base delay, doubled per further attempt, capped at MaxBackoff.
 func (o *Orchestrator) backoff(ctx context.Context, attempt int, wan bool) error {
 	d := o.cfg.RetryBackoff
 	if wan {
-		d = o.cfg.WANRetryBackoff
+		d *= wanBackoffFactor
 	}
 	for i := 2; i < attempt; i++ {
-		d = time.Duration(float64(d) * o.cfg.BackoffFactor)
+		d *= 2
 		if d >= o.cfg.MaxBackoff {
 			d = o.cfg.MaxBackoff
 			break
 		}
-	}
-	if o.jitter != nil {
-		o.jitterMu.Lock()
-		u := o.jitter.Float64()
-		o.jitterMu.Unlock()
-		d = time.Duration(float64(d) * (1 + u*o.cfg.BackoffJitter))
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -551,16 +509,9 @@ func (o *Orchestrator) Run(ctx context.Context, plan Plan, assignments []Assignm
 			_ = o.cfg.SnapshotStore.Save(raw)
 		}
 	}
-	every := o.cfg.SnapshotEvery
-	if every <= 0 {
-		every = 1
-	}
-	var recorded atomic.Int64
 	record := func(e Entry) {
 		journal.Record(e)
-		if recorded.Add(1)%int64(every) == 0 {
-			snapshot()
-		}
+		snapshot()
 	}
 	start := time.Now()
 	// Workers consume whole groups: a recovery alone, migrations as the
@@ -744,7 +695,7 @@ func (o *Orchestrator) recoverOne(ctx context.Context, as Assignment, targets []
 	}
 	o.emit(Event{Type: EventStart, App: entry.App, Source: entry.Source, Dest: dest.ID()})
 	start := time.Now()
-	sp, tc := o.cfg.Obs.StartSpan("fleet.recover", obs.TraceContext{})
+	sp, tc := o.cfg.Obs.StartSpan(obs.SpanFleetRecover, obs.TraceContext{})
 	if sp != nil {
 		sp.Site = entry.App
 	}
@@ -757,9 +708,9 @@ func (o *Orchestrator) recoverOne(ctx context.Context, as Assignment, targets []
 		}
 		sp.End()
 		if st == StatusCompleted {
-			o.cfg.Obs.M().Histogram("fleet.recovery.latency").Observe(entry.Latency)
+			o.cfg.Obs.M().Histogram(obs.FleetRecoveryLatency).Observe(entry.Latency)
 		}
-		o.cfg.Obs.M().Add("fleet.recovery."+st.String(), 1)
+		o.cfg.Obs.M().Counter(obs.FleetRecovery, st.String()).Add(1)
 		o.emit(Event{Type: ev, App: entry.App, Source: entry.Source, Dest: dest.ID(), Attempt: entry.Attempts, Err: err})
 		return entry
 	}

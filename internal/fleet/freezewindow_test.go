@@ -36,7 +36,7 @@ func drainFreezeWindows(t *testing.T, n, batchSize int) obs.HistogramSnapshot {
 		t.Fatalf("batchSize %d: %+v", batchSize, report)
 	}
 	analyze.NewLedger().Update(observer)
-	h := observer.Metrics.Snapshot().Histograms["unavail.freeze.window"]
+	h, _ := observer.Metrics.Snapshot().Histogram(obs.UnavailFreezeWindow)
 	if h.Count != int64(n) {
 		t.Fatalf("batchSize %d: %d freeze windows, want %d", batchSize, h.Count, n)
 	}

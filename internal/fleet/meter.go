@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"sync"
+
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
@@ -14,19 +16,23 @@ import (
 //	meter := fleet.NewMeter(net)
 //	dc, _ := cloud.NewDataCenterWithNetwork("dc", lat, meter)
 //
-// The tallies live in an obs.Metrics registry — totals under "wire.msgs"
-// and "wire.bytes", plus a per-message-kind breakdown under
-// "wire.msgs.<kind>" and "wire.bytes.<kind>" — so a metrics snapshot
-// shows which protocol (migration, replication, escrow, WAN forwards)
-// moved the bytes. Bytes()/Messages() read the totals.
+// The tallies live in an obs.Metrics registry — totals in wire.msgs and
+// wire.bytes, plus a breakdown by message kind in wire.msgs.kind and
+// wire.bytes.kind — so a metrics snapshot shows which protocol
+// (migration, replication, escrow, WAN forwards) moved the bytes.
+// Bytes()/Messages() read the totals.
 type Meter struct {
 	inner   transport.Messenger
 	metrics *obs.Metrics
 
-	// Cached total handles: one atomic add per event, no map lookup.
+	// Resolved handles: one atomic add per event, no registry lookup.
 	msgs  *obs.Counter
 	bytes *obs.Counter
+	kinds sync.Map // message kind -> *kindCounters
 }
+
+// kindCounters are one message kind's children of the by-kind families.
+type kindCounters struct{ msgs, bytes *obs.Counter }
 
 var _ transport.Messenger = (*Meter)(nil)
 
@@ -45,13 +51,10 @@ func NewMeterWithMetrics(inner transport.Messenger, m *obs.Metrics) *Meter {
 	return &Meter{
 		inner:   inner,
 		metrics: m,
-		msgs:    m.Counter("wire.msgs"),
-		bytes:   m.Counter("wire.bytes"),
+		msgs:    m.Counter(obs.WireMsgs),
+		bytes:   m.Counter(obs.WireBytes),
 	}
 }
-
-// Metrics exposes the meter's registry (for snapshots and reports).
-func (m *Meter) Metrics() *obs.Metrics { return m.metrics }
 
 // Register delegates to the wrapped Messenger.
 func (m *Meter) Register(addr transport.Address, h transport.Handler) error {
@@ -66,18 +69,29 @@ func (m *Meter) Unregister(addr transport.Address) {
 // Send delegates to the wrapped Messenger, counting payload and reply
 // bytes against the totals and the per-kind breakdown.
 func (m *Meter) Send(from, to transport.Address, kind string, payload []byte) ([]byte, error) {
+	k := m.kind(kind)
 	m.msgs.Add(1)
+	k.msgs.Add(1)
 	m.bytes.Add(int64(len(payload)))
-	kindMsgs := m.metrics.Counter("wire.msgs." + kind)
-	kindBytes := m.metrics.Counter("wire.bytes." + kind)
-	kindMsgs.Add(1)
-	kindBytes.Add(int64(len(payload)))
+	k.bytes.Add(int64(len(payload)))
 	reply, err := m.inner.Send(from, to, kind, payload)
 	if err == nil {
 		m.bytes.Add(int64(len(reply)))
-		kindBytes.Add(int64(len(reply)))
+		k.bytes.Add(int64(len(reply)))
 	}
 	return reply, err
+}
+
+// kind returns the resolved by-kind counters.
+func (m *Meter) kind(kind string) *kindCounters {
+	if k, ok := m.kinds.Load(kind); ok {
+		return k.(*kindCounters)
+	}
+	k, _ := m.kinds.LoadOrStore(kind, &kindCounters{
+		msgs:  m.metrics.Counter(obs.WireMsgsKind, kind),
+		bytes: m.metrics.Counter(obs.WireBytesKind, kind),
+	})
+	return k.(*kindCounters)
 }
 
 // Bytes returns the total request+reply bytes observed.

@@ -26,16 +26,16 @@ func TestSessionResumeEpochFence(t *testing.T) {
 	b, _ := dc.AddMachine("B")
 
 	resumed := func() int64 {
-		return observer.M().Counter("me.session.resumed").Value()
+		return observer.M().Counter(obs.MESessionResumed).Value()
 	}
 	refused := func() int64 {
-		return observer.M().Counter("me.session.resume.refused").Value()
+		return observer.M().Counter(obs.MESessionResumeRefused).Value()
 	}
 	hit := func() int64 {
-		return observer.M().Counter("me.session.resume.hit").Value()
+		return observer.M().Counter(obs.MESessionResumeHit).Value()
 	}
 	miss := func() int64 {
-		return observer.M().Counter("me.session.resume.miss").Value()
+		return observer.M().Counter(obs.MESessionResumeMiss).Value()
 	}
 
 	// First drain: batch #1 performs the full handshake and caches the

@@ -82,10 +82,10 @@ func TestKillRecoverSingleTrace(t *testing.T) {
 
 	// The outcome counters and latency histogram absorbed every recovery.
 	snap := observer.Metrics.Snapshot()
-	if n := snap.Counters["fleet.recovery.completed"]; n != apps {
+	if n, _ := snap.Counter(obs.FleetRecovery, fleet.StatusCompleted.String()); n != apps {
 		t.Errorf("fleet.recovery.completed = %d, want %d", n, apps)
 	}
-	h, ok := snap.Histograms["fleet.recovery.latency"]
+	h, ok := snap.Histogram(obs.FleetRecoveryLatency)
 	if !ok || h.Count != apps {
 		t.Errorf("fleet.recovery.latency count = %+v, want %d observations", h, apps)
 	}

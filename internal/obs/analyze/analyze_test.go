@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/health"
 )
 
 var base = time.Unix(1_700_000_000, 0)
@@ -75,11 +76,11 @@ func TestCriticalPathMultiDC(t *testing.T) {
 
 	ms := time.Millisecond
 	want := map[string]time.Duration{
-		PhaseOrchestrate: 20 * ms,
-		PhaseFreeze:      10 * ms,
-		PhaseWAN:         33 * ms, // 8ms around me.data + 25ms second hop
-		PhaseTransfer:    7 * ms,
-		PhaseResume:      30 * ms,
+		obs.PhaseOrchestrate: 20 * ms,
+		obs.PhaseFreeze:      10 * ms,
+		obs.PhaseWAN:         33 * ms, // 8ms around me.data + 25ms second hop
+		obs.PhaseTransfer:    7 * ms,
+		obs.PhaseResume:      30 * ms,
 	}
 	got := tree.Breakdown()
 	for phase, d := range want {
@@ -102,7 +103,7 @@ func TestCriticalPathOrphanedParent(t *testing.T) {
 		t.Fatalf("want one orphan tree, got %+v", trees)
 	}
 	got := trees[0].Breakdown()
-	if got[PhaseRecover] != 30*ms || got[PhaseEscrow] != 10*ms {
+	if got[obs.PhaseRecover] != 30*ms || got[obs.PhaseEscrow] != 10*ms {
 		t.Fatalf("breakdown = %v", got)
 	}
 }
@@ -126,7 +127,7 @@ func TestCriticalPathOutOfOrderEnd(t *testing.T) {
 		t.Fatalf("clamped segments sum to %v, want 20ms", total)
 	}
 	got := tree.Breakdown()
-	if got[PhaseTransfer] != 10*ms || got[PhaseFreeze] != 5*ms || got[PhaseOrchestrate] != 5*ms {
+	if got[obs.PhaseTransfer] != 10*ms || got[obs.PhaseFreeze] != 5*ms || got[obs.PhaseOrchestrate] != 5*ms {
 		t.Fatalf("breakdown = %v", got)
 	}
 }
@@ -147,7 +148,7 @@ func TestSummarizeAggregatesRoots(t *testing.T) {
 	if frac < 0.999 || frac > 1.001 {
 		t.Fatalf("phase fractions sum to %v, want 1", frac)
 	}
-	if sum.Phases[0].Phase != PhaseWAN {
+	if sum.Phases[0].Phase != obs.PhaseWAN {
 		t.Fatalf("dominant phase = %s, want wan", sum.Phases[0].Phase)
 	}
 	if miss := Summarize(spans, "fleet.recover"); miss.Count != 0 {
@@ -185,8 +186,8 @@ func TestUnavailabilityWindows(t *testing.T) {
 
 func TestLedgerObservesOnce(t *testing.T) {
 	o := obs.NewObserver()
-	sp, tc := o.StartSpan("fleet.recover", obs.TraceContext{})
-	lib, _ := o.StartSpan("lib.recover", tc)
+	sp, tc := o.StartSpan(obs.SpanFleetRecover, obs.TraceContext{})
+	lib, _ := o.StartSpan(obs.SpanLibRecover, tc)
 	time.Sleep(time.Millisecond)
 	lib.End()
 	o.Event(obs.EventResurrection, "m1", "", tc)
@@ -198,55 +199,58 @@ func TestLedgerObservesOnce(t *testing.T) {
 	}
 	ld.Update(o) // second pass must not double-observe
 	snap := o.M().Snapshot()
-	h := snap.Histograms["unavail.recovery.window"]
+	h, _ := snap.Histogram(obs.UnavailRecoveryWindow)
 	if h.Count != 1 {
 		t.Fatalf("recovery histogram count = %d, want 1 after two updates", h.Count)
 	}
-	if snap.Gauges["unavail.recovery.max_ns"] <= 0 {
-		t.Fatalf("max gauge = %d, want > 0", snap.Gauges["unavail.recovery.max_ns"])
+	if max, _ := snap.Gauge(obs.UnavailRecoveryMax); max <= 0 {
+		t.Fatalf("max gauge = %d, want > 0", max)
 	}
 }
 
 func TestSLOEvaluate(t *testing.T) {
 	m := obs.NewMetrics()
 	for i := 0; i < 100; i++ {
-		m.Histogram("unavail.freeze.window").Observe(10 * time.Millisecond)
+		m.Histogram(obs.UnavailFreezeWindow).Observe(10 * time.Millisecond)
 	}
-	m.SetGauge("mirror.flush.last_unix_ns", base.UnixNano())
+	m.Gauge(obs.MirrorFlushLast).Set(base.UnixNano())
 	now := base.Add(10 * time.Minute)
 
-	verdicts := Evaluate(m.Snapshot(), DefaultObjectives(), now)
-	byName := map[string]Verdict{}
-	for _, v := range verdicts {
-		byName[v.Objective.Name] = v
+	o := &obs.Observer{Metrics: m, Events: obs.NewEventLog()}
+	pass := health.New(o, health.Config{}, health.DefaultRules()...).Evaluate(now)
+	byName := map[string]health.Result{}
+	for _, v := range pass.Objectives {
+		byName[v.Rule] = v
 	}
-	if v := byName["freeze-window-p99"]; v.Violated || v.Missing {
+	if len(byName) != 4 {
+		t.Fatalf("objectives = %+v, want the four defaults", pass.Objectives)
+	}
+	if v := byName["freeze-window-p99"]; v.Violated() || v.Missing {
 		t.Fatalf("freeze-window-p99 = %+v, want pass", v)
 	}
-	if v := byName["migration-p99"]; !v.Missing {
-		t.Fatalf("migration-p99 = %+v, want missing (no data)", v)
+	if v := byName["migration-p99"]; !v.Missing || v.Violated() {
+		t.Fatalf("migration-p99 = %+v, want missing (no data), and missing is not a violation", v)
 	}
 	// The mirror last flushed 10 minutes ago against a 5-minute RPO.
-	if v := byName["mirror-rpo-age"]; !v.Violated {
+	if v := byName["mirror-rpo-age"]; !v.Violated() || v.Actual != 10*time.Minute || v.Bound != 5*time.Minute {
 		t.Fatalf("mirror-rpo-age = %+v, want violated", v)
 	}
 
-	o := &obs.Observer{Metrics: m, Events: obs.NewEventLog()}
-	PublishVerdicts(o, verdicts)
-	if got := m.Snapshot().Gauges["slo.violations"]; got != 1 {
+	if got, _ := m.Snapshot().Gauge(obs.SLOViolations); got != 1 {
 		t.Fatalf("slo.violations = %d, want 1", got)
 	}
 	events := o.Events.Events()
-	if len(events) != 1 || events[0].Type != obs.EventSLOViolation {
+	if len(events) != 1 || events[0].Type != obs.EventSLOViolation || events[0].Actor != "slo:mirror-rpo-age" {
 		t.Fatalf("events = %+v, want one slo-violation", events)
 	}
 }
 
 func TestWriteOpenMetrics(t *testing.T) {
 	m := obs.NewMetrics()
-	m.Add("wire.msgs.offer", 3)
-	m.SetGauge("obs.dropped.spans", 0)
-	m.Histogram("fleet.migration.latency").Observe(856 * time.Microsecond)
+	m.Counter(obs.WireMsgsKind, "migrate-offer").Add(3)
+	m.Gauge(obs.ObsDroppedSpans).Set(0)
+	m.Histogram(obs.FleetMigrationLatency).Observe(856 * time.Microsecond)
+	m.Histogram(obs.WANCompressRatioLink, "a-b").Observe(250)
 
 	var b strings.Builder
 	if err := WriteOpenMetrics(&b, m.Snapshot()); err != nil {
@@ -254,7 +258,9 @@ func TestWriteOpenMetrics(t *testing.T) {
 	}
 	text := b.String()
 	for _, want := range []string{
-		"# TYPE wire_msgs_offer counter\nwire_msgs_offer_total 3\n",
+		"# TYPE wire_msgs_kind counter\nwire_msgs_kind_total{kind=\"migrate-offer\"} 3\n",
+		"wan_compress_ratio_link{link=\"a-b\",quantile=\"0.5\"} ",
+		"wan_compress_ratio_link_count{link=\"a-b\"} 1\n",
 		"# TYPE obs_dropped_spans gauge\nobs_dropped_spans 0\n",
 		"# TYPE fleet_migration_latency summary\n",
 		"fleet_migration_latency{quantile=\"0.99\"} ",
@@ -274,6 +280,96 @@ func TestWriteOpenMetrics(t *testing.T) {
 		}
 		if fields := strings.Fields(line); len(fields) != 2 {
 			t.Fatalf("unparseable exposition line %q", line)
+		}
+	}
+}
+
+// TestOpenMetricsLabelsNotSplicedNames pins what carrying labels
+// structurally fixes. Links "a-b" and "a.b" used to sanitize to the same
+// wan_link_down_a_b family, emitted twice (a repeated # TYPE line is an
+// invalid exposition); now they are two label values of one family. And
+// label values are escaped per OpenMetrics.
+func TestOpenMetricsLabelsNotSplicedNames(t *testing.T) {
+	m := obs.NewMetrics()
+	m.Gauge(obs.WANLinkDown, "a-b").Set(1)
+	m.Gauge(obs.WANLinkDown, "a.b").Set(0)
+	m.Gauge(obs.WANLinkDown, "q\"uote\\slash\nline").Set(1)
+	var b strings.Builder
+	if err := WriteOpenMetrics(&b, m.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
+	seen := map[string]bool{}
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			if seen[line] {
+				t.Errorf("repeated %q:\n%s", line, text)
+			}
+			seen[line] = true
+		}
+	}
+	if !seen["# TYPE wan_link_down gauge"] || len(seen) != 1 {
+		t.Errorf("want exactly the wan_link_down family, got %v", seen)
+	}
+	for _, want := range []string{
+		"wan_link_down{link=\"a-b\"} 1\n",
+		"wan_link_down{link=\"a.b\"} 0\n",
+		`wan_link_down{link="q\"uote\\slash\nline"} 1` + "\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestSpanCatalogueHasPhases: every declared span books to a phase of
+// its own, and a name nobody declared is still "other".
+func TestSpanCatalogueHasPhases(t *testing.T) {
+	for _, d := range obs.SpanCatalogue() {
+		if d.Phase == "" || d.Phase == obs.PhaseOther {
+			t.Errorf("span %s has phase %q", d.Name, d.Phase)
+		}
+		if got := obs.PhaseOf(d.Name); got != d.Phase {
+			t.Errorf("PhaseOf(%s) = %s, catalogue says %s", d.Name, got, d.Phase)
+		}
+	}
+	if got := obs.PhaseOf("me.batch-offer"); got != PhaseOther {
+		t.Errorf("PhaseOf(undeclared) = %s, want other", got)
+	}
+}
+
+// TestCriticalPathAdoptsLateChild: a span that starts after its parent
+// ended (destination lib.resume under the source's me.migrate-out) is
+// partitioned under the nearest ancestor still running, not clamped to
+// nothing, and the segments still sum to the root exactly.
+func TestCriticalPathAdoptsLateChild(t *testing.T) {
+	ms := time.Millisecond
+	spans := []obs.Span{
+		span("fleet.migrate", 17, 1, 0, "", 0, 100*ms),
+		span("me.migrate-out", 17, 2, 1, "", 10*ms, 30*ms), // ends at 40ms
+		span("me.transfer", 17, 3, 2, "", 15*ms, 20*ms),
+		span("lib.resume", 17, 4, 2, "", 50*ms, 20*ms), // parent already over
+		span("me.done", 17, 5, 4, "", 60*ms, 5*ms),
+		span("lib.resume", 17, 6, 3, "", 200*ms, 5*ms), // after every ancestor: stays clamped away
+	}
+	tree := BuildTraces(spans)[17][0]
+	var total time.Duration
+	for _, seg := range tree.CriticalPath() {
+		total += seg.Dur
+	}
+	if total != 100*ms {
+		t.Fatalf("segments sum to %v, want the root's 100ms", total)
+	}
+	got := tree.Breakdown()
+	want := map[string]time.Duration{
+		obs.PhaseResume:      15 * ms, // [50,60) + [65,70)
+		obs.PhaseCommit:      5 * ms,
+		obs.PhaseTransfer:    30 * ms,
+		obs.PhaseOrchestrate: 50 * ms,
+	}
+	for phase, d := range want {
+		if got[phase] != d {
+			t.Errorf("phase %s = %v, want %v (full: %v)", phase, got[phase], d, got)
 		}
 	}
 }

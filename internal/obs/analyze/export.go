@@ -4,8 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -38,126 +39,105 @@ func seconds(d time.Duration) string {
 	return fmt.Sprintf("%g", float64(d)/float64(time.Second))
 }
 
+// labelEscaper escapes a label value per OpenMetrics.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// labelSet renders a series' labels (plus an optional trailing
+// quantile label) as {k="v",...}, keys sorted; "" when there are none.
+func labelSet(labels map[string]string, quantile string) string {
+	var parts []string
+	for _, k := range slices.Sorted(maps.Keys(labels)) {
+		parts = append(parts, metricName(k)+`="`+labelEscaper.Replace(labels[k])+`"`)
+	}
+	if quantile != "" {
+		parts = append(parts, `quantile="`+quantile+`"`)
+	}
+	if len(parts) == 0 {
+		return ""
+	}
+	return "{" + strings.Join(parts, ",") + "}"
+}
+
 // WriteOpenMetrics renders the snapshot as OpenMetrics text exposition:
 // counters as <name>_total, gauges verbatim, histograms as summaries
-// (quantile series in seconds plus _sum/_count), terminated by # EOF.
-// Output is deterministic — families are sorted by name.
+// (quantile series in seconds plus _sum/_count), label values as
+// labels, terminated by # EOF. Output is deterministic — the snapshot is
+// sorted by family, and each family gets exactly one # TYPE line.
 func WriteOpenMetrics(w io.Writer, snap obs.Snapshot) error {
-	var names []string
-	for n := range snap.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		mn := metricName(n)
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s_total %d\n", mn, mn, snap.Counters[n]); err != nil {
-			return err
+	var b strings.Builder
+	prev := ""
+	for _, sr := range snap.Series {
+		mn, ls := metricName(sr.Name), labelSet(sr.Labels, "")
+		if sr.Name != prev {
+			typ := string(sr.Kind)
+			if sr.Kind == obs.KindHistogram {
+				typ = "summary"
+			}
+			fmt.Fprintf(&b, "# TYPE %s %s\n", mn, typ)
+			prev = sr.Name
+		}
+		switch {
+		case sr.Kind == obs.KindCounter:
+			fmt.Fprintf(&b, "%s_total%s %d\n", mn, ls, sr.Value)
+		case sr.Kind == obs.KindHistogram && sr.Hist != nil:
+			h := sr.Hist
+			for _, q := range []struct {
+				q string
+				v time.Duration
+			}{{"0.5", h.P50}, {"0.99", h.P99}, {"0.999", h.P999}} {
+				fmt.Fprintf(&b, "%s%s %s\n", mn, labelSet(sr.Labels, q.q), seconds(q.v))
+			}
+			fmt.Fprintf(&b, "%s_sum%s %s\n%s_count%s %d\n", mn, ls, seconds(h.Sum), mn, ls, h.Count)
+		default:
+			fmt.Fprintf(&b, "%s%s %d\n", mn, ls, sr.Value)
 		}
 	}
-	names = names[:0]
-	for n := range snap.Gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		mn := metricName(n)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", mn, mn, snap.Gauges[n]); err != nil {
-			return err
-		}
-	}
-	names = names[:0]
-	for n := range snap.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		h := snap.Histograms[n]
-		mn := metricName(n)
-		if _, err := fmt.Fprintf(w,
-			"# TYPE %s summary\n%s{quantile=\"0.5\"} %s\n%s{quantile=\"0.99\"} %s\n%s{quantile=\"0.999\"} %s\n%s_sum %s\n%s_count %d\n",
-			mn,
-			mn, seconds(h.P50),
-			mn, seconds(h.P99),
-			mn, seconds(h.P999),
-			mn, seconds(h.Sum),
-			mn, h.Count); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "# EOF\n")
+	b.WriteString("# EOF\n")
+	_, err := io.WriteString(w, b.String())
 	return err
 }
 
 // Plane is the live export surface served from -metrics-addr. Every
 // scrape refreshes the derived metrics (unavailability ledger, dropped
-// counters, SLO verdicts, health states) before rendering, so the
-// exposition is always current without a background refresher goroutine.
+// counters) and runs one rule pass before rendering, so the exposition
+// is always current without a background refresher goroutine.
 type Plane struct {
-	Obs        *obs.Observer
-	Ledger     *Ledger
-	Objectives []Objective
-	// Health, when attached, is evaluated on every Refresh and served as
-	// JSON at /health.
+	Obs    *obs.Observer
+	Ledger *Ledger
+	// Health owns the rule table — health watchdogs, objectives and the
+	// security trigger — and is evaluated once per Refresh; its states
+	// are served as JSON at /health, its objective results at /slo.
 	Health *health.Monitor
-	// Flight, when attached, receives the fresh SLO verdicts and scans
-	// the audit stream for capture triggers on every Refresh; the latest
-	// bundle is served at /flight (binary) and /flight.json.
+	// Flight, when attached, is handed every pass and captures a bundle
+	// when the pass carries a trigger; the latest bundle is served at
+	// /flight (binary) and /flight.json.
 	Flight *flight.Recorder
 }
 
-// NewPlane wires a plane over the observer with the default objectives,
-// the default health detector set, and an in-memory flight recorder.
+// NewPlane wires a plane over the observer with the default rule table
+// and an in-memory flight recorder.
 func NewPlane(o *obs.Observer) *Plane {
 	return &Plane{
-		Obs:        o,
-		Ledger:     NewLedger(),
-		Objectives: DefaultObjectives(),
-		Health:     health.NewDefault(o),
-		Flight:     flight.NewRecorder(o),
+		Obs:    o,
+		Ledger: NewLedger(),
+		Health: health.New(o, health.Config{}, health.DefaultRules()...),
+		Flight: flight.NewRecorder(o),
 	}
-}
-
-// FlightSLO flattens analyze verdicts into the form flight bundles embed
-// (flight cannot import analyze).
-func FlightSLO(verdicts []Verdict) []flight.SLOVerdict {
-	out := make([]flight.SLOVerdict, 0, len(verdicts))
-	for _, v := range verdicts {
-		out = append(out, flight.SLOVerdict{
-			Name:     v.Objective.Name,
-			Metric:   v.Objective.Metric,
-			ActualNs: int64(v.Actual),
-			MaxNs:    int64(v.Objective.Max),
-			Violated: v.Violated,
-			Missing:  v.Missing,
-		})
-	}
-	return out
 }
 
 // Refresh re-derives everything the plane exports: updates the
-// unavailability ledger, publishes ring-drop gauges, evaluates the SLO
-// set against a fresh snapshot, records violations, runs the health
-// detectors, and lets the flight recorder scan for capture triggers. It
-// returns the verdicts for callers that print them.
-func (p *Plane) Refresh() []Verdict {
+// unavailability ledger, publishes ring-drop gauges, then runs the one
+// rule pass (one registry snapshot) and hands it to the flight
+// recorder. It returns the pass for callers that print it.
+func (p *Plane) Refresh() *health.Pass {
 	if p == nil || p.Obs == nil {
-		return nil
+		return &health.Pass{}
 	}
 	p.Ledger.Update(p.Obs)
 	p.Obs.PublishDropped()
-	verdicts := Evaluate(p.Obs.M().Snapshot(), p.Objectives, time.Now())
-	PublishVerdicts(p.Obs, verdicts)
-	if p.Health != nil {
-		p.Health.Evaluate(time.Now())
-	}
-	if p.Flight != nil {
-		p.Flight.NoteSLO(FlightSLO(verdicts))
-		if p.Health != nil {
-			p.Flight.SetHealthProvider(p.Health.States)
-		}
-		p.Flight.Scan()
-	}
-	return verdicts
+	pass := p.Health.Evaluate(time.Now())
+	p.Flight.Observe(pass)
+	return pass
 }
 
 // HealthReport is the /health JSON document.
@@ -172,7 +152,7 @@ type HealthReport struct {
 //	/metrics.json  JSON metrics snapshot
 //	/traces        JSON span dump grouped by trace ID
 //	/events        JSON audit event stream
-//	/slo           JSON SLO verdicts
+//	/slo           JSON objective results of the rule pass
 //	/health        JSON health states (overall + per entity)
 //	/flight        latest flight bundle, binary (404 before first trip)
 //	/flight.json   latest flight bundle, decoded JSON
@@ -194,22 +174,15 @@ func (p *Plane) Handler() http.Handler {
 		writeJSON(w, p.Obs.Events.Events())
 	})
 	mux.HandleFunc("/slo", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, p.Refresh())
+		writeJSON(w, p.Refresh().Objectives)
 	})
 	mux.HandleFunc("/health", func(w http.ResponseWriter, r *http.Request) {
-		p.Refresh()
-		if p.Health == nil {
-			http.Error(w, "no health monitor attached", http.StatusNotFound)
-			return
-		}
-		writeJSON(w, HealthReport{Overall: p.Health.Overall(), Entities: p.Health.States()})
+		pass := p.Refresh()
+		writeJSON(w, HealthReport{Overall: p.Health.Overall(), Entities: pass.States})
 	})
 	mux.HandleFunc("/flight", func(w http.ResponseWriter, r *http.Request) {
 		p.Refresh()
-		var raw []byte
-		if p.Flight != nil {
-			_, raw = p.Flight.Latest()
-		}
+		_, raw := p.Flight.Latest()
 		if len(raw) == 0 {
 			http.Error(w, "no flight bundle captured", http.StatusNotFound)
 			return
@@ -219,10 +192,7 @@ func (p *Plane) Handler() http.Handler {
 	})
 	mux.HandleFunc("/flight.json", func(w http.ResponseWriter, r *http.Request) {
 		p.Refresh()
-		var b *flight.Bundle
-		if p.Flight != nil {
-			b, _ = p.Flight.Latest()
-		}
+		b, _ := p.Flight.Latest()
 		if b == nil {
 			http.Error(w, "no flight bundle captured", http.StatusNotFound)
 			return

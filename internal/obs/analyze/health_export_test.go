@@ -46,8 +46,8 @@ func TestHealthEndpointJSON(t *testing.T) {
 		t.Fatalf("idle plane overall = %s, want healthy", rep.Overall)
 	}
 
-	o.M().SetGauge("wan.link.down.wan-ab", 1)
-	o.M().Add("wan.link.msgs.wan-ab", 1)
+	o.M().Gauge(obs.WANLinkDown, "wan-ab").Set(1)
+	o.M().Counter(obs.WANLinkMsgs, "wan-ab").Add(1)
 	// Default hysteresis trips after 2 consecutive evaluations; each GET
 	// refreshes once.
 	get()
@@ -78,8 +78,8 @@ func TestHealthEndpointJSON(t *testing.T) {
 func TestOpenMetricsHealthFlightFamilies(t *testing.T) {
 	o := obs.NewObserver()
 	p := NewPlane(o)
-	o.M().SetGauge("wan.link.down.wan-ab", 1)
-	o.M().Add("wan.link.msgs.wan-ab", 1)
+	o.M().Gauge(obs.WANLinkDown, "wan-ab").Set(1)
+	o.M().Counter(obs.WANLinkMsgs, "wan-ab").Add(1)
 	p.Refresh()
 	p.Refresh() // trip the hysteresis
 	if _, err := p.Flight.Trip(flight.Trigger{Kind: flight.TriggerManual, Detail: "test"}); err != nil {
@@ -125,14 +125,15 @@ func TestOpenMetricsHealthFlightFamilies(t *testing.T) {
 	}
 
 	wantGauges := map[string]string{
-		"health_state":             strconv.Itoa(int(health.Critical)),
-		"health_state_link_wan_ab": strconv.Itoa(int(health.Critical)),
-		"health_entities_critical": "1",
-		"health_entities_degraded": "0",
-		"flight_last_unix_ns":      "", // value is a timestamp; presence + type is the contract
+		"health_state": strconv.Itoa(int(health.Critical)),
+		`health_state_entity{kind="link",name="wan-ab"}`: strconv.Itoa(int(health.Critical)),
+		"health_entities_critical":                       "1",
+		"health_entities_degraded":                       "0",
+		"flight_last_unix_ns":                            "", // value is a timestamp; presence + type is the contract
 	}
 	for name, want := range wantGauges {
-		if types[name] != "gauge" {
+		family, _, _ := strings.Cut(name, "{")
+		if types[family] != "gauge" {
 			t.Errorf("%s: type %q, want gauge", name, types[name])
 		}
 		got, ok := values[name]
@@ -148,7 +149,7 @@ func TestOpenMetricsHealthFlightFamilies(t *testing.T) {
 		t.Errorf("flight_bundles type %q, want counter", types["flight_bundles"])
 	}
 	// Two bundles: the health-critical transition auto-tripped the
-	// recorder during Refresh's audit scan, then the manual Trip above.
+	// recorder during Refresh's rule pass, then the manual Trip above.
 	if got := values["flight_bundles_total"]; got != "2" {
 		t.Errorf("flight_bundles_total = %q, want 2", got)
 	}
@@ -210,5 +211,43 @@ func TestFlightEndpoints(t *testing.T) {
 	}
 	if jb.Trigger.Kind != flight.TriggerManual {
 		t.Errorf("/flight.json trigger = %q", jb.Trigger.Kind)
+	}
+}
+
+// TestRefreshTakesOneSnapshot: the ledger, the five watchdogs, the four
+// objectives and the flight triggers all judge the same single registry
+// snapshot per Refresh.
+func TestRefreshTakesOneSnapshot(t *testing.T) {
+	o := obs.NewObserver()
+	p := NewPlane(o)
+	o.M().Counter(obs.WANLinkMsgs, "wan-ab").Add(1)
+	for i := 1; i <= 3; i++ {
+		p.Refresh()
+		if got := o.M().Snapshots(); got != int64(i) {
+			t.Fatalf("after %d refreshes the registry was snapshotted %d times", i, got)
+		}
+	}
+}
+
+// TestCriticalTransitionTripsRecorderTyped: the recorder learns of a
+// health→critical transition from the pass's typed Change. The rule's
+// reason here contains neither "critical" nor "->", and the audit event
+// text is whatever the monitor formats — the recorder never reads it.
+func TestCriticalTransitionTripsRecorderTyped(t *testing.T) {
+	o := obs.NewObserver()
+	p := NewPlane(o)
+	p.Health = health.New(o, health.Config{TripAfter: 1}, health.Rule{Name: "script", Eval: func(*health.Sample) []health.Result {
+		return []health.Result{{Entity: health.Entity{Kind: "link", Name: "wan-ab"}, Level: health.Critical, Reason: "carrier lost"}}
+	}})
+	pass := p.Refresh()
+	if len(pass.Changes) != 1 || pass.Changes[0].To != health.Critical {
+		t.Fatalf("changes = %+v, want one transition to critical", pass.Changes)
+	}
+	b, _ := p.Flight.Latest()
+	if b == nil || b.Trigger.Kind != flight.TriggerHealthCritical || b.Trigger.Actor != "health:link/wan-ab" {
+		t.Fatalf("recorder did not trip on the typed transition: %+v", b)
+	}
+	if len(b.Health) != 1 || b.Health[0].State != health.Critical {
+		t.Errorf("bundle health = %+v, want the pass's states", b.Health)
 	}
 }

@@ -2,12 +2,9 @@
 // the raw telemetry collected by internal/obs — finished spans, metric
 // snapshots, audit events — into answers. Trace trees and per-phase
 // critical paths explain where a migration's microseconds went; the
-// unavailability ledger derives per-enclave downtime windows; the SLO
-// evaluator checks declarative objectives against metric snapshots; the
-// export plane serves OpenMetrics text and JSON dumps over HTTP.
-//
-// Like obs itself, the package depends only on the standard library and
-// never mutates the telemetry it reads.
+// unavailability ledger derives per-enclave downtime windows; the
+// export plane runs the rule pass (internal/obs/health) on every scrape
+// and serves OpenMetrics text and JSON dumps over HTTP.
 package analyze
 
 import (
@@ -50,18 +47,20 @@ func BuildTraces(spans []obs.Span) map[uint64][]*Tree {
 }
 
 func buildTrees(spans []obs.Span) []*Tree {
-	present := make(map[uint64]bool, len(spans))
+	byID := make(map[uint64]obs.Span, len(spans))
 	for _, s := range spans {
-		present[s.SpanID] = true
+		byID[s.SpanID] = s
 	}
 	children := map[uint64][]obs.Span{}
 	var trees []*Tree
 	for _, s := range spans {
-		if s.ParentID != 0 && present[s.ParentID] {
-			children[s.ParentID] = append(children[s.ParentID], s)
+		parent, ok := byID[s.ParentID]
+		if s.ParentID == 0 || !ok {
+			trees = append(trees, &Tree{Root: s, Orphan: s.ParentID != 0})
 			continue
 		}
-		trees = append(trees, &Tree{Root: s, Orphan: s.ParentID != 0})
+		parent = adopter(byID, s, parent)
+		children[parent.SpanID] = append(children[parent.SpanID], s)
 	}
 	for _, kids := range children {
 		sort.Slice(kids, func(i, j int) bool {
@@ -81,6 +80,32 @@ func buildTrees(spans []obs.Span) []*Tree {
 		return trees[i].Root.SpanID < trees[j].Root.SpanID
 	})
 	return trees
+}
+
+// adopter returns the span s hangs under in the tree. That is its
+// parent, unless s starts after the parent ended: destination-side
+// lib.resume and me.done are children of the source's me.migrate-out,
+// which returns once the stream is acked, so clamping them to its window
+// would leave them nothing and book their time to whoever owns the gap.
+// Such a span is adopted by the nearest ancestor still running when it
+// started; with none, it stays where it was.
+func adopter(byID map[uint64]obs.Span, s, parent obs.Span) obs.Span {
+	if s.Start.Before(parent.EndTime()) {
+		return parent
+	}
+	anc := parent
+	// Bounded climb: spans from a decoded bundle may carry parent cycles.
+	for hops := 0; hops < len(byID); hops++ {
+		next, ok := byID[anc.ParentID]
+		if !ok {
+			break
+		}
+		anc = next
+		if !s.Start.Before(anc.Start) && s.Start.Before(anc.EndTime()) {
+			return anc
+		}
+	}
+	return parent
 }
 
 // Segment is one stretch of a trace's critical path: a contiguous time
@@ -160,78 +185,16 @@ func clamp(s obs.Span, winStart, winEnd time.Time) (time.Time, time.Time) {
 func emit(out *[]Segment, span obs.Span, start, end time.Time) {
 	*out = append(*out, Segment{
 		Span:  span,
-		Phase: PhaseOf(span.Name),
+		Phase: obs.PhaseOf(span.Name),
 		Start: start,
 		End:   end,
 		Dur:   end.Sub(start),
 	})
 }
 
-// Migration/recovery phases, in narrative order. A phase names what the
-// protocol is doing while the enclave's time is being spent there.
-const (
-	PhaseFreeze      = "freeze"      // seal final state, destroy counters
-	PhaseAttest      = "attest"      // offer/accept: attestation + channel
-	PhaseTransfer    = "transfer"    // sealed Table I/II state on the wire
-	PhaseResume      = "resume"      // unseal + rebuild at the destination
-	PhaseCommit      = "commit"      // done handshake, source release
-	PhaseEscrow      = "escrow"      // rack escrow reads/writes, mirroring
-	PhaseBinding     = "binding"     // rollback-binding arbitration
-	PhaseWAN         = "wan"         // cross-site link traversal
-	PhaseQuorum      = "quorum"      // replicated counter operations
-	PhaseRecover     = "recover"     // resurrect-from-escrow path
-	PhaseOrchestrate = "orchestrate" // fleet/federation coordination + gaps
-	PhaseOther       = "other"       // anything unrecognized
-)
-
-// Phases lists every phase in display order.
-func Phases() []string {
-	return []string{
-		PhaseFreeze, PhaseAttest, PhaseTransfer, PhaseResume, PhaseCommit,
-		PhaseEscrow, PhaseBinding, PhaseWAN, PhaseQuorum, PhaseRecover,
-		PhaseOrchestrate, PhaseOther,
-	}
-}
-
-// phaseBySpan maps exact span names to phases; prefix rules below catch
-// the families.
-var phaseBySpan = map[string]string{
-	"lib.freeze":              PhaseFreeze,
-	"me.offer":                PhaseAttest,
-	"me.handle-migrate-offer": PhaseAttest,
-	"me.migrate-out":          PhaseTransfer,
-	"me.transfer":             PhaseTransfer,
-	"me.data":                 PhaseTransfer,
-	"me.handle-migrate-data":  PhaseTransfer,
-	"me.handle-migrate-abort": PhaseTransfer,
-	"lib.resume":              PhaseResume,
-	"me.done":                 PhaseCommit,
-	"me.handle-migrate-done":  PhaseCommit,
-	"escrow.get":              PhaseEscrow,
-	"binding.win":             PhaseBinding,
-	"wan.hop":                 PhaseWAN,
-	"lib.recover":             PhaseRecover,
-}
-
-// PhaseOf classifies a span name into a migration/recovery phase.
-func PhaseOf(name string) string {
-	if p, ok := phaseBySpan[name]; ok {
-		return p
-	}
-	switch {
-	case hasPrefix(name, "mirror."):
-		return PhaseEscrow
-	case hasPrefix(name, "quorum."):
-		return PhaseQuorum
-	case hasPrefix(name, "fleet."), hasPrefix(name, "fed."):
-		return PhaseOrchestrate
-	}
-	return PhaseOther
-}
-
-func hasPrefix(s, prefix string) bool {
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
-}
+// PhaseOther is the phase of a span the catalogue does not declare (the
+// phase vocabulary itself lives with the span catalogue in obs).
+const PhaseOther = obs.PhaseOther
 
 // Breakdown sums the tree's critical-path segments by phase. Because the
 // critical path partitions the root window, the values sum to the root

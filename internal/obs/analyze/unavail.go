@@ -53,8 +53,8 @@ func UnavailabilityWindows(spans []obs.Span, events []obs.AuditEvent) []Window {
 		}
 		// Planned freeze windows: pair each lib.freeze with the first
 		// lib.resume on the same enclave that ends after it.
-		for _, fr := range libs["lib.freeze"] {
-			for _, re := range libs["lib.resume"] {
+		for _, fr := range libs[obs.SpanLibFreeze.Name] {
+			for _, re := range libs[obs.SpanLibResume.Name] {
 				if re.Site != fr.Site || re.EndTime().Before(fr.Start) {
 					continue
 				}
@@ -74,7 +74,7 @@ func UnavailabilityWindows(spans []obs.Span, events []obs.AuditEvent) []Window {
 		if !resurrected[traceID] {
 			continue
 		}
-		for _, rc := range libs["lib.recover"] {
+		for _, rc := range libs[obs.SpanLibRecover.Name] {
 			start := rc.Start
 			for _, root := range roots {
 				if root.Start.Before(start) && !rc.EndTime().Before(root.Start) {
@@ -102,12 +102,22 @@ func UnavailabilityWindows(spans []obs.Span, events []obs.AuditEvent) []Window {
 
 func collect(t *Tree, s obs.Span, libs map[string][]obs.Span) {
 	switch s.Name {
-	case "lib.freeze", "lib.resume", "lib.recover":
+	case obs.SpanLibFreeze.Name, obs.SpanLibResume.Name, obs.SpanLibRecover.Name:
 		libs[s.Name] = append(libs[s.Name], s)
 	}
 	for _, kid := range t.Children(s.SpanID) {
 		collect(t, kid, libs)
 	}
+}
+
+// windowMetrics names, per window kind, the histogram every window is
+// observed into and the gauge holding the longest one seen.
+var windowMetrics = map[string]struct {
+	window *obs.HistogramDesc
+	max    *obs.GaugeDesc
+}{
+	WindowFreeze:   {obs.UnavailFreezeWindow, obs.UnavailFreezeMax},
+	WindowRecovery: {obs.UnavailRecoveryWindow, obs.UnavailRecoveryMax},
 }
 
 // Ledger turns derived windows into first-class metrics exactly once
@@ -116,7 +126,6 @@ func collect(t *Tree, s obs.Span, libs map[string][]obs.Span) {
 type Ledger struct {
 	mu   sync.Mutex
 	seen map[ledgerKey]bool
-	max  map[string]time.Duration // kind -> lifetime max
 }
 
 type ledgerKey struct {
@@ -128,7 +137,7 @@ type ledgerKey struct {
 
 // NewLedger creates an empty unavailability ledger.
 func NewLedger() *Ledger {
-	return &Ledger{seen: map[ledgerKey]bool{}, max: map[string]time.Duration{}}
+	return &Ledger{seen: map[ledgerKey]bool{}}
 }
 
 // Update derives the current window set from the observer's telemetry
@@ -154,10 +163,9 @@ func (ld *Ledger) Update(o *obs.Observer) []Window {
 			continue
 		}
 		ld.seen[k] = true
-		m.Histogram("unavail." + w.Kind + ".window").Observe(w.Dur)
-		if w.Dur > ld.max[w.Kind] {
-			ld.max[w.Kind] = w.Dur
-			m.SetGauge("unavail."+w.Kind+".max_ns", int64(w.Dur))
+		m.Histogram(windowMetrics[w.Kind].window).Observe(w.Dur)
+		if max := m.Gauge(windowMetrics[w.Kind].max); int64(w.Dur) > max.Value() {
+			max.Set(int64(w.Dur))
 		}
 	}
 	return windows

@@ -1,11 +1,11 @@
 package obs
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
+
+	"repro/internal/wirec"
 )
 
 // Audit event types: the security-relevant state transitions the paper's
@@ -72,22 +72,20 @@ const DefaultEventCapacity = 1 << 16
 // can detect the gap). It is safe for concurrent use; a nil *EventLog
 // discards appends.
 type EventLog struct {
-	mu       sync.Mutex
-	buf      []AuditEvent // ring storage; buf[head] is the oldest retained
-	head     int
-	capacity int    // 0 = unbounded
-	seq      uint64 // next sequence number; never reset
-
-	dropped atomic.Int64
+	mu   sync.Mutex
+	ring ring[AuditEvent]
+	seq  uint64 // next sequence number; never reset
 }
 
 // NewEventLog creates an audit log bounded at DefaultEventCapacity
 // retained events.
-func NewEventLog() *EventLog { return &EventLog{capacity: DefaultEventCapacity} }
+func NewEventLog() *EventLog { return NewEventLogWithCapacity(DefaultEventCapacity) }
 
 // NewEventLogWithCapacity creates a log retaining at most n events
 // (n <= 0 means unbounded).
-func NewEventLogWithCapacity(n int) *EventLog { return &EventLog{capacity: n} }
+func NewEventLogWithCapacity(n int) *EventLog {
+	return &EventLog{ring: ring[AuditEvent]{capacity: n}}
+}
 
 // SetCapacity re-bounds the ring to n retained events (n <= 0 removes
 // the bound). When shrinking, the oldest events beyond the new bound
@@ -98,14 +96,7 @@ func (l *EventLog) SetCapacity(n int) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	events := l.orderedLocked()
-	if n > 0 && len(events) > n {
-		l.dropped.Add(int64(len(events) - n))
-		events = events[len(events)-n:]
-	}
-	l.capacity = n
-	l.buf = events
-	l.head = 0
+	l.ring.setCapacity(n)
 }
 
 // Dropped returns how many events the ring has evicted over the log's
@@ -114,7 +105,7 @@ func (l *EventLog) Dropped() int64 {
 	if l == nil {
 		return 0
 	}
-	return l.dropped.Load()
+	return l.ring.dropped.Load()
 }
 
 // Append records one event, assigning its sequence number. Sequence
@@ -133,21 +124,8 @@ func (l *EventLog) Append(typ, actor, detail string, tc TraceContext) {
 		Trace:  tc,
 	}
 	l.seq++
-	if l.capacity > 0 && len(l.buf) >= l.capacity {
-		l.buf[l.head] = e
-		l.head = (l.head + 1) % len(l.buf)
-		l.dropped.Add(1)
-	} else {
-		l.buf = append(l.buf, e)
-	}
+	l.ring.push(e)
 	l.mu.Unlock()
-}
-
-// orderedLocked returns the retained events oldest-first (l.mu held).
-func (l *EventLog) orderedLocked() []AuditEvent {
-	out := make([]AuditEvent, 0, len(l.buf))
-	out = append(out, l.buf[l.head:]...)
-	return append(out, l.buf[:l.head]...)
 }
 
 // Events returns a copy of the retained stream in append order.
@@ -157,7 +135,7 @@ func (l *EventLog) Events() []AuditEvent {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.orderedLocked()
+	return l.ring.ordered()
 }
 
 // Len returns the number of retained events.
@@ -167,7 +145,7 @@ func (l *EventLog) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.buf)
+	return len(l.ring.buf)
 }
 
 // Audit event codec: tag 0xB1 version 1, following the repo's tagged
@@ -176,109 +154,21 @@ func (l *EventLog) Len() int {
 const (
 	tagAuditEvent     byte = 0xB1
 	auditEventVersion byte = 1
-	maxAuditField          = 16 << 20
 )
 
 // ErrEventFormat reports malformed audit-event bytes.
 var ErrEventFormat = errors.New("obs: malformed audit event")
 
-func appendU32(dst []byte, v uint32) []byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func appendStr(dst []byte, s string) []byte {
-	dst = appendU32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
 // Encode serializes one event.
 func (e AuditEvent) Encode() []byte {
 	out := make([]byte, 0, 2+8+3*(4+8)+len(e.Type)+len(e.Actor)+len(e.Detail))
-	out = append(out, tagAuditEvent, auditEventVersion)
-	out = appendU64(out, e.Seq)
-	out = appendStr(out, e.Type)
-	out = appendStr(out, e.Actor)
-	out = appendStr(out, e.Detail)
-	out = appendU64(out, e.Trace.TraceID)
-	out = appendU64(out, e.Trace.SpanID)
-	return out
-}
-
-// eventReader is a minimal sticky-error cursor (obs stays free of repo
-// dependencies, so it does not use internal/wirec).
-type eventReader struct {
-	data []byte
-	err  error
-}
-
-func (r *eventReader) take(n int) []byte {
-	if r.err != nil || n < 0 || len(r.data) < n {
-		if r.err == nil {
-			r.err = ErrEventFormat
-		}
-		return nil
-	}
-	out := r.data[:n]
-	r.data = r.data[n:]
-	return out
-}
-
-func (r *eventReader) u32() uint32 {
-	b := r.take(4)
-	if r.err != nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *eventReader) u64() uint64 {
-	b := r.take(8)
-	if r.err != nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (r *eventReader) str() string {
-	n := r.u32()
-	if r.err != nil || n > maxAuditField {
-		if r.err == nil {
-			r.err = ErrEventFormat
-		}
-		return ""
-	}
-	return string(r.take(int(n)))
-}
-
-// decodeEvent parses one event from the front of raw, returning the
-// remaining bytes.
-func decodeEvent(raw []byte) (AuditEvent, []byte, error) {
-	if len(raw) < 2 {
-		return AuditEvent{}, nil, ErrEventFormat
-	}
-	if raw[0] != tagAuditEvent || raw[1] != auditEventVersion {
-		return AuditEvent{}, nil, fmt.Errorf("%w: tag 0x%02x version %d", ErrEventFormat, raw[0], raw[1])
-	}
-	rd := &eventReader{data: raw[2:]}
-	var e AuditEvent
-	e.Seq = rd.u64()
-	e.Type = rd.str()
-	e.Actor = rd.str()
-	e.Detail = rd.str()
-	e.Trace.TraceID = rd.u64()
-	e.Trace.SpanID = rd.u64()
-	if rd.err != nil {
-		return AuditEvent{}, nil, rd.err
-	}
-	return e, rd.data, nil
+	out = wirec.AppendHeader(out, tagAuditEvent, auditEventVersion)
+	out = wirec.AppendU64(out, e.Seq)
+	out = wirec.AppendString(out, e.Type)
+	out = wirec.AppendString(out, e.Actor)
+	out = wirec.AppendString(out, e.Detail)
+	out = wirec.AppendU64(out, e.Trace.TraceID)
+	return wirec.AppendU64(out, e.Trace.SpanID)
 }
 
 // Encode serializes the whole stream as a concatenation of event
@@ -293,14 +183,20 @@ func (l *EventLog) Encode() []byte {
 
 // DecodeEvents parses a concatenated event stream.
 func DecodeEvents(raw []byte) ([]AuditEvent, error) {
+	rd := wirec.MakeReader(raw)
 	var out []AuditEvent
-	for len(raw) > 0 {
-		e, rest, err := decodeEvent(raw)
-		if err != nil {
-			return nil, err
-		}
+	for rd.Remaining() > 0 && rd.Header(tagAuditEvent, auditEventVersion) {
+		var e AuditEvent
+		e.Seq = rd.U64()
+		e.Type = rd.String()
+		e.Actor = rd.String()
+		e.Detail = rd.String()
+		e.Trace.TraceID = rd.U64()
+		e.Trace.SpanID = rd.U64()
 		out = append(out, e)
-		raw = rest
+	}
+	if err := rd.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrEventFormat, err)
 	}
 	return out, nil
 }
@@ -321,11 +217,11 @@ func NewObserver() *Observer {
 
 // StartSpan opens a span on the observer's tracer. With a nil observer
 // or tracer the span is nil and the parent context propagates unchanged.
-func (o *Observer) StartSpan(name string, parent TraceContext) (*Span, TraceContext) {
+func (o *Observer) StartSpan(d *SpanDesc, parent TraceContext) (*Span, TraceContext) {
 	if o == nil {
 		return nil, parent
 	}
-	return o.Tracer.StartSpan(name, parent)
+	return o.Tracer.StartSpan(d, parent)
 }
 
 // Event appends to the observer's audit log (no-op when disabled).
@@ -352,6 +248,6 @@ func (o *Observer) PublishDropped() {
 	if o == nil || o.Metrics == nil {
 		return
 	}
-	o.Metrics.Gauge("obs.dropped.spans").Set(o.Tracer.Dropped())
-	o.Metrics.Gauge("obs.dropped.events").Set(o.Events.Dropped())
+	o.Metrics.Gauge(ObsDroppedSpans).Set(o.Tracer.Dropped())
+	o.Metrics.Gauge(ObsDroppedEvents).Set(o.Events.Dropped())
 }

@@ -17,7 +17,8 @@ package flight
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -48,18 +49,6 @@ type Trigger struct {
 	UnixNs int64 `json:"unix_ns"`
 }
 
-// SLOVerdict is one objective's evaluation at capture time (a flattened
-// copy of analyze.Verdict — flight cannot import analyze, which imports
-// flight).
-type SLOVerdict struct {
-	Name     string `json:"name"`
-	Metric   string `json:"metric"`
-	ActualNs int64  `json:"actual_ns"`
-	MaxNs    int64  `json:"max_ns"`
-	Violated bool   `json:"violated"`
-	Missing  bool   `json:"missing,omitempty"`
-}
-
 // Bundle is one black-box capture.
 type Bundle struct {
 	// CreatedUnixNs is the capture instant.
@@ -79,8 +68,8 @@ type Bundle struct {
 	Events []obs.AuditEvent `json:"events,omitempty"`
 	// Metrics is the full registry snapshot.
 	Metrics obs.Snapshot `json:"metrics"`
-	// SLO is the most recent objective evaluation.
-	SLO []SLOVerdict `json:"slo,omitempty"`
+	// SLO is the most recent rule pass's objective results.
+	SLO []health.Result `json:"slo,omitempty"`
 	// Journal is an opaque encoded fleet journal tail
 	// (fleet.DecodeJournal reads it); empty when no planner is attached.
 	Journal []byte `json:"journal,omitempty"`
@@ -94,7 +83,7 @@ type CaptureOpts struct {
 	MaxEvents int
 	// Health, SLO, Journal, Note are attached verbatim.
 	Health  []health.EntityHealth
-	SLO     []SLOVerdict
+	SLO     []health.Result
 	Journal []byte
 	Note    string
 }
@@ -120,31 +109,29 @@ func Capture(o *obs.Observer, trig Trigger, now time.Time, opts CaptureOpts) *Bu
 		Journal:       opts.Journal,
 	}
 	if o != nil {
-		spans := o.Tracer.Spans()
-		if opts.MaxSpans > 0 && len(spans) > opts.MaxSpans {
-			spans = spans[len(spans)-opts.MaxSpans:]
-		} else if opts.MaxSpans < 0 {
-			spans = nil
-		}
-		b.Spans = spans
+		b.Spans = tail(o.Tracer.Spans(), opts.MaxSpans)
 		b.Open = o.Tracer.OpenSpans()
-		events := o.Events.Events()
-		if opts.MaxEvents > 0 && len(events) > opts.MaxEvents {
-			events = events[len(events)-opts.MaxEvents:]
-		} else if opts.MaxEvents < 0 {
-			events = nil
-		}
-		b.Events = events
+		b.Events = tail(o.Events.Events(), opts.MaxEvents)
 		b.Metrics = o.M().Snapshot()
 	}
 	return b
 }
 
-// Flight bundle codec: tag 0xBF version 1 (0xB* block: obs). Versioned
-// so a future layout change stays readable next to archived bundles.
+// tail keeps the newest max entries of a ring dump (max < 0: none).
+func tail[T any](s []T, max int) []T {
+	if max < 0 {
+		return nil
+	}
+	return s[len(s)-min(len(s), max):]
+}
+
+// Flight bundle codec: tag 0xBF (0xB* block: obs). Version 2 carries
+// the metrics as one labelled series list; version 1 (three name→value
+// maps with entities spliced into the names) still decodes, so archived
+// bundles stay readable. Every other section is the same in both.
 const (
 	tagFlightBundle     byte = 0xBF
-	flightBundleVersion byte = 1
+	flightBundleVersion byte = 2
 )
 
 // ErrBundleFormat reports malformed or truncated bundle bytes.
@@ -155,16 +142,7 @@ const (
 	sloFlagMissing  byte = 1 << 1
 )
 
-// sortedKeys returns map keys in sorted order so encoding is
-// deterministic (byte-identical bundles for identical state).
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+var kindCodes = []obs.Kind{obs.KindCounter, obs.KindGauge, obs.KindHistogram}
 
 // Encode serializes the bundle.
 func (b *Bundle) Encode() []byte {
@@ -212,55 +190,82 @@ func (b *Bundle) Encode() []byte {
 	}
 	out = wirec.AppendBytes(out, events)
 
-	out = wirec.AppendU32(out, uint32(len(b.Metrics.Counters)))
-	for _, k := range sortedKeys(b.Metrics.Counters) {
-		out = wirec.AppendString(out, k)
-		out = wirec.AppendU64(out, uint64(b.Metrics.Counters[k]))
-	}
-	out = wirec.AppendU32(out, uint32(len(b.Metrics.Gauges)))
-	for _, k := range sortedKeys(b.Metrics.Gauges) {
-		out = wirec.AppendString(out, k)
-		out = wirec.AppendU64(out, uint64(b.Metrics.Gauges[k]))
-	}
-	out = wirec.AppendU32(out, uint32(len(b.Metrics.Histograms)))
-	for _, k := range sortedKeys(b.Metrics.Histograms) {
-		h := b.Metrics.Histograms[k]
-		out = wirec.AppendString(out, k)
-		out = wirec.AppendU64(out, uint64(h.Count))
-		out = wirec.AppendU64(out, uint64(h.Sum))
-		out = wirec.AppendU64(out, uint64(h.Mean))
-		out = wirec.AppendU64(out, uint64(h.P50))
-		out = wirec.AppendU64(out, uint64(h.P99))
-		out = wirec.AppendU64(out, uint64(h.P999))
-		out = wirec.AppendU64(out, uint64(h.Max))
+	out = wirec.AppendU32(out, uint32(len(b.Metrics.Series)))
+	for _, sr := range b.Metrics.Series {
+		out = wirec.AppendString(out, sr.Name)
+		out = append(out, byte(slices.Index(kindCodes, sr.Kind)))
+		out = wirec.AppendU32(out, uint32(len(sr.Labels)))
+		for _, k := range slices.Sorted(maps.Keys(sr.Labels)) {
+			out = wirec.AppendString(out, k)
+			out = wirec.AppendString(out, sr.Labels[k])
+		}
+		out = wirec.AppendU64(out, uint64(sr.Value))
+		if sr.Kind == obs.KindHistogram {
+			out = appendHistogram(out, sr.Hist)
+		}
 	}
 
 	out = wirec.AppendU32(out, uint32(len(b.SLO)))
-	for _, v := range b.SLO {
-		out = wirec.AppendString(out, v.Name)
-		out = wirec.AppendString(out, v.Metric)
-		out = wirec.AppendU64(out, uint64(v.ActualNs))
-		out = wirec.AppendU64(out, uint64(v.MaxNs))
+	for _, r := range b.SLO {
+		out = wirec.AppendString(out, r.Rule)
+		out = wirec.AppendString(out, r.Reason)
+		out = wirec.AppendU64(out, uint64(r.Actual))
+		out = wirec.AppendU64(out, uint64(r.Bound))
 		var flags byte
-		if v.Violated {
+		if r.Violated() {
 			flags |= sloFlagViolated
 		}
-		if v.Missing {
+		if r.Missing {
 			flags |= sloFlagMissing
 		}
 		out = append(out, flags)
 	}
 
-	out = wirec.AppendBytes(out, b.Journal)
+	return wirec.AppendBytes(out, b.Journal)
+}
+
+func appendHistogram(out []byte, h *obs.HistogramSnapshot) []byte {
+	if h == nil {
+		h = &obs.HistogramSnapshot{}
+	}
+	out = wirec.AppendU64(out, uint64(h.Count))
+	for _, d := range []time.Duration{h.Sum, h.Mean, h.P50, h.P99, h.P999, h.Max} {
+		out = wirec.AppendU64(out, uint64(d))
+	}
 	return out
 }
 
-// DecodeBundle parses an encoded bundle. Every declared count is clamped
-// against the remaining input before allocation, so hostile bytes can
-// neither bomb the decoder nor make it allocate past the input size.
+func readHistogram(rd *wirec.Reader) *obs.HistogramSnapshot {
+	return &obs.HistogramSnapshot{
+		Count: int64(rd.U64()),
+		Sum:   time.Duration(rd.U64()),
+		Mean:  time.Duration(rd.U64()),
+		P50:   time.Duration(rd.U64()),
+		P99:   time.Duration(rd.U64()),
+		P999:  time.Duration(rd.U64()),
+		Max:   time.Duration(rd.U64()),
+	}
+}
+
+// count reads a declared entry count and clamps it against the
+// remaining input before anything is allocated for it, so hostile bytes
+// can neither bomb the decoder nor make it allocate past the input size.
+func count(rd *wirec.Reader, what string, minEntry int) (uint32, error) {
+	n := rd.U32()
+	if !rd.CanHold(n, minEntry) {
+		return 0, fmt.Errorf("%w: %s count %d exceeds input", ErrBundleFormat, what, n)
+	}
+	return n, nil
+}
+
+// DecodeBundle parses an encoded bundle of either version.
 func DecodeBundle(raw []byte) (*Bundle, error) {
+	version := flightBundleVersion
+	if len(raw) >= 2 && raw[1] == 1 {
+		version = 1
+	}
 	rd := wirec.NewReader(raw)
-	if !rd.Header(tagFlightBundle, flightBundleVersion) {
+	if !rd.Header(tagFlightBundle, version) {
 		return nil, fmt.Errorf("%w: %v", ErrBundleFormat, rd.Err())
 	}
 	var b Bundle
@@ -271,57 +276,46 @@ func DecodeBundle(raw []byte) (*Bundle, error) {
 	b.Trigger.UnixNs = int64(rd.U64())
 	b.Note = rd.String()
 
-	n := rd.U32()
-	if !rd.CanHold(n, 4+4+1+4+8) {
-		return nil, fmt.Errorf("%w: health count %d exceeds input", ErrBundleFormat, n)
+	n, err := count(rd, "health", 4+4+1+4+8)
+	if err != nil {
+		return nil, err
 	}
-	if n > 0 {
-		b.Health = make([]health.EntityHealth, 0, n)
-		for i := uint32(0); i < n && rd.Err() == nil; i++ {
-			var h health.EntityHealth
-			h.Kind = rd.String()
-			h.Name = rd.String()
-			h.State = health.State(rd.U8())
-			h.Reason = rd.String()
-			h.Since = time.Unix(0, int64(rd.U64()))
-			b.Health = append(b.Health, h)
-		}
+	for i := uint32(0); i < n && rd.Err() == nil; i++ {
+		var h health.EntityHealth
+		h.Kind = rd.String()
+		h.Name = rd.String()
+		h.State = health.State(rd.U8())
+		h.Reason = rd.String()
+		h.Since = time.Unix(0, int64(rd.U64()))
+		b.Health = append(b.Health, h)
 	}
 
-	n = rd.U32()
-	if !rd.CanHold(n, 4+4+5*8) {
-		return nil, fmt.Errorf("%w: span count %d exceeds input", ErrBundleFormat, n)
+	if n, err = count(rd, "span", 4+4+5*8); err != nil {
+		return nil, err
 	}
-	if n > 0 {
-		b.Spans = make([]obs.Span, 0, n)
-		for i := uint32(0); i < n && rd.Err() == nil; i++ {
-			var sp obs.Span
-			sp.Name = rd.String()
-			sp.Site = rd.String()
-			sp.TraceID = rd.U64()
-			sp.SpanID = rd.U64()
-			sp.ParentID = rd.U64()
-			sp.Start = time.Unix(0, int64(rd.U64()))
-			sp.Dur = time.Duration(rd.U64())
-			b.Spans = append(b.Spans, sp)
-		}
+	for i := uint32(0); i < n && rd.Err() == nil; i++ {
+		var sp obs.Span
+		sp.Name = rd.String()
+		sp.Site = rd.String()
+		sp.TraceID = rd.U64()
+		sp.SpanID = rd.U64()
+		sp.ParentID = rd.U64()
+		sp.Start = time.Unix(0, int64(rd.U64()))
+		sp.Dur = time.Duration(rd.U64())
+		b.Spans = append(b.Spans, sp)
 	}
 
-	n = rd.U32()
-	if !rd.CanHold(n, 4+4*8) {
-		return nil, fmt.Errorf("%w: open-span count %d exceeds input", ErrBundleFormat, n)
+	if n, err = count(rd, "open-span", 4+4*8); err != nil {
+		return nil, err
 	}
-	if n > 0 {
-		b.Open = make([]obs.OpenSpan, 0, n)
-		for i := uint32(0); i < n && rd.Err() == nil; i++ {
-			var sp obs.OpenSpan
-			sp.Name = rd.String()
-			sp.TraceID = rd.U64()
-			sp.SpanID = rd.U64()
-			sp.ParentID = rd.U64()
-			sp.Start = time.Unix(0, int64(rd.U64()))
-			b.Open = append(b.Open, sp)
-		}
+	for i := uint32(0); i < n && rd.Err() == nil; i++ {
+		var sp obs.OpenSpan
+		sp.Name = rd.String()
+		sp.TraceID = rd.U64()
+		sp.SpanID = rd.U64()
+		sp.ParentID = rd.U64()
+		sp.Start = time.Unix(0, int64(rd.U64()))
+		b.Open = append(b.Open, sp)
 	}
 
 	if events := rd.Bytes(); rd.Err() == nil && len(events) > 0 {
@@ -332,65 +326,34 @@ func DecodeBundle(raw []byte) (*Bundle, error) {
 		b.Events = evs
 	}
 
-	n = rd.U32()
-	if !rd.CanHold(n, 4+8) {
-		return nil, fmt.Errorf("%w: counter count %d exceeds input", ErrBundleFormat, n)
+	if version == 1 {
+		err = decodeV1Metrics(rd, &b)
+	} else {
+		err = decodeMetrics(rd, &b)
 	}
-	{
-		b.Metrics.Counters = make(map[string]int64, n)
-		for i := uint32(0); i < n && rd.Err() == nil; i++ {
-			k := rd.String()
-			b.Metrics.Counters[k] = int64(rd.U64())
-		}
-	}
-	n = rd.U32()
-	if !rd.CanHold(n, 4+8) {
-		return nil, fmt.Errorf("%w: gauge count %d exceeds input", ErrBundleFormat, n)
-	}
-	{
-		b.Metrics.Gauges = make(map[string]int64, n)
-		for i := uint32(0); i < n && rd.Err() == nil; i++ {
-			k := rd.String()
-			b.Metrics.Gauges[k] = int64(rd.U64())
-		}
-	}
-	n = rd.U32()
-	if !rd.CanHold(n, 4+7*8) {
-		return nil, fmt.Errorf("%w: histogram count %d exceeds input", ErrBundleFormat, n)
-	}
-	{
-		b.Metrics.Histograms = make(map[string]obs.HistogramSnapshot, n)
-		for i := uint32(0); i < n && rd.Err() == nil; i++ {
-			k := rd.String()
-			var h obs.HistogramSnapshot
-			h.Count = int64(rd.U64())
-			h.Sum = time.Duration(rd.U64())
-			h.Mean = time.Duration(rd.U64())
-			h.P50 = time.Duration(rd.U64())
-			h.P99 = time.Duration(rd.U64())
-			h.P999 = time.Duration(rd.U64())
-			h.Max = time.Duration(rd.U64())
-			b.Metrics.Histograms[k] = h
-		}
+	if err != nil {
+		return nil, err
 	}
 
-	n = rd.U32()
-	if !rd.CanHold(n, 4+4+2*8+1) {
-		return nil, fmt.Errorf("%w: slo count %d exceeds input", ErrBundleFormat, n)
+	// Objective results, in both versions: rule name, the metric read,
+	// actual, bound, flags. The entity is implied (slo/<rule>) and an
+	// objective's level is Degraded exactly when it is violated.
+	if n, err = count(rd, "slo", 4+4+2*8+1); err != nil {
+		return nil, err
 	}
-	if n > 0 {
-		b.SLO = make([]SLOVerdict, 0, n)
-		for i := uint32(0); i < n && rd.Err() == nil; i++ {
-			var v SLOVerdict
-			v.Name = rd.String()
-			v.Metric = rd.String()
-			v.ActualNs = int64(rd.U64())
-			v.MaxNs = int64(rd.U64())
-			flags := rd.U8()
-			v.Violated = flags&sloFlagViolated != 0
-			v.Missing = flags&sloFlagMissing != 0
-			b.SLO = append(b.SLO, v)
+	for i := uint32(0); i < n && rd.Err() == nil; i++ {
+		var r health.Result
+		r.Rule = rd.String()
+		r.Entity = health.Entity{Kind: "slo", Name: r.Rule}
+		r.Reason = rd.String()
+		r.Actual = time.Duration(rd.U64())
+		r.Bound = time.Duration(rd.U64())
+		flags := rd.U8()
+		if flags&sloFlagViolated != 0 {
+			r.Level = health.Degraded
 		}
+		r.Missing = flags&sloFlagMissing != 0
+		b.SLO = append(b.SLO, r)
 	}
 
 	if j := rd.Bytes(); len(j) > 0 {
@@ -400,4 +363,64 @@ func DecodeBundle(raw []byte) (*Bundle, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBundleFormat, err)
 	}
 	return &b, nil
+}
+
+// decodeMetrics reads the version-2 metrics section: one series list.
+func decodeMetrics(rd *wirec.Reader, b *Bundle) error {
+	n, err := count(rd, "series", 4+1+4+8)
+	if err != nil {
+		return err
+	}
+	for i := uint32(0); i < n && rd.Err() == nil; i++ {
+		sr := obs.Series{Name: rd.String()}
+		kind := rd.U8()
+		if int(kind) >= len(kindCodes) {
+			return fmt.Errorf("%w: series kind %d", ErrBundleFormat, kind)
+		}
+		sr.Kind = kindCodes[kind]
+		labels, err := count(rd, "label", 4+4)
+		if err != nil {
+			return err
+		}
+		for j := uint32(0); j < labels && rd.Err() == nil; j++ {
+			if sr.Labels == nil {
+				sr.Labels = map[string]string{}
+			}
+			k := rd.String()
+			sr.Labels[k] = rd.String()
+		}
+		sr.Value = int64(rd.U64())
+		if sr.Kind == obs.KindHistogram {
+			sr.Hist = readHistogram(rd)
+		}
+		b.Metrics.Series = append(b.Metrics.Series, sr)
+	}
+	return nil
+}
+
+// decodeV1Metrics reads the version-1 metrics section: counters, gauges
+// and histograms as three name→value maps, entities spliced into the
+// names, no labels.
+func decodeV1Metrics(rd *wirec.Reader, b *Bundle) error {
+	for _, kind := range kindCodes {
+		minEntry := 4 + 8
+		if kind == obs.KindHistogram {
+			minEntry = 4 + 7*8
+		}
+		n, err := count(rd, string(kind), minEntry)
+		if err != nil {
+			return err
+		}
+		for i := uint32(0); i < n && rd.Err() == nil; i++ {
+			sr := obs.Series{Name: rd.String(), Kind: kind}
+			if kind == obs.KindHistogram {
+				sr.Hist = readHistogram(rd)
+				sr.Value = sr.Hist.Count
+			} else {
+				sr.Value = int64(rd.U64())
+			}
+			b.Metrics.Series = append(b.Metrics.Series, sr)
+		}
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package flight
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -15,17 +16,18 @@ import (
 // span, audit events, and every metric family — the capture fixture.
 func populatedObserver() *obs.Observer {
 	o := obs.NewObserver()
-	root, tc := o.StartSpan("fleet.migrate", obs.TraceContext{})
+	root, tc := o.StartSpan(obs.SpanFleetMigrate, obs.TraceContext{})
 	root.Site = "dc-a"
-	child, _ := o.StartSpan("me.offer", tc)
+	child, _ := o.StartSpan(obs.SpanMEOffer, tc)
 	child.End()
 	root.End()
-	o.StartSpan("me.transfer", obs.TraceContext{}) // stays open
+	o.StartSpan(obs.SpanMETransfer, obs.TraceContext{}) // stays open
 	o.Event(obs.EventZombieRefused, "lib:abc", "probe refused", tc)
 	o.Event(obs.EventSLOViolation, "slo:mirror-rpo-age", "age 6m > 5m", obs.TraceContext{})
-	o.M().Add("wire.msgs", 42)
-	o.M().SetGauge("mirror.dirty", 3)
-	o.M().Histogram("fleet.migration.latency").Observe(15 * time.Millisecond)
+	o.M().Counter(obs.WireMsgs).Add(42)
+	o.M().Counter(obs.QuorumVoteErrors, "rack-a", "10.0.0.7:7000").Add(2)
+	o.M().Gauge(obs.MirrorDirty).Set(3)
+	o.M().Histogram(obs.FleetMigrationLatency).Observe(15 * time.Millisecond)
 	return o
 }
 
@@ -36,9 +38,11 @@ func testBundle() *Bundle {
 			Health: []health.EntityHealth{
 				{Kind: "mirror", Name: "escrow", State: health.Degraded, Reason: "rpo", Since: time.Unix(4000, 0)},
 			},
-			SLO: []SLOVerdict{
-				{Name: "mirror-rpo-age", Metric: "mirror.flush.last_unix_ns", ActualNs: 360e9, MaxNs: 300e9, Violated: true},
-				{Name: "p99-migration", Metric: "fleet.migration.latency", Missing: true},
+			SLO: []health.Result{
+				{Rule: "mirror-rpo-age", Entity: health.Entity{Kind: "slo", Name: "mirror-rpo-age"}, Level: health.Degraded,
+					Reason: "mirror.flush.last_unix_ns", Actual: 360 * time.Second, Bound: 300 * time.Second},
+				{Rule: "migration-p99", Entity: health.Entity{Kind: "slo", Name: "migration-p99"},
+					Reason: "fleet.migration.latency", Bound: 250 * time.Millisecond, Missing: true},
 			},
 			Journal: []byte("journal-bytes"),
 			Note:    "unit fixture",
@@ -86,12 +90,8 @@ func TestBundleRoundTrip(t *testing.T) {
 			t.Errorf("event %d mismatch: %+v vs %+v", i, got.Events[i], b.Events[i])
 		}
 	}
-	if !reflect.DeepEqual(got.Metrics.Counters, b.Metrics.Counters) ||
-		!reflect.DeepEqual(got.Metrics.Gauges, b.Metrics.Gauges) {
-		t.Error("metric registries did not round-trip")
-	}
-	if !reflect.DeepEqual(got.Metrics.Histograms, b.Metrics.Histograms) {
-		t.Errorf("histogram snapshots mismatch: %+v vs %+v", got.Metrics.Histograms, b.Metrics.Histograms)
+	if !reflect.DeepEqual(got.Metrics, b.Metrics) {
+		t.Errorf("metric series (labels included) did not round-trip: %+v vs %+v", got.Metrics, b.Metrics)
 	}
 	if !reflect.DeepEqual(got.SLO, b.SLO) {
 		t.Errorf("slo mismatch: %+v vs %+v", got.SLO, b.SLO)
@@ -139,7 +139,7 @@ func TestDecodeBundleCorruption(t *testing.T) {
 func TestCaptureBounds(t *testing.T) {
 	o := obs.NewObserver()
 	for i := 0; i < 20; i++ {
-		sp, tc := o.StartSpan("op", obs.TraceContext{})
+		sp, tc := o.StartSpan(obs.SpanWANHop, obs.TraceContext{})
 		sp.End()
 		o.Event("audit-test", "actor", "d", tc)
 	}
@@ -188,50 +188,62 @@ func TestRecorderTripPersistsAndServesLatest(t *testing.T) {
 		t.Errorf("latest trigger = %q", back.Trigger.Kind)
 	}
 	snap := o.M().Snapshot()
-	if snap.Counters["flight.bundles"] != 4 {
-		t.Errorf("flight.bundles = %d, want 4", snap.Counters["flight.bundles"])
+	if n, _ := snap.Counter(obs.FlightBundles); n != 4 {
+		t.Errorf("flight.bundles = %d, want 4", n)
 	}
-	if snap.Gauges["flight.last_unix_ns"] == 0 {
+	if stamp, _ := snap.Gauge(obs.FlightLast); stamp == 0 {
 		t.Error("flight.last_unix_ns gauge not stamped")
 	}
 }
 
-// TestRecorderScanTriggers drives the audit-scan path: an SLO violation
-// event trips a capture, the cursor advances (no double-trip on the same
-// event), and the recorder's own flight-recorded event never retriggers.
+// violated is one violated objective result, as a rule pass yields it.
+func violated(name string) health.Result {
+	return health.Result{Rule: name, Entity: health.Entity{Kind: "slo", Name: name}, Level: health.Degraded, Reason: "metric"}
+}
+
+// TestRecorderScanTriggers drives the pass-subscription path: a violated
+// objective trips a capture, a pass without findings does not, a
+// transition to critical trips whatever its reason text says (the
+// recorder reads the typed Change, never the audit Detail), a merely
+// degraded transition does not, and a security event trips.
 func TestRecorderScanTriggers(t *testing.T) {
 	o := obs.NewObserver()
 	r := NewRecorder(o)
-	r.SetMinInterval(0)
-	if b := r.Scan(); b != nil {
-		t.Fatal("scan with no events captured a bundle")
+	r.minInterval = 0 // no throttle: trip on every pass
+	if b := r.Observe(&health.Pass{}); b != nil {
+		t.Fatal("pass with no findings captured a bundle")
 	}
-	o.Event(obs.EventSLOViolation, "slo:p99", "exceeded", obs.TraceContext{})
-	b := r.Scan()
+	b := r.Observe(&health.Pass{Objectives: []health.Result{{Rule: "ok"}, violated("p99")}})
 	if b == nil {
-		t.Fatal("scan missed the SLO violation")
+		t.Fatal("observe missed the SLO violation")
 	}
-	if b.Trigger.Kind != TriggerSLOViolation {
-		t.Errorf("trigger = %q, want %q", b.Trigger.Kind, TriggerSLOViolation)
+	if b.Trigger.Kind != TriggerSLOViolation || b.Trigger.Actor != "slo:p99" {
+		t.Errorf("trigger = %+v, want %q by slo:p99", b.Trigger, TriggerSLOViolation)
 	}
-	if again := r.Scan(); again != nil {
-		t.Errorf("same event tripped twice: %+v", again.Trigger)
+	if len(b.SLO) != 2 {
+		t.Errorf("bundle embeds %d objective results, want the pass's 2", len(b.SLO))
+	}
+	// The recorder's own flight-recorded event is on the audit stream
+	// now; a following quiet pass must not trip on it.
+	if again := r.Observe(&health.Pass{}); again != nil {
+		t.Errorf("quiet pass tripped: %+v", again.Trigger)
 	}
 
-	o.Event(obs.EventHealthChanged, "health:link/wan-1", "degraded->critical: link down", obs.TraceContext{})
-	b = r.Scan()
-	if b == nil || b.Trigger.Kind != TriggerHealthCritical {
+	link := health.Entity{Kind: "link", Name: "wan-1"}
+	b = r.Observe(&health.Pass{Changes: []health.Change{
+		{Entity: link, From: health.Degraded, To: health.Critical, Reason: "worded any way at all"}}})
+	if b == nil || b.Trigger.Kind != TriggerHealthCritical || b.Trigger.Actor != "health:link/wan-1" {
 		t.Fatalf("health-critical transition not captured: %+v", b)
 	}
 	// A degraded (non-critical) transition is not a trigger.
-	o.Event(obs.EventHealthChanged, "health:link/wan-1", "healthy->degraded: loss", obs.TraceContext{})
-	if b := r.Scan(); b != nil {
+	b = r.Observe(&health.Pass{Changes: []health.Change{{Entity: link, From: health.Healthy, To: health.Degraded, Reason: "loss"}}})
+	if b != nil {
 		t.Errorf("non-critical health change tripped the recorder: %+v", b.Trigger)
 	}
 
-	o.Event(obs.EventZombieRefused, "lib:abc", "refused", obs.TraceContext{})
-	b = r.Scan()
-	if b == nil || b.Trigger.Kind != TriggerSecurityEvent {
+	b = r.Observe(&health.Pass{Security: []health.Result{
+		{Entity: health.Entity{Kind: "audit", Name: "lib:abc"}, Level: health.Critical, Reason: "zombie-refused: refused"}}})
+	if b == nil || b.Trigger.Kind != TriggerSecurityEvent || b.Trigger.Actor != "lib:abc" {
 		t.Fatalf("security event not captured: %+v", b)
 	}
 }
@@ -239,14 +251,51 @@ func TestRecorderScanTriggers(t *testing.T) {
 func TestRecorderScanThrottle(t *testing.T) {
 	o := obs.NewObserver()
 	r := NewRecorder(o)
-	r.SetMinInterval(time.Hour)
-	o.Event(obs.EventSLOViolation, "slo:a", "x", obs.TraceContext{})
-	if b := r.Scan(); b == nil {
-		t.Fatal("first scan should capture")
+	r.minInterval = time.Hour
+	if b := r.Observe(&health.Pass{Objectives: []health.Result{violated("a")}}); b == nil {
+		t.Fatal("first violating pass should capture")
 	}
-	o.Event(obs.EventSLOViolation, "slo:b", "y", obs.TraceContext{})
-	if b := r.Scan(); b != nil {
+	if b := r.Observe(&health.Pass{Objectives: []health.Result{violated("b")}}); b != nil {
 		t.Error("second capture inside min-interval should be throttled")
+	}
+}
+
+// TestDecodeBundleV1 keeps archived bundles readable: testdata holds a
+// bundle the version-1 encoder wrote (metrics as three name→value maps,
+// entity names spliced into the names; flattened SLO verdicts).
+func TestDecodeBundleV1(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "bundle-v1.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := DecodeBundle(raw)
+	if err != nil {
+		t.Fatalf("version-1 bundle no longer decodes: %v", err)
+	}
+	if b.Trigger.Detail != "v1 fixture" || string(b.Journal) != "journal-bytes" || len(b.Events) != 1 {
+		t.Errorf("header/tail mismatch: %+v journal %q events %d", b.Trigger, b.Journal, len(b.Events))
+	}
+	if n, ok := b.Metrics.Counter(obs.WireMsgs); !ok || n != 42 {
+		t.Errorf("wire.msgs = %d (present %v), want 42", n, ok)
+	}
+	if h, ok := b.Metrics.Histogram(obs.FleetMigrationLatency); !ok || h.Count != 1 {
+		t.Errorf("fleet.migration.latency = %+v (present %v), want one observation", h, ok)
+	}
+	var spliced bool
+	for _, sr := range b.Metrics.Series {
+		spliced = spliced || (sr.Name == "wan.link.msgs.wan-ab" && sr.Value == 7 && sr.Labels == nil)
+	}
+	if !spliced {
+		t.Errorf("v1 series keep their spliced names as-is: %+v", b.Metrics.Series)
+	}
+	if len(b.SLO) != 2 || !b.SLO[0].Violated() || b.SLO[0].Reason != "mirror.flush.last_unix_ns" ||
+		b.SLO[0].Bound != 300*time.Second || !b.SLO[1].Missing {
+		t.Errorf("slo section mismatch: %+v", b.SLO)
+	}
+	// It re-encodes as the current version and survives that round trip.
+	again, err := DecodeBundle(b.Encode())
+	if err != nil || !reflect.DeepEqual(again.Metrics, b.Metrics) || !reflect.DeepEqual(again.SLO, b.SLO) {
+		t.Errorf("re-encoded v1 bundle did not round-trip: %v", err)
 	}
 }
 
@@ -254,6 +303,9 @@ func FuzzDecodeBundle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(testBundle().Encode())
 	f.Add(Capture(nil, Trigger{Kind: TriggerManual}, time.Unix(1, 0), CaptureOpts{}).Encode())
+	if v1, err := os.ReadFile(filepath.Join("testdata", "bundle-v1.bin")); err == nil {
+		f.Add(v1)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		b, err := DecodeBundle(raw)
 		if err != nil {

@@ -13,31 +13,30 @@ import (
 	"repro/internal/obs/health"
 )
 
-// Recorder owns the trigger policy: it watches the audit stream for
-// trip-worthy events, rate-limits captures, keeps the latest bundle in
-// memory (served at /flight), and optionally persists bundles to disk.
+// Recorder owns the capture policy: it is handed every rule pass,
+// trips on the pass's typed findings, rate-limits those captures, keeps
+// the latest bundle in memory (served at /flight), and optionally
+// persists bundles to disk.
 type Recorder struct {
 	mu sync.Mutex
 
 	obs  *obs.Observer
 	dir  string
 	keep int
-	// minInterval throttles Scan-driven captures; explicit Trip calls
+	// minInterval throttles Observe-driven captures; explicit Trip calls
 	// always capture.
 	minInterval time.Duration
 
-	// Providers enrich captures with state the observer cannot see.
-	healthFn  func() []health.EntityHealth
+	// journalFn and lastPass enrich captures with state the observer
+	// cannot see: the fleet journal tail, and the entity states and
+	// objective results of the most recent pass.
 	journalFn func() []byte
-	lastSLO   []SLOVerdict
+	lastPass  *health.Pass
 
-	// cursor is the next audit Seq to scan; it starts at 0 so violations
-	// recorded before the recorder attached still trip it.
-	cursor   uint64
-	lastScan time.Time
-	latestRaw  []byte
-	latest     *Bundle
-	trips      int64
+	lastCapture time.Time
+	latestRaw   []byte
+	latest      *Bundle
+	trips       int64
 }
 
 // NewRecorder creates a recorder over o that keeps bundles in memory
@@ -61,28 +60,6 @@ func (r *Recorder) SetDir(dir string, keep int) {
 	r.mu.Unlock()
 }
 
-// SetMinInterval tunes the Scan-driven capture throttle (0 disables it;
-// tests use that to trip repeatedly).
-func (r *Recorder) SetMinInterval(d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.minInterval = d
-	r.mu.Unlock()
-}
-
-// SetHealthProvider attaches the health plane so captures embed the
-// entity states at trigger time.
-func (r *Recorder) SetHealthProvider(fn func() []health.EntityHealth) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.healthFn = fn
-	r.mu.Unlock()
-}
-
 // SetJournalProvider attaches the fleet journal tail source.
 func (r *Recorder) SetJournalProvider(fn func() []byte) {
 	if r == nil {
@@ -90,17 +67,6 @@ func (r *Recorder) SetJournalProvider(fn func() []byte) {
 	}
 	r.mu.Lock()
 	r.journalFn = fn
-	r.mu.Unlock()
-}
-
-// NoteSLO stores the most recent objective evaluation for embedding in
-// future captures (the analyze Plane calls this every Refresh).
-func (r *Recorder) NoteSLO(v []SLOVerdict) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.lastSLO = v
 	r.mu.Unlock()
 }
 
@@ -127,8 +93,7 @@ func (r *Recorder) Latest() (*Bundle, []byte) {
 
 // Trip captures a bundle for trig immediately (no throttle) and returns
 // it. The capture itself is announced on the audit stream as a
-// flight-recorded event — which Scan deliberately does not treat as a
-// trigger.
+// flight-recorded event, which no rule treats as a trigger.
 func (r *Recorder) Trip(trig Trigger) (*Bundle, error) {
 	if r == nil {
 		return nil, nil
@@ -138,9 +103,9 @@ func (r *Recorder) Trip(trig Trigger) (*Bundle, error) {
 
 func (r *Recorder) capture(trig Trigger, now time.Time) (*Bundle, error) {
 	r.mu.Lock()
-	opts := CaptureOpts{SLO: r.lastSLO}
-	if r.healthFn != nil {
-		opts.Health = r.healthFn()
+	var opts CaptureOpts
+	if r.lastPass != nil {
+		opts.Health, opts.SLO = r.lastPass.States, r.lastPass.Objectives
 	}
 	if r.journalFn != nil {
 		opts.Journal = r.journalFn()
@@ -164,24 +129,20 @@ func (r *Recorder) capture(trig Trigger, now time.Time) (*Bundle, error) {
 	r.mu.Lock()
 	r.latest, r.latestRaw = b, raw
 	r.trips++
-	r.lastScan = now
+	r.lastCapture = now
 	r.mu.Unlock()
 
-	if r.obs != nil {
-		detail := trig.Kind
-		if trig.Detail != "" {
-			detail += ": " + trig.Detail
-		}
-		if path != "" {
-			detail += " -> " + path
-		}
-		r.obs.Event(obs.EventFlightRecorded, "flight", detail, obs.TraceContext{})
-		// Named without a .total suffix: the OpenMetrics exporter appends
-		// _total to counters, so this surfaces as flight_bundles_total.
-		r.obs.M().Add("flight.bundles", 1)
-		r.obs.M().SetGauge("flight.last_unix_ns", b.CreatedUnixNs)
-		r.obs.M().SetGauge("flight.bytes", int64(len(raw)))
+	detail := trig.Kind
+	if trig.Detail != "" {
+		detail += ": " + trig.Detail
 	}
+	if path != "" {
+		detail += " -> " + path
+	}
+	r.obs.Event(obs.EventFlightRecorded, "flight", detail, obs.TraceContext{})
+	r.obs.M().Counter(obs.FlightBundles).Add(1)
+	r.obs.M().Gauge(obs.FlightLast).Set(b.CreatedUnixNs)
+	r.obs.M().Gauge(obs.FlightBytes).Set(int64(len(raw)))
 	return b, err
 }
 
@@ -212,61 +173,46 @@ func pruneBundles(dir string, keep int) {
 	}
 }
 
-// scanTriggers maps audit event types to the trigger kind they imply.
-func scanTrigger(ev obs.AuditEvent) (string, bool) {
-	switch ev.Type {
-	case obs.EventZombieRefused, obs.EventSiteLossFailover, obs.EventGrantRevoked:
-		return TriggerSecurityEvent, true
-	case obs.EventSLOViolation:
-		return TriggerSLOViolation, true
-	case obs.EventHealthChanged:
-		if strings.Contains(ev.Detail, "->critical") {
-			return TriggerHealthCritical, true
+// trigger picks what, if anything, in a rule pass is worth a black box:
+// a security audit event, else a violated objective, else an entity
+// that just turned critical (the order the three used to reach the
+// audit log within one refresh).
+func trigger(p *health.Pass) (Trigger, bool) {
+	if len(p.Security) > 0 {
+		r := p.Security[0]
+		return Trigger{Kind: TriggerSecurityEvent, Actor: r.Entity.Name, Detail: r.Reason}, true
+	}
+	for _, r := range p.Objectives {
+		if r.Violated() {
+			return Trigger{Kind: TriggerSLOViolation, Actor: "slo:" + r.Rule,
+				Detail: fmt.Sprintf("%s %v > %v", r.Reason, r.Actual, r.Bound)}, true
 		}
 	}
-	return "", false
+	for _, c := range p.Changes {
+		if c.To == health.Critical {
+			return Trigger{Kind: TriggerHealthCritical, Actor: "health:" + c.Entity.String(), Detail: c.String()}, true
+		}
+	}
+	return Trigger{}, false
 }
 
-// Scan walks the audit stream appended since the previous call and trips
-// on the first capture-worthy event: a security event (zombie-refused,
-// site-loss failover, grant revocation), an SLO violation, or an entity
-// reaching critical health. Scan-driven captures are throttled to one
-// per minInterval so a persistent violation cannot churn bundles. The
+// Observe takes one rule pass: it remembers the pass (captures embed
+// its entity states and objective results) and trips on the first
+// capture-worthy finding. Pass-driven captures are throttled to one per
+// minInterval so a persistent violation cannot churn bundles. The
 // analyze Plane calls this from Refresh, i.e. on every scrape.
-func (r *Recorder) Scan() *Bundle {
-	if r == nil || r.obs == nil {
+func (r *Recorder) Observe(p *health.Pass) *Bundle {
+	if r == nil || p == nil {
 		return nil
 	}
 	r.mu.Lock()
-	events := r.obs.Events.Events()
-	cursor := r.cursor
-	throttled := r.minInterval > 0 && !r.lastScan.IsZero() && time.Since(r.lastScan) < r.minInterval
+	r.lastPass = p
+	throttled := r.minInterval > 0 && !r.lastCapture.IsZero() && time.Since(r.lastCapture) < r.minInterval
 	r.mu.Unlock()
-
-	var hit *obs.AuditEvent
-	var kind string
-	for i := range events {
-		ev := events[i]
-		if ev.Seq < cursor {
-			continue
-		}
-		if k, ok := scanTrigger(ev); ok && hit == nil {
-			hit, kind = &events[i], k
-		}
-	}
-	r.mu.Lock()
-	if len(events) > 0 {
-		r.cursor = events[len(events)-1].Seq + 1
-	}
-	r.mu.Unlock()
-	if hit == nil || throttled {
+	trig, ok := trigger(p)
+	if !ok || throttled {
 		return nil
 	}
-	b, _ := r.capture(Trigger{
-		Kind:   kind,
-		Actor:  hit.Actor,
-		Detail: hit.Type + ": " + hit.Detail,
-		UnixNs: 0,
-	}, time.Now())
+	b, _ := r.capture(trig, time.Now())
 	return b
 }

@@ -1,23 +1,28 @@
-// Package health is the fleet's active observability layer: a per-entity
-// health state machine fed by declarative detectors that are evaluated
-// against the live obs.Metrics / obs.Tracer / obs.EventLog streams.
+// Package health is the fleet's active observability layer and the one
+// rule engine over telemetry: a table of rules (rules.go) evaluated in
+// one pass over one registry snapshot, the open-span set and the new
+// audit events.
 //
 // The passive plane (internal/obs, internal/obs/analyze) records what
 // happened; this package decides, while the fleet runs, whether anyone
-// should be paged about it. Each detector inspects one subsystem's
-// telemetry — quorum vote latency, mirror RPO, WAN loss, open spans,
-// session-resume refusals — and proposes a state per entity. The Monitor
-// merges proposals, applies hysteresis so a noisy metric cannot flap an
-// entity between states, and on a real transition emits a
-// "health-changed" audit event plus a health.state gauge. Consumers:
-// the analyze Plane serves the states as JSON at /health, fleet.CostAware
-// steers batches away from degraded links, and the flight recorder trips
-// a black-box capture when anything reaches critical.
+// should be paged about it. Health rules inspect one subsystem's
+// telemetry each — quorum vote latency, mirror RPO, WAN loss, open
+// spans, session-resume refusals — and propose a level per entity; the
+// Monitor merges proposals, applies hysteresis so a noisy metric cannot
+// flap an entity between states, and on a real transition emits a
+// "health-changed" audit event plus the health.state gauges. Objective
+// rules check the SLO set; a security rule picks the audit events worth
+// a black box. Consumers of the typed Pass: the analyze Plane serves
+// /health and /slo from it, fleet.CostAware steers batches away from
+// degraded links, and the flight recorder trips a capture on a violated
+// objective, a security event, or anything reaching critical.
 package health
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -33,18 +38,14 @@ const (
 	Critical
 )
 
+var stateNames = []string{"healthy", "degraded", "critical"}
+
 // String returns the lowercase state name.
 func (s State) String() string {
-	switch s {
-	case Healthy:
-		return "healthy"
-	case Degraded:
-		return "degraded"
-	case Critical:
-		return "critical"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
+	if s >= 0 && int(s) < len(stateNames) {
+		return stateNames[s]
 	}
+	return fmt.Sprintf("state(%d)", int(s))
 }
 
 // MarshalJSON renders the state as its name, so /health reads naturally.
@@ -54,16 +55,11 @@ func (s State) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON accepts the names Marshal emits.
 func (s *State) UnmarshalJSON(raw []byte) error {
-	switch string(raw) {
-	case `"healthy"`:
-		*s = Healthy
-	case `"degraded"`:
-		*s = Degraded
-	case `"critical"`:
-		*s = Critical
-	default:
+	i := slices.Index(stateNames, strings.Trim(string(raw), `"`))
+	if i < 0 {
 		return fmt.Errorf("health: unknown state %s", raw)
 	}
+	*s = State(i)
 	return nil
 }
 
@@ -76,31 +72,86 @@ type Entity struct {
 
 func (e Entity) String() string { return e.Kind + "/" + e.Name }
 
-// Finding is one detector's proposal for one entity this evaluation.
-// Detectors report every entity they can currently observe — including
+// Class says what a rule's results are for.
+type Class int
+
+const (
+	// ClassHealth results propose a level for an entity; the Monitor
+	// applies hysteresis before committing a transition.
+	ClassHealth Class = iota
+	// ClassObjective results compare a measured Actual against a Bound
+	// (the SLO set served at /slo); Level is Degraded when violated.
+	ClassObjective
+	// ClassSecurity results are security-relevant audit events seen
+	// since the previous pass; each one is flight-recorder evidence.
+	ClassSecurity
+)
+
+// Result is what one rule says about one entity in one pass. Health
+// rules report every entity they can currently observe — including
 // healthy ones — so /health lists the whole watched surface, not only
 // the broken parts.
-type Finding struct {
-	Entity Entity
-	Level  State
-	Reason string
+type Result struct {
+	Rule   string `json:"rule"`
+	Entity Entity `json:"entity"`
+	Level  State  `json:"level"`
+	// Actual and Bound are the measured value and its limit (objectives).
+	Actual time.Duration `json:"actual_ns,omitempty"`
+	Bound  time.Duration `json:"bound_ns,omitempty"`
+	// Reason explains a non-healthy level; an objective names the
+	// metric it read.
+	Reason string `json:"reason,omitempty"`
+	// Missing means the rule had no data (series never registered, zero
+	// observations, unset timestamp); missing is not a violation — the
+	// objective simply hasn't been exercised.
+	Missing bool `json:"missing,omitempty"`
 }
 
-// Sample is the telemetry snapshot one evaluation runs against. Now is
-// passed in (rather than read inside detectors) so tests can drive
-// deadline-based rules without sleeping.
+// Violated reports whether the result is worse than healthy.
+func (r Result) Violated() bool { return r.Level > Healthy }
+
+// String renders an objective result for operator output.
+func (r Result) String() string {
+	switch {
+	case r.Missing:
+		return fmt.Sprintf("SLO %-24s SKIP  (no data for %s)", r.Rule, r.Reason)
+	case r.Violated():
+		return fmt.Sprintf("SLO %-24s FAIL  %v > %v", r.Rule, r.Actual, r.Bound)
+	default:
+		return fmt.Sprintf("SLO %-24s ok    %v <= %v", r.Rule, r.Actual, r.Bound)
+	}
+}
+
+// Sample is the telemetry one pass runs against: one registry snapshot,
+// the open-span set, and the audit events appended since the previous
+// pass. Now is passed in (rather than read inside rules) so tests can
+// drive deadline-based rules without sleeping.
 type Sample struct {
-	Snap obs.Snapshot
-	Open []obs.OpenSpan
-	Now  time.Time
+	Snap   obs.Snapshot
+	Open   []obs.OpenSpan
+	Events []obs.AuditEvent
+	Now    time.Time
 }
 
-// Detector inspects a sample and proposes per-entity states. Detectors
-// may keep internal state across calls (counter deltas); the Monitor
-// serializes all calls under its own lock.
-type Detector interface {
-	Name() string
-	Detect(s *Sample) []Finding
+// Rule is one entry of the rule table. Eval may keep state across
+// passes (counter deltas) in its closure; the Monitor serializes all
+// calls under its own lock.
+type Rule struct {
+	Name  string
+	Class Class
+	Eval  func(s *Sample) []Result
+}
+
+// Evaluate is the one rule engine: it runs every rule of the table
+// against the sample and returns the results grouped by class.
+func Evaluate(rules []Rule, s *Sample) (byClass [3][]Result) {
+	for _, r := range rules {
+		for _, res := range r.Eval(s) {
+			res.Rule = r.Name
+			byClass[r.Class] = append(byClass[r.Class], res)
+		}
+	}
+	return byClass
 }
 
 // EntityHealth is the exported per-entity record (served at /health and
@@ -119,6 +170,24 @@ type Change struct {
 	From   State
 	To     State
 	Reason string
+}
+
+// String renders the transition the way the health-changed audit event
+// and a flight trigger describe it.
+func (c Change) String() string {
+	if c.Reason == "" {
+		return fmt.Sprintf("%s->%s", c.From, c.To)
+	}
+	return fmt.Sprintf("%s->%s: %s", c.From, c.To, c.Reason)
+}
+
+// Pass is the typed outcome of one evaluation: what /slo renders, what
+// the flight recorder trips on, and the entity states after hysteresis.
+type Pass struct {
+	Objectives []Result       // every objective rule's result
+	Security   []Result       // security audit events since the last pass
+	Changes    []Change       // health transitions this pass committed
+	States     []EntityHealth // every watched entity, sorted by kind, name
 }
 
 // Config tunes the Monitor's hysteresis.
@@ -150,38 +219,36 @@ type entityState struct {
 	reason string
 	since  time.Time
 
-	// cand is the state the detectors have been proposing; streak counts
+	// cand is the state the rules have been proposing; streak counts
 	// how many consecutive evaluations proposed it.
 	cand       State
 	candReason string
 	streak     int
 }
 
-// Monitor runs detectors over an observer's telemetry and maintains the
-// per-entity state machines. All methods are safe for concurrent use.
+// Monitor owns a rule table and the per-entity state machines its
+// health rules drive. All methods are safe for concurrent use.
 type Monitor struct {
-	mu        sync.Mutex
-	obs       *obs.Observer
-	cfg       Config
-	detectors []Detector
-	entities  map[Entity]*entityState
-	onChange  []func(Change)
+	mu       sync.Mutex
+	obs      *obs.Observer
+	cfg      Config
+	rules    []Rule
+	entities map[Entity]*entityState
+	onChange []func(Change)
+	// cursor is the next audit Seq no pass has seen; it starts at 0 so
+	// security events recorded before the monitor attached still count.
+	cursor uint64
 }
 
-// New creates a monitor over o with the given detectors. A nil observer
-// yields a monitor whose evaluations see empty samples (harmless).
-func New(o *obs.Observer, cfg Config, detectors ...Detector) *Monitor {
+// New creates a monitor over o with the given rule table. A nil observer
+// yields a monitor whose passes see empty samples (harmless).
+func New(o *obs.Observer, cfg Config, rules ...Rule) *Monitor {
 	return &Monitor{
-		obs:       o,
-		cfg:       cfg.withDefaults(),
-		detectors: detectors,
-		entities:  make(map[Entity]*entityState),
+		obs:      o,
+		cfg:      cfg.withDefaults(),
+		rules:    rules,
+		entities: make(map[Entity]*entityState),
 	}
-}
-
-// NewDefault creates a monitor with the standard detector set.
-func NewDefault(o *obs.Observer) *Monitor {
-	return New(o, Config{}, DefaultDetectors()...)
 }
 
 // OnChange registers a hook invoked (outside the monitor lock) for every
@@ -195,57 +262,67 @@ func (m *Monitor) OnChange(fn func(Change)) {
 	m.mu.Unlock()
 }
 
-// sample builds the evaluation input from the live observer.
+// sample builds the pass input from the live observer: exactly one
+// registry snapshot, the open spans, and the audit events past cursor.
 func (m *Monitor) sample(now time.Time) *Sample {
 	s := &Sample{Now: now}
-	if m.obs != nil {
-		s.Snap = m.obs.M().Snapshot()
-		if m.obs.Tracer != nil {
-			s.Open = m.obs.Tracer.OpenSpans()
+	if m.obs == nil {
+		return s
+	}
+	s.Snap = m.obs.M().Snapshot()
+	s.Open = m.obs.Tracer.OpenSpans()
+	events := m.obs.Events.Events()
+	for i, ev := range events {
+		if ev.Seq >= m.cursor {
+			s.Events = events[i:]
+			break
 		}
+	}
+	if len(events) > 0 {
+		m.cursor = events[len(events)-1].Seq + 1
 	}
 	return s
 }
 
-// Evaluate runs every detector against a fresh telemetry sample, applies
-// hysteresis, commits transitions (audit event + gauge + hooks), and
-// returns the resulting states. now is the evaluation instant (pass
-// time.Now() in production; tests can march a fake clock).
-func (m *Monitor) Evaluate(now time.Time) []EntityHealth {
+// Evaluate runs one pass: every rule against one fresh sample, then
+// hysteresis over the health results, then publication — transitions as
+// health-changed audit events, gauges and OnChange hooks, violated
+// objectives as slo-violation events and the slo.violations gauge. now
+// is the evaluation instant (pass time.Now() in production; tests can
+// march a fake clock).
+func (m *Monitor) Evaluate(now time.Time) *Pass {
 	if m == nil {
-		return nil
+		return &Pass{}
 	}
 	m.mu.Lock()
-	s := m.sample(now)
+	results := Evaluate(m.rules, m.sample(now))
+	pass := &Pass{Objectives: results[ClassObjective], Security: results[ClassSecurity]}
 
-	// Merge findings: worst level per entity wins; reasons of the winning
-	// level are joined.
-	proposed := make(map[Entity]Finding)
-	for _, d := range m.detectors {
-		for _, f := range d.Detect(s) {
-			cur, ok := proposed[f.Entity]
-			switch {
-			case !ok || f.Level > cur.Level:
-				proposed[f.Entity] = f
-			case f.Level == cur.Level && f.Level > Healthy && f.Reason != "":
-				if cur.Reason != "" {
-					cur.Reason += "; " + f.Reason
-				} else {
-					cur.Reason = f.Reason
-				}
-				proposed[f.Entity] = cur
+	// Merge health results: worst level per entity wins; reasons of the
+	// winning level are joined.
+	proposed := make(map[Entity]Result)
+	for _, f := range results[ClassHealth] {
+		cur, ok := proposed[f.Entity]
+		switch {
+		case !ok || f.Level > cur.Level:
+			proposed[f.Entity] = f
+		case f.Level == cur.Level && f.Level > Healthy && f.Reason != "":
+			if cur.Reason != "" {
+				cur.Reason += "; " + f.Reason
+			} else {
+				cur.Reason = f.Reason
 			}
+			proposed[f.Entity] = cur
 		}
 	}
-	// Entities the detectors have stopped mentioning drift back toward
+	// Entities the rules have stopped mentioning drift back toward
 	// healthy through the same hysteresis.
 	for e := range m.entities {
 		if _, ok := proposed[e]; !ok {
-			proposed[e] = Finding{Entity: e, Level: Healthy}
+			proposed[e] = Result{Entity: e, Level: Healthy}
 		}
 	}
 
-	var changes []Change
 	for e, f := range proposed {
 		st, ok := m.entities[e]
 		if !ok {
@@ -275,48 +352,42 @@ func (m *Monitor) Evaluate(now time.Time) []EntityHealth {
 			from := st.state
 			st.state, st.reason, st.since = st.cand, st.candReason, now
 			st.cand, st.streak = st.state, 0
-			changes = append(changes, Change{Entity: e, From: from, To: st.state, Reason: st.reason})
+			pass.Changes = append(pass.Changes, Change{Entity: e, From: from, To: st.state, Reason: st.reason})
 		}
 	}
 
 	// Publish gauges for every known entity plus the fleet-wide rollup.
-	worst, degraded, critical := Healthy, 0, 0
+	met := m.obs.M()
+	var levels [Critical + 1]int64 // entities per level
 	for e, st := range m.entities {
-		if m.obs != nil {
-			m.obs.M().SetGauge("health.state."+e.Kind+"."+e.Name, int64(st.state))
-		}
-		if st.state > worst {
-			worst = st.state
-		}
-		switch st.state {
-		case Degraded:
-			degraded++
-		case Critical:
-			critical++
+		met.Gauge(obs.HealthStateEntity, e.Kind, e.Name).Set(int64(st.state))
+		levels[min(st.state, Critical)]++
+	}
+	var violated []Result
+	for _, r := range pass.Objectives {
+		if r.Violated() {
+			violated = append(violated, r)
 		}
 	}
-	if m.obs != nil {
-		m.obs.M().SetGauge("health.state", int64(worst))
-		m.obs.M().SetGauge("health.entities.degraded", int64(degraded))
-		m.obs.M().SetGauge("health.entities.critical", int64(critical))
-	}
-	out := m.statesLocked()
+	met.Gauge(obs.HealthState).Set(int64(m.worstLocked()))
+	met.Gauge(obs.HealthEntitiesDegraded).Set(levels[Degraded])
+	met.Gauge(obs.HealthEntitiesCritical).Set(levels[Critical])
+	met.Gauge(obs.SLOViolations).Set(int64(len(violated)))
+	pass.States = m.statesLocked()
 	hooks := append([]func(Change){}, m.onChange...)
 	m.mu.Unlock()
 
-	for _, c := range changes {
-		if m.obs != nil {
-			detail := fmt.Sprintf("%s->%s", c.From, c.To)
-			if c.Reason != "" {
-				detail += ": " + c.Reason
-			}
-			m.obs.Event(obs.EventHealthChanged, "health:"+c.Entity.String(), detail, obs.TraceContext{})
-		}
+	for _, r := range violated {
+		m.obs.Event(obs.EventSLOViolation, "slo:"+r.Rule,
+			fmt.Sprintf("%s %v > %v", r.Reason, r.Actual, r.Bound), obs.TraceContext{})
+	}
+	for _, c := range pass.Changes {
+		m.obs.Event(obs.EventHealthChanged, "health:"+c.Entity.String(), c.String(), obs.TraceContext{})
 		for _, fn := range hooks {
 			fn(c)
 		}
 	}
-	return out
+	return pass
 }
 
 func (m *Monitor) statesLocked() []EntityHealth {
@@ -371,11 +442,13 @@ func (m *Monitor) Overall() State {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.worstLocked()
+}
+
+func (m *Monitor) worstLocked() State {
 	worst := Healthy
 	for _, st := range m.entities {
-		if st.state > worst {
-			worst = st.state
-		}
+		worst = max(worst, st.state)
 	}
 	return worst
 }

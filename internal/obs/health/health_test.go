@@ -8,23 +8,18 @@ import (
 	"repro/internal/obs"
 )
 
-// scriptDetector replays a fixed sequence of levels for one entity, then
+// scriptRule replays a fixed sequence of levels for one entity, then
 // holds the last one — the Monitor's input for hysteresis tests.
-type scriptDetector struct {
-	entity Entity
-	levels []State
-	i      int
-}
-
-func (d *scriptDetector) Name() string { return "script" }
-
-func (d *scriptDetector) Detect(*Sample) []Finding {
-	lvl := d.levels[len(d.levels)-1]
-	if d.i < len(d.levels) {
-		lvl = d.levels[d.i]
-		d.i++
-	}
-	return []Finding{{Entity: d.entity, Level: lvl, Reason: "scripted"}}
+func scriptRule(entity Entity, levels ...State) Rule {
+	i := 0
+	return Rule{Name: "script", Eval: func(*Sample) []Result {
+		lvl := levels[len(levels)-1]
+		if i < len(levels) {
+			lvl = levels[i]
+			i++
+		}
+		return []Result{{Entity: entity, Level: lvl, Reason: "scripted"}}
+	}}
 }
 
 func evalN(m *Monitor, n int, start time.Time) time.Time {
@@ -46,7 +41,7 @@ func TestHysteresisNoFlap(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		seq = append(seq, []State{Healthy, Degraded}[i%2])
 	}
-	m := New(o, Config{TripAfter: 2, ClearAfter: 3}, &scriptDetector{entity: e, levels: seq})
+	m := New(o, Config{TripAfter: 2, ClearAfter: 3}, scriptRule(e, seq...))
 	changes := 0
 	m.OnChange(func(Change) { changes++ })
 
@@ -72,7 +67,7 @@ func TestTripAndClear(t *testing.T) {
 	o := obs.NewObserver()
 	e := Entity{Kind: "mirror", Name: "escrow"}
 	seq := []State{Degraded, Degraded, Degraded, Healthy, Healthy, Healthy, Healthy}
-	m := New(o, Config{TripAfter: 2, ClearAfter: 3}, &scriptDetector{entity: e, levels: seq})
+	m := New(o, Config{TripAfter: 2, ClearAfter: 3}, scriptRule(e, seq...))
 	var changes []Change
 	m.OnChange(func(c Change) { changes = append(changes, c) })
 
@@ -88,10 +83,10 @@ func TestTripAndClear(t *testing.T) {
 		t.Fatalf("state after 2 degraded evals = %s, want degraded", st)
 	}
 	snap := o.M().Snapshot()
-	if g := snap.Gauges["health.state.mirror.escrow"]; g != int64(Degraded) {
-		t.Errorf("health.state.mirror.escrow gauge = %d, want %d", g, Degraded)
+	if g, _ := snap.Gauge(obs.HealthStateEntity, "mirror", "escrow"); g != int64(Degraded) {
+		t.Errorf("health.state.entity{mirror,escrow} gauge = %d, want %d", g, Degraded)
 	}
-	if g := snap.Gauges["health.entities.degraded"]; g != 1 {
+	if g, _ := snap.Gauge(obs.HealthEntitiesDegraded); g != 1 {
 		t.Errorf("health.entities.degraded = %d, want 1", g)
 	}
 
@@ -111,7 +106,7 @@ func TestTripAndClear(t *testing.T) {
 	var sawEvent bool
 	for _, ev := range o.Events.Events() {
 		if ev.Type == obs.EventHealthChanged && ev.Actor == "health:mirror/escrow" &&
-			strings.Contains(ev.Detail, "healthy->degraded") {
+			strings.HasPrefix(ev.Detail, "healthy->degraded") {
 			sawEvent = true
 		}
 	}
@@ -125,19 +120,19 @@ func TestTripAndClear(t *testing.T) {
 func TestOverallWorst(t *testing.T) {
 	o := obs.NewObserver()
 	m := New(o, Config{TripAfter: 1, ClearAfter: 1},
-		&scriptDetector{entity: Entity{Kind: "link", Name: "wan-1"}, levels: []State{Critical}},
-		&scriptDetector{entity: Entity{Kind: "group", Name: "rack-a"}, levels: []State{Degraded}},
-		&scriptDetector{entity: Entity{Kind: "me", Name: "sessions"}, levels: []State{Healthy}},
+		scriptRule(Entity{Kind: "link", Name: "wan-1"}, Critical),
+		scriptRule(Entity{Kind: "group", Name: "rack-a"}, Degraded),
+		scriptRule(Entity{Kind: "me", Name: "sessions"}, Healthy),
 	)
 	m.Evaluate(time.Unix(1000, 0))
 	if got := m.Overall(); got != Critical {
 		t.Errorf("Overall = %s, want critical", got)
 	}
 	snap := o.M().Snapshot()
-	if g := snap.Gauges["health.state"]; g != int64(Critical) {
+	if g, _ := snap.Gauge(obs.HealthState); g != int64(Critical) {
 		t.Errorf("health.state gauge = %d, want %d", g, Critical)
 	}
-	if g := snap.Gauges["health.entities.critical"]; g != 1 {
+	if g, _ := snap.Gauge(obs.HealthEntitiesCritical); g != 1 {
 		t.Errorf("health.entities.critical = %d, want 1", g)
 	}
 	states := m.States()

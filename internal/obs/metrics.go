@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -181,114 +184,184 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Metrics is the registry: named counters, gauges, and histograms.
-// Lookup takes one sync.Map load; callers on hot paths should cache the
-// returned handle instead of re-resolving the name per operation. A nil
-// *Metrics hands out nil handles, which ignore updates — disabled
+// labelKey is one child's label values, in its family's key order.
+type labelKey [maxLabels]string
+
+// family holds the live children of one catalogue descriptor.
+type family struct {
+	mu       sync.Mutex
+	children map[labelKey]any // *Counter | *Gauge | *Histogram
+}
+
+// Metrics is the registry: one family per catalogue descriptor, one
+// child per distinct label-value tuple. Resolving a handle takes the
+// family's lock for a map lookup; emitters on hot paths keep the
+// returned handle instead of re-resolving per operation. A nil *Metrics
+// hands out nil handles, which ignore updates — disabled
 // instrumentation costs only the nil checks.
 type Metrics struct {
-	counters sync.Map // string -> *Counter
-	gauges   sync.Map // string -> *Gauge
-	hists    sync.Map // string -> *Histogram
+	fams      []family // indexed by Desc.id-1
+	snapshots atomic.Int64
 }
 
-// NewMetrics creates an empty registry.
-func NewMetrics() *Metrics { return &Metrics{} }
+// NewMetrics creates an empty registry over the catalogue.
+func NewMetrics() *Metrics { return &Metrics{fams: make([]family, len(metricCatalogue))} }
 
-// Counter returns (creating if needed) the named counter.
-func (m *Metrics) Counter(name string) *Counter {
-	if m == nil {
+// resolve returns (creating if needed) d's child for the label values
+// lv. Passing the wrong number of values is a bug at the call site, not
+// a runtime condition, so it panics.
+func resolve[T any](m *Metrics, d *Desc, lv []string) *T {
+	if m == nil || d == nil || d.id == 0 {
 		return nil
 	}
-	if v, ok := m.counters.Load(name); ok {
-		return v.(*Counter)
+	if len(lv) != len(d.Labels) {
+		panic("obs: " + d.Name + " takes label values for (" + strings.Join(d.Labels, ", ") + ")")
 	}
-	v, _ := m.counters.LoadOrStore(name, &Counter{})
-	return v.(*Counter)
+	var key labelKey
+	copy(key[:], lv)
+	f := &m.fams[d.id-1]
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if c, ok := f.children[key]; ok {
+		return c.(*T)
+	}
+	if f.children == nil {
+		f.children = map[labelKey]any{}
+	}
+	c := new(T)
+	f.children[key] = c
+	return c
 }
 
-// Gauge returns (creating if needed) the named gauge.
-func (m *Metrics) Gauge(name string) *Gauge {
-	if m == nil {
-		return nil
-	}
-	if v, ok := m.gauges.Load(name); ok {
-		return v.(*Gauge)
-	}
-	v, _ := m.gauges.LoadOrStore(name, &Gauge{})
-	return v.(*Gauge)
+// Counter returns the counter of family d labelled lv.
+func (m *Metrics) Counter(d *CounterDesc, lv ...string) *Counter {
+	return resolve[Counter](m, (*Desc)(d), lv)
 }
 
-// Histogram returns (creating if needed) the named histogram.
-func (m *Metrics) Histogram(name string) *Histogram {
-	if m == nil {
-		return nil
-	}
-	if v, ok := m.hists.Load(name); ok {
-		return v.(*Histogram)
-	}
-	v, _ := m.hists.LoadOrStore(name, &Histogram{})
-	return v.(*Histogram)
+// Gauge returns the gauge of family d labelled lv.
+func (m *Metrics) Gauge(d *GaugeDesc, lv ...string) *Gauge {
+	return resolve[Gauge](m, (*Desc)(d), lv)
 }
 
-// Add is shorthand for Counter(name).Add(n).
-func (m *Metrics) Add(name string, n int64) { m.Counter(name).Add(n) }
-
-// SetGauge is shorthand for Gauge(name).Set(n).
-func (m *Metrics) SetGauge(name string, n int64) { m.Gauge(name).Set(n) }
-
-// ObserveSince records the elapsed time since start into the named
-// histogram.
-func (m *Metrics) ObserveSince(name string, start time.Time) {
-	if m == nil {
-		return
-	}
-	m.Histogram(name).Observe(time.Since(start))
+// Histogram returns the histogram of family d labelled lv.
+func (m *Metrics) Histogram(d *HistogramDesc, lv ...string) *Histogram {
+	return resolve[Histogram](m, (*Desc)(d), lv)
 }
 
-// Snapshot is a point-in-time JSON-serializable export of the registry.
+// Series is one exported time series: a family name, the child's label
+// values keyed by label name, and its value. Hist is set for histograms
+// (Value then repeats the observation count).
+type Series struct {
+	Name   string             `json:"name"`
+	Kind   Kind               `json:"kind"`
+	Labels map[string]string  `json:"labels,omitempty"`
+	Value  int64              `json:"value"`
+	Hist   *HistogramSnapshot `json:"histogram,omitempty"`
+}
+
+// Snapshot is a point-in-time JSON-serializable export of the registry,
+// sorted by family name and then label values.
 type Snapshot struct {
-	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]int64             `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
+	Series []Series `json:"series"`
 }
 
-// Snapshot exports every metric currently registered.
+// Snapshot exports every series currently registered.
 func (m *Metrics) Snapshot() Snapshot {
-	s := Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]int64{},
-		Histograms: map[string]HistogramSnapshot{},
-	}
+	var s Snapshot
 	if m == nil {
 		return s
 	}
-	m.counters.Range(func(k, v any) bool {
-		s.Counters[k.(string)] = v.(*Counter).Value()
-		return true
-	})
-	m.gauges.Range(func(k, v any) bool {
-		s.Gauges[k.(string)] = v.(*Gauge).Value()
-		return true
-	})
-	m.hists.Range(func(k, v any) bool {
-		s.Histograms[k.(string)] = v.(*Histogram).Snapshot()
-		return true
+	m.snapshots.Add(1)
+	for i := range m.fams {
+		d, f := metricCatalogue[i], &m.fams[i]
+		f.mu.Lock()
+		for key, c := range f.children {
+			sr := Series{Name: d.Name, Kind: d.Kind}
+			if len(d.Labels) > 0 {
+				sr.Labels = make(map[string]string, len(d.Labels))
+				for j, k := range d.Labels {
+					sr.Labels[k] = key[j]
+				}
+			}
+			switch c := c.(type) {
+			case *Counter:
+				sr.Value = c.Value()
+			case *Gauge:
+				sr.Value = c.Value()
+			case *Histogram:
+				h := c.Snapshot()
+				sr.Value, sr.Hist = h.Count, &h
+			}
+			s.Series = append(s.Series, sr)
+		}
+		f.mu.Unlock()
+	}
+	// By name, then by labels (fmt prints a map in key order).
+	sort.Slice(s.Series, func(i, j int) bool {
+		a, b := s.Series[i], s.Series[j]
+		if a.Name != b.Name {
+			return a.Name < b.Name
+		}
+		return fmt.Sprint(a.Labels) < fmt.Sprint(b.Labels)
 	})
 	return s
 }
 
-// CounterNames returns the sorted names of all registered counters
-// (stable iteration for reports).
-func (m *Metrics) CounterNames() []string {
+// Snapshots returns how many times the registry has been snapshotted
+// (the "one snapshot per rule pass" contract is checked against it).
+func (m *Metrics) Snapshots() int64 {
 	if m == nil {
-		return nil
+		return 0
 	}
-	var names []string
-	m.counters.Range(func(k, _ any) bool {
-		names = append(names, k.(string))
-		return true
+	return m.snapshots.Load()
+}
+
+// Each calls fn for every child of family f, passing its label values
+// in the family's declared key order — the same positions the emitter
+// passed them to Counter/Gauge/Histogram.
+func (s Snapshot) Each(f Family, fn func(lv []string, sr Series)) {
+	d := f.desc()
+	for _, sr := range s.Series {
+		if sr.Name != d.Name {
+			continue
+		}
+		lv := make([]string, len(d.Labels))
+		for i, k := range d.Labels {
+			lv[i] = sr.Labels[k]
+		}
+		fn(lv, sr)
+	}
+}
+
+// find returns family f's child labelled lv.
+func (s Snapshot) find(f Family, lv []string) (found Series, ok bool) {
+	s.Each(f, func(got []string, sr Series) {
+		if slices.Equal(got, lv) {
+			found, ok = sr, true
+		}
 	})
-	sort.Strings(names)
-	return names
+	return found, ok
+}
+
+// Counter reads one counter; ok is false when the series was never
+// registered (missing, which readers must not confuse with zero).
+func (s Snapshot) Counter(d *CounterDesc, lv ...string) (int64, bool) {
+	sr, ok := s.find(d, lv)
+	return sr.Value, ok
+}
+
+// Gauge reads one gauge.
+func (s Snapshot) Gauge(d *GaugeDesc, lv ...string) (int64, bool) {
+	sr, ok := s.find(d, lv)
+	return sr.Value, ok
+}
+
+// Histogram reads one histogram; ok is false when the series is
+// missing or has no observations.
+func (s Snapshot) Histogram(d *HistogramDesc, lv ...string) (HistogramSnapshot, bool) {
+	sr, ok := s.find(d, lv)
+	if !ok || sr.Hist == nil || sr.Hist.Count == 0 {
+		return HistogramSnapshot{}, false
+	}
+	return *sr.Hist, true
 }

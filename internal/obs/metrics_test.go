@@ -108,28 +108,28 @@ func TestMetricsConcurrentWriters(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				m.Add("shared.counter", 1)
-				m.Counter("shared.counter2").Add(2)
-				m.SetGauge("shared.gauge", int64(g))
-				m.Histogram("shared.hist").Observe(time.Duration(i) * time.Microsecond)
+				m.Counter(WireMsgs).Add(1)
+				m.Counter(WANLinkMsgs, "shared").Add(2)
+				m.Gauge(MirrorDirty).Set(int64(g))
+				m.Histogram(FleetMigrationLatency).Observe(time.Duration(i) * time.Microsecond)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if v := m.Counter("shared.counter").Value(); v != goroutines*perG {
+	if v := m.Counter(WireMsgs).Value(); v != goroutines*perG {
 		t.Fatalf("counter = %d, want %d", v, goroutines*perG)
 	}
-	if v := m.Counter("shared.counter2").Value(); v != 2*goroutines*perG {
+	if v := m.Counter(WANLinkMsgs, "shared").Value(); v != 2*goroutines*perG {
 		t.Fatalf("counter2 = %d, want %d", v, 2*goroutines*perG)
 	}
-	if n := m.Histogram("shared.hist").Count(); n != goroutines*perG {
+	if n := m.Histogram(FleetMigrationLatency).Count(); n != goroutines*perG {
 		t.Fatalf("histogram count = %d, want %d", n, goroutines*perG)
 	}
 	snap := m.Snapshot()
-	if snap.Counters["shared.counter"] != goroutines*perG {
-		t.Fatalf("snapshot counter = %d", snap.Counters["shared.counter"])
+	if v, _ := snap.Counter(WireMsgs); v != goroutines*perG {
+		t.Fatalf("snapshot counter = %d", v)
 	}
-	if g := snap.Gauges["shared.gauge"]; g < 0 || g >= goroutines {
+	if g, ok := snap.Gauge(MirrorDirty); !ok || g < 0 || g >= goroutines {
 		t.Fatalf("gauge = %d, want a goroutine index", g)
 	}
 }

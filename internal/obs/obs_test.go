@@ -2,6 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -62,11 +66,11 @@ func TestTraceMarshalRoundTrip(t *testing.T) {
 
 func TestTracerSpanTree(t *testing.T) {
 	tr := NewTracer()
-	root, rootTC := tr.StartSpan("migrate", TraceContext{})
+	root, rootTC := tr.StartSpan(SpanFleetMigrate, TraceContext{})
 	if !rootTC.Valid() {
 		t.Fatal("root span did not allocate a trace ID")
 	}
-	child, childTC := tr.StartSpan("freeze", rootTC)
+	child, childTC := tr.StartSpan(SpanLibFreeze, rootTC)
 	if childTC.TraceID != rootTC.TraceID {
 		t.Fatal("child span left the trace")
 	}
@@ -77,7 +81,7 @@ func TestTracerSpanTree(t *testing.T) {
 	if len(spans) != 2 {
 		t.Fatalf("exported %d spans, want 2", len(spans))
 	}
-	if spans[0].Name != "freeze" || spans[0].ParentID != root.SpanID {
+	if spans[0].Name != "lib.freeze" || spans[0].ParentID != root.SpanID {
 		t.Fatalf("child span wrong: %+v", spans[0])
 	}
 	if spans[1].ParentID != 0 {
@@ -91,7 +95,7 @@ func TestTracerSpanTree(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
-	sp, tc := tr.StartSpan("x", TraceContext{TraceID: 3, SpanID: 1})
+	sp, tc := tr.StartSpan(SpanWANHop, TraceContext{TraceID: 3, SpanID: 1})
 	if sp != nil {
 		t.Fatal("nil tracer returned a span")
 	}
@@ -104,13 +108,12 @@ func TestNilSafety(t *testing.T) {
 	_ = tr.Len()
 
 	var m *Metrics
-	m.Counter("c").Add(1)
-	m.Gauge("g").Set(2)
-	m.Histogram("h").Observe(3)
-	m.Add("c", 1)
-	m.SetGauge("g", 1)
+	m.Counter(WireMsgs).Add(1)
+	m.Gauge(MirrorDirty).Set(2)
+	m.Histogram(FleetMigrationLatency).Observe(3)
+	m.Counter(WANLinkMsgs, "l").Add(1)
 	_ = m.Snapshot()
-	_ = m.CounterNames()
+	_ = m.Snapshots()
 
 	var l *EventLog
 	l.Append(EventFreeze, "a", "d", TraceContext{})
@@ -118,10 +121,10 @@ func TestNilSafety(t *testing.T) {
 	_ = l.Encode()
 
 	var o *Observer
-	sp, _ = o.StartSpan("x", TraceContext{})
+	sp, _ = o.StartSpan(SpanWANHop, TraceContext{})
 	sp.End()
 	o.Event(EventFreeze, "a", "d", TraceContext{})
-	o.M().Add("c", 1)
+	o.M().Counter(WireMsgs).Add(1)
 }
 
 func TestEventCodecRoundTrip(t *testing.T) {
@@ -167,5 +170,63 @@ func TestEventCodecRejectsCorruption(t *testing.T) {
 		if _, err := DecodeEvents(mutated); err == nil {
 			t.Fatalf("%s: decode accepted corrupted stream", name)
 		}
+	}
+}
+
+// FuzzDecodeEvents: no input may panic the stream decoder, and whatever
+// it accepts re-encodes to the same events.
+func FuzzDecodeEvents(f *testing.F) {
+	log := NewEventLog()
+	log.Append(EventFreeze, "lib:abc", "frozen for migration", TraceContext{TraceID: 11, SpanID: 4})
+	log.Append(EventBindingWin, "", "", TraceContext{})
+	f.Add(log.Encode())
+	f.Add([]byte{})
+	f.Add([]byte{tagAuditEvent, auditEventVersion, 0, 0})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		events, err := DecodeEvents(raw)
+		if err != nil {
+			return
+		}
+		var again []byte
+		for _, e := range events {
+			again = append(again, e.Encode()...)
+		}
+		back, err := DecodeEvents(again)
+		if err != nil || len(back) != len(events) {
+			t.Fatalf("re-decode of %d accepted events: %d, %v", len(events), len(back), err)
+		}
+		for i := range events {
+			if back[i] != events[i] {
+				t.Fatalf("event %d changed across a round trip: %+v vs %+v", i, back[i], events[i])
+			}
+		}
+	})
+}
+
+var updateREADME = flag.Bool("update", false, "rewrite README's telemetry reference from the catalogue")
+
+// TestREADMEReference keeps README's metric and span reference equal to
+// what the catalogue generates.
+func TestREADMEReference(t *testing.T) {
+	const begin, end = "<!-- telemetry-reference:begin -->\n", "<!-- telemetry-reference:end -->"
+	path := filepath.Join("..", "..", "README.md")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := string(raw)
+	i, j := strings.Index(readme, begin), strings.Index(readme, end)
+	if i < 0 || j < i {
+		t.Fatalf("README.md lacks the %q … %q markers", begin, end)
+	}
+	i += len(begin)
+	if readme[i:j] == Reference() {
+		return
+	}
+	if !*updateREADME {
+		t.Fatalf("README's telemetry reference drifted from the catalogue; run\n\tgo test ./internal/obs -run TestREADMEReference -update\nwant:\n%s", Reference())
+	}
+	if err := os.WriteFile(path, []byte(readme[:i]+Reference()+readme[j:]), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

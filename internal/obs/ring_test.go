@@ -8,7 +8,7 @@ import (
 func TestTracerRingEviction(t *testing.T) {
 	tr := NewTracerWithCapacity(4)
 	for i := 0; i < 10; i++ {
-		sp, _ := tr.StartSpan("op", TraceContext{})
+		sp, _ := tr.StartSpan(SpanWANHop, TraceContext{})
 		sp.End()
 	}
 	if got := tr.Len(); got != 4 {
@@ -34,7 +34,7 @@ func TestTracerRingEviction(t *testing.T) {
 func TestTracerSetCapacityShrink(t *testing.T) {
 	tr := NewTracerWithCapacity(0) // unbounded
 	for i := 0; i < 8; i++ {
-		sp, _ := tr.StartSpan("op", TraceContext{})
+		sp, _ := tr.StartSpan(SpanWANHop, TraceContext{})
 		sp.End()
 	}
 	tr.SetCapacity(3)
@@ -45,7 +45,7 @@ func TestTracerSetCapacityShrink(t *testing.T) {
 		t.Fatalf("Dropped after shrink = %d, want 5", got)
 	}
 	// The ring keeps working at the new bound.
-	sp, _ := tr.StartSpan("op", TraceContext{})
+	sp, _ := tr.StartSpan(SpanWANHop, TraceContext{})
 	sp.End()
 	if got := tr.Len(); got != 3 {
 		t.Fatalf("Len after post-shrink append = %d, want 3", got)
@@ -104,7 +104,7 @@ func TestRingConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				sp, tc := tr.StartSpan("op", TraceContext{})
+				sp, tc := tr.StartSpan(SpanWANHop, TraceContext{})
 				l.Append(EventFreeze, "actor", "", tc)
 				sp.End()
 				if i%50 == 0 {
@@ -144,7 +144,9 @@ func TestRingConcurrency(t *testing.T) {
 	o := &Observer{Tracer: tr, Metrics: NewMetrics(), Events: l}
 	o.PublishDropped()
 	snap := o.Metrics.Snapshot()
-	if snap.Gauges["obs.dropped.spans"] != total-8 || snap.Gauges["obs.dropped.events"] != total-8 {
-		t.Fatalf("dropped gauges = %v", snap.Gauges)
+	spans, _ := snap.Gauge(ObsDroppedSpans)
+	events, _ := snap.Gauge(ObsDroppedEvents)
+	if spans != total-8 || events != total-8 {
+		t.Fatalf("dropped gauges = %d spans, %d events, want %d each", spans, events, total-8)
 	}
 }

@@ -1,6 +1,8 @@
-// Package obs is the repository's zero-dependency observability layer:
-// in-band trace propagation, a lock-cheap metrics registry, and an
-// append-only audit event stream with a stable codec.
+// Package obs is the repository's observability layer: in-band trace
+// propagation, a lock-cheap metrics registry, an append-only audit event
+// stream with a stable codec, and the catalogue that declares every
+// metric family and span once (catalogue.go). It imports only the
+// standard library and the wirec framing primitives.
 //
 // All three pillars are nil-safe: every method on *Tracer, *Metrics,
 // *EventLog, and *Observer works on a nil receiver and reduces to a few
@@ -20,11 +22,11 @@ package obs
 
 import (
 	"crypto/rand"
-	"encoding/binary"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"repro/internal/wirec"
 )
 
 // TraceContext identifies a position in one distributed trace. The zero
@@ -54,12 +56,11 @@ func Inject(tc TraceContext, payload []byte) []byte {
 	if !tc.Valid() {
 		return payload
 	}
-	out := make([]byte, traceEnvelopeLen+len(payload))
-	copy(out, traceMagic[:])
-	binary.BigEndian.PutUint64(out[8:], tc.TraceID)
-	binary.BigEndian.PutUint64(out[16:], tc.SpanID)
-	copy(out[traceEnvelopeLen:], payload)
-	return out
+	out := make([]byte, 0, traceEnvelopeLen+len(payload))
+	out = append(out, traceMagic[:]...)
+	out = wirec.AppendU64(out, tc.TraceID)
+	out = wirec.AppendU64(out, tc.SpanID)
+	return append(out, payload...)
 }
 
 // Extract detects and strips a trace envelope, returning the carried
@@ -69,11 +70,7 @@ func Extract(payload []byte) (TraceContext, []byte) {
 	if len(payload) < traceEnvelopeLen || [8]byte(payload[:8]) != traceMagic {
 		return TraceContext{}, payload
 	}
-	tc := TraceContext{
-		TraceID: binary.BigEndian.Uint64(payload[8:]),
-		SpanID:  binary.BigEndian.Uint64(payload[16:]),
-	}
-	return tc, payload[traceEnvelopeLen:]
+	return UnmarshalTrace(payload[8:traceEnvelopeLen]), payload[traceEnvelopeLen:]
 }
 
 // Marshal encodes the context as 16 fixed bytes (for codecs that carry a
@@ -82,10 +79,7 @@ func (tc TraceContext) Marshal() []byte {
 	if !tc.Valid() {
 		return nil
 	}
-	out := make([]byte, 16)
-	binary.BigEndian.PutUint64(out, tc.TraceID)
-	binary.BigEndian.PutUint64(out[8:], tc.SpanID)
-	return out
+	return wirec.AppendU64(wirec.AppendU64(make([]byte, 0, 16), tc.TraceID), tc.SpanID)
 }
 
 // UnmarshalTrace decodes a context produced by Marshal. Empty or
@@ -94,10 +88,8 @@ func UnmarshalTrace(raw []byte) TraceContext {
 	if len(raw) != 16 {
 		return TraceContext{}
 	}
-	return TraceContext{
-		TraceID: binary.BigEndian.Uint64(raw),
-		SpanID:  binary.BigEndian.Uint64(raw[8:]),
-	}
+	rd := wirec.MakeReader(raw)
+	return TraceContext{TraceID: rd.U64(), SpanID: rd.U64()}
 }
 
 // Span is one finished or in-flight operation within a trace. Spans form
@@ -172,24 +164,20 @@ type OpenSpan struct {
 // disabled tracer: StartSpan returns a nil span and propagates the
 // parent context unchanged.
 type Tracer struct {
-	mu       sync.Mutex
-	buf      []Span // ring storage; buf[head] is the oldest retained span
-	head     int
-	capacity int    // 0 = unbounded
-	seq      uint64 // span ID allocator; IDs are unique per tracer
-	open     map[uint64]OpenSpan
-
-	dropped atomic.Int64
+	mu   sync.Mutex
+	ring ring[Span]
+	seq  uint64 // span ID allocator; IDs are unique per tracer
+	open map[uint64]OpenSpan
 }
 
 // NewTracer creates an in-memory span collector bounded at
 // DefaultSpanCapacity retained spans.
-func NewTracer() *Tracer { return &Tracer{capacity: DefaultSpanCapacity} }
+func NewTracer() *Tracer { return NewTracerWithCapacity(DefaultSpanCapacity) }
 
 // NewTracerWithCapacity creates a collector retaining at most n spans
 // (n <= 0 means unbounded — the pre-ring behavior, for tests and
 // short-lived tools that must never lose a span).
-func NewTracerWithCapacity(n int) *Tracer { return &Tracer{capacity: n} }
+func NewTracerWithCapacity(n int) *Tracer { return &Tracer{ring: ring[Span]{capacity: n}} }
 
 // SetCapacity re-bounds the ring to n retained spans (n <= 0 removes
 // the bound). When shrinking, the oldest spans beyond the new bound are
@@ -200,14 +188,7 @@ func (t *Tracer) SetCapacity(n int) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	spans := t.orderedLocked()
-	if n > 0 && len(spans) > n {
-		t.dropped.Add(int64(len(spans) - n))
-		spans = spans[len(spans)-n:]
-	}
-	t.capacity = n
-	t.buf = spans
-	t.head = 0
+	t.ring.setCapacity(n)
 }
 
 // Dropped returns how many spans the ring has evicted over the tracer's
@@ -216,15 +197,17 @@ func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.dropped.Load()
+	return t.ring.dropped.Load()
 }
 
-// StartSpan opens a span under parent (zero parent starts a new trace
-// with a random trace ID) and returns it with the context to propagate
-// into child work. On a nil tracer the span is nil and the parent context
-// flows through unchanged, so propagation still works without recording.
-func (t *Tracer) StartSpan(name string, parent TraceContext) (*Span, TraceContext) {
-	if t == nil {
+// StartSpan opens a span of catalogue kind d under parent (zero parent
+// starts a new trace with a random trace ID) and returns it with the
+// context to propagate into child work. On a nil tracer — or a nil
+// descriptor, which is how a handler skips recording a message kind the
+// catalogue does not know — the span is nil and the parent context flows
+// through unchanged, so propagation still works without recording.
+func (t *Tracer) StartSpan(d *SpanDesc, parent TraceContext) (*Span, TraceContext) {
+	if t == nil || d == nil {
 		return nil, parent
 	}
 	start := time.Now()
@@ -240,7 +223,7 @@ func (t *Tracer) StartSpan(name string, parent TraceContext) (*Span, TraceContex
 	}
 	if len(t.open) < openTrackCapacity {
 		t.open[id] = OpenSpan{
-			Name:     name,
+			Name:     d.Name,
 			TraceID:  traceID,
 			SpanID:   id,
 			ParentID: parent.SpanID,
@@ -249,7 +232,7 @@ func (t *Tracer) StartSpan(name string, parent TraceContext) (*Span, TraceContex
 	}
 	t.mu.Unlock()
 	sp := &Span{
-		Name:     name,
+		Name:     d.Name,
 		TraceID:  traceID,
 		SpanID:   id,
 		ParentID: parent.SpanID,
@@ -262,22 +245,8 @@ func (t *Tracer) StartSpan(name string, parent TraceContext) (*Span, TraceContex
 func (t *Tracer) export(s *Span) {
 	t.mu.Lock()
 	delete(t.open, s.SpanID)
-	if t.capacity > 0 && len(t.buf) >= t.capacity {
-		// Full ring: overwrite the oldest span in place.
-		t.buf[t.head] = *s
-		t.head = (t.head + 1) % len(t.buf)
-		t.dropped.Add(1)
-	} else {
-		t.buf = append(t.buf, *s)
-	}
+	t.ring.push(*s)
 	t.mu.Unlock()
-}
-
-// orderedLocked returns the retained spans oldest-first (t.mu held).
-func (t *Tracer) orderedLocked() []Span {
-	out := make([]Span, 0, len(t.buf))
-	out = append(out, t.buf[t.head:]...)
-	return append(out, t.buf[:t.head]...)
 }
 
 // OpenSpans returns the registration records of spans started but not
@@ -304,16 +273,6 @@ func (t *Tracer) OpenSpans() []OpenSpan {
 	return out
 }
 
-// OpenLen returns the number of tracked open spans.
-func (t *Tracer) OpenLen() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.open)
-}
-
 // Spans returns a copy of the retained finished spans in end order.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
@@ -321,7 +280,7 @@ func (t *Tracer) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.orderedLocked()
+	return t.ring.ordered()
 }
 
 // Len returns the number of retained finished spans.
@@ -331,7 +290,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.buf)
+	return len(t.ring.buf)
 }
 
 // Reset discards collected spans (the ID allocator keeps advancing, so
@@ -342,8 +301,7 @@ func (t *Tracer) Reset() {
 		return
 	}
 	t.mu.Lock()
-	t.buf = nil
-	t.head = 0
+	t.ring.reset()
 	t.mu.Unlock()
 }
 
@@ -367,7 +325,7 @@ func randomID() uint64 {
 			// ever does, a constant non-zero ID keeps tracing functional.
 			return 1
 		}
-		if id := binary.BigEndian.Uint64(b[:]); id != 0 {
+		if id := wirec.NewReader(b[:]).U64(); id != 0 {
 			return id
 		}
 	}

@@ -162,9 +162,25 @@ type Group struct {
 	escrowObs func(owner sgx.Measurement, id [16]byte, version uint32)
 	escrowAud func(owner sgx.Measurement, id [16]byte, version uint32)
 
-	// obs records quorum-operation spans, per-op counters, and escrow
-	// audit events; nil disables recording.
-	obs atomic.Pointer[obs.Observer]
+	// obs records quorum-operation spans, per-op counters, per-replica
+	// vote telemetry and escrow audit events; nil disables recording.
+	obs atomic.Pointer[groupObs]
+}
+
+// groupObs is the group's observer with every member's children of the
+// quorum.vote.* families resolved, so a vote touches no registry. It is
+// immutable and g.obs is never nil (the zero value records nothing);
+// SetObserver and Handoff replace it.
+type groupObs struct {
+	o     *obs.Observer
+	votes map[string]voteTelemetry // by replica ID
+}
+
+// voteTelemetry feeds the quorum health rule: latency skew singles out
+// a browning-out replica, error counts surface lagging/unsynced ones.
+type voteTelemetry struct {
+	latency *obs.Histogram
+	errors  *obs.Counter
 }
 
 // NewGroup assembles a replicated counter group from exactly 2f+1
@@ -205,6 +221,7 @@ func NewGroup(name string, f int, msgr transport.Messenger, replicas ...*Replica
 		aborted:       make(map[uint32]struct{}),
 		inflight:      make(map[uint32]map[string]int),
 	}
+	g.obs.Store(&groupObs{})
 	seen := make(map[string]bool, len(replicas))
 	for _, r := range replicas {
 		if seen[r.ID()] {
@@ -226,21 +243,36 @@ func NewGroup(name string, f int, msgr transport.Messenger, replicas ...*Replica
 // Quorum operations then record "quorum.*" spans and counters, and
 // escrow supersede/tombstone transitions append audit events.
 func (g *Group) SetObserver(o *obs.Observer) {
-	g.obs.Store(o)
+	g.memMu.RLock()
+	defer g.memMu.RUnlock()
+	g.setObserverLocked(o)
+}
+
+// setObserverLocked resolves the vote telemetry of the current members
+// (memMu held).
+func (g *Group) setObserverLocked(o *obs.Observer) {
+	t := &groupObs{o: o, votes: make(map[string]voteTelemetry, len(g.members))}
+	for id := range g.members {
+		t.votes[id] = voteTelemetry{
+			latency: o.M().Histogram(obs.QuorumVoteLatency, g.name, id),
+			errors:  o.M().Counter(obs.QuorumVoteErrors, g.name, id),
+		}
+	}
+	g.obs.Store(t)
 }
 
 // opSpan opens a root span and bumps the per-op counter for one quorum
 // operation; the returned span is nil (and free) when no observer is set.
-func (g *Group) opSpan(name string) *obs.Span {
-	o := g.obs.Load()
+func (g *Group) opSpan(span *obs.SpanDesc, count *obs.CounterDesc) *obs.Span {
+	o := g.obs.Load().o
 	if o == nil {
 		return nil
 	}
-	sp, _ := o.StartSpan(name, obs.TraceContext{})
+	sp, _ := o.StartSpan(span, obs.TraceContext{})
 	if sp != nil {
 		sp.Site = "group:" + g.name
 	}
-	o.M().Add(name, 1)
+	o.M().Counter(count).Add(1)
 	return sp
 }
 
@@ -368,19 +400,15 @@ func newNonce() (uint64, error) {
 // see the complete vote set.
 func (g *Group) broadcastLocked(members map[string]transport.Address, kind string, payload []byte, nonce uint64, replyKind int, early func([]vote) bool) (votes []vote, late <-chan vote) {
 	ch := make(chan vote, len(members))
-	o := g.obs.Load()
+	t := g.obs.Load()
 	for id, addr := range members {
 		g.pending.Add(1)
 		go func(id string, addr transport.Address) {
 			defer g.pending.Done()
-			if o != nil {
-				// Per-replica vote telemetry feeds the quorum health
-				// detector: latency skew singles out a browning-out
-				// replica, error counts surface lagging/unsynced ones.
+			tel := t.votes[id]
+			if t.o != nil {
 				start := time.Now()
-				defer func() {
-					o.M().ObserveSince("quorum.vote.latency."+g.name+"."+id, start)
-				}()
+				defer func() { tel.latency.Observe(time.Since(start)) }()
 			}
 			v := vote{id: id}
 			sealed, err := g.sealer.Seal(payload, aadReq(kind, id))
@@ -411,8 +439,8 @@ func (g *Group) broadcastLocked(members map[string]transport.Address, kind strin
 				}
 			}
 			v.err = err
-			if err != nil && o != nil {
-				o.M().Add("quorum.vote.errors."+g.name+"."+id, 1)
+			if err != nil {
+				tel.errors.Add(1)
 			}
 			ch <- v
 		}(id, addr)
@@ -592,7 +620,7 @@ func (g *Group) IncrementN(e *sgx.Enclave, uuid pse.UUID, n int) (uint32, error)
 	if err := e.ECall(); err != nil {
 		return 0, err
 	}
-	defer g.opSpan("quorum.increment").End()
+	defer g.opSpan(obs.SpanQuorumIncrement, obs.QuorumIncrement).End()
 	mu := &g.incrMu[uuid.ID%uint32(len(g.incrMu))]
 	mu.Lock()
 	defer mu.Unlock()
@@ -630,7 +658,7 @@ func (g *Group) Inspect(owner sgx.Measurement, uuid pse.UUID) (uint32, error) {
 // the owner identity and the UUID nonce capability are enforced
 // replica-side exactly the same way.
 func (g *Group) AdminCreate(owner sgx.Measurement) (pse.UUID, error) {
-	defer g.opSpan("quorum.create").End()
+	defer g.opSpan(obs.SpanQuorumCreate, obs.QuorumCreate).End()
 	g.ownerMu.Lock()
 	// The group's capacity is one facility's worth of counters shared by
 	// the whole rack (every replica backs them under its single agent
@@ -997,7 +1025,7 @@ func (g *Group) DestroyAndRead(e *sgx.Enclave, uuid pse.UUID) (uint32, error) {
 // destroyQuorum is the quorum destroy shared by DestroyAndRead (enclave
 // path) and AdminDestroy (operator path).
 func (g *Group) destroyQuorum(owner sgx.Measurement, uuid pse.UUID) (uint32, error) {
-	defer g.opSpan("quorum.destroy-read").End()
+	defer g.opSpan(obs.SpanQuorumDestroyRead, obs.QuorumDestroyRead).End()
 	g.destroyMu.Lock()
 	defer g.destroyMu.Unlock()
 	nonce, err := newNonce()
@@ -1263,7 +1291,7 @@ func (g *Group) EscrowPut(owner sgx.Measurement, id [16]byte, version uint32, bi
 // escrowCommit commits one escrow entry (record or tombstone) on a
 // quorum and notifies the escrow observer on success.
 func (g *Group) escrowCommit(entry *escrowEntry) error {
-	defer g.opSpan("quorum.escrow-put").End()
+	defer g.opSpan(obs.SpanQuorumEscrowPut, obs.QuorumEscrowPut).End()
 	nonce, err := newNonce()
 	if err != nil {
 		return err
@@ -1300,14 +1328,14 @@ func (g *Group) escrowCommit(entry *escrowEntry) error {
 	}
 	if oks >= q {
 		if entry.Version == EscrowTombstoneVersion {
-			g.obs.Load().Event(obs.EventEscrowTombstone, "group:"+g.name,
+			g.obs.Load().o.Event(obs.EventEscrowTombstone, "group:"+g.name,
 				fmt.Sprintf("escrow %x decommissioned", entry.ID[:4]), obs.TraceContext{})
 		}
 		g.notifyEscrow(entry.Owner, entry.ID, entry.Version)
 		return nil
 	}
 	if stales >= q {
-		g.obs.Load().Event(obs.EventEscrowSupersede, "group:"+g.name,
+		g.obs.Load().o.Event(obs.EventEscrowSupersede, "group:"+g.name,
 			fmt.Sprintf("escrow %x put at version %d refused: superseded by a newer record", entry.ID[:4], entry.Version),
 			obs.TraceContext{})
 		return fmt.Errorf("%w: version %d", ErrEscrowSuperseded, entry.Version)
@@ -1323,7 +1351,7 @@ func (g *Group) escrowCommit(entry *escrowEntry) error {
 // too, which is exactly right — the binding counter already advanced to
 // its version, so only it can win a recovery.
 func (g *Group) EscrowGet(owner sgx.Measurement, id [16]byte) (uint32, pse.UUID, []byte, error) {
-	defer g.opSpan("quorum.escrow-get").End()
+	defer g.opSpan(obs.SpanQuorumEscrowGet, obs.QuorumEscrowGet).End()
 	nonce, err := newNonce()
 	if err != nil {
 		return 0, pse.UUID{}, nil, err
@@ -1394,5 +1422,6 @@ func (g *Group) Handoff(oldID string, newRep *Replica) error {
 	}
 	delete(g.members, oldID)
 	g.members[newRep.ID()] = newRep.Address()
+	g.setObserverLocked(g.obs.Load().o)
 	return nil
 }

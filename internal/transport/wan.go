@@ -94,17 +94,21 @@ type WANLink struct {
 	msgs  atomic.Int64
 	bytes atomic.Int64
 
-	// obs, when set, records one "wan.hop" span per bridged exchange;
-	// the trace context always propagates across the link regardless.
-	obs atomic.Pointer[obs.Observer]
-
-	// Per-link metric names, precomputed so the forwarding path does one
-	// registry lookup per exchange and no string concatenation. The
-	// wan.link.* families feed the link health detector
-	// (internal/obs/health).
-	mMsgs, mLost, mRefused, mErrors, gDown string
+	// obs, when set, records one wan.hop span per bridged exchange and
+	// the wan.link.* families the link health rule reads; the trace
+	// context always propagates across the link regardless.
+	obs atomic.Pointer[linkObs]
 
 	a, b Messenger
+}
+
+// linkObs is an observer with this link's children of the wan.link.*
+// families already resolved, so the forwarding path touches no registry.
+// The zero value (no observer) records nothing; l.obs is never nil.
+type linkObs struct {
+	o                           *obs.Observer
+	msgs, lost, refused, errors *obs.Counter
+	down                        *obs.Gauge
 }
 
 // Link sides.
@@ -136,19 +140,8 @@ func NewWANLink(name string, a, b Messenger, cfg WANConfig) *WANLink {
 		}
 		rng = rand.New(rand.NewSource(seed))
 	}
-	l := &WANLink{
-		name:     name,
-		cfg:      cfg,
-		lat:      lat,
-		rng:      rng,
-		a:        a,
-		b:        b,
-		mMsgs:    "wan.link.msgs." + name,
-		mLost:    "wan.link.lost." + name,
-		mRefused: "wan.link.refused." + name,
-		mErrors:  "wan.link.errors." + name,
-		gDown:    "wan.link.down." + name,
-	}
+	l := &WANLink{name: name, cfg: cfg, lat: lat, rng: rng, a: a, b: b}
+	l.obs.Store(&linkObs{})
 	l.exports[SideA] = make(map[Address]bool)
 	l.exports[SideB] = make(map[Address]bool)
 	return l
@@ -219,16 +212,23 @@ func (l *WANLink) Stats() (msgs, bytes int64) {
 }
 
 // SetObserver installs (or clears, with nil) the link's observer. With
-// one set, every bridged exchange records a "wan.hop" span joined into
+// one set, every bridged exchange records a wan.hop span joined into
 // the sender's trace plus the per-link wan.link.* counters the health
 // plane watches.
 func (l *WANLink) SetObserver(o *obs.Observer) {
-	l.obs.Store(o)
-	if o != nil {
-		// Materialize the down gauge immediately so the link is visible
-		// to the health plane before its first exchange.
-		o.M().SetGauge(l.gDown, boolGauge(l.Down()))
+	m := o.M() // nil-safe: without an observer every handle is nil
+	t := &linkObs{
+		o:       o,
+		msgs:    m.Counter(obs.WANLinkMsgs, l.name),
+		lost:    m.Counter(obs.WANLinkLost, l.name),
+		refused: m.Counter(obs.WANLinkRefused, l.name),
+		errors:  m.Counter(obs.WANLinkErrors, l.name),
+		down:    m.Gauge(obs.WANLinkDown, l.name),
 	}
+	// Resolving the down gauge also makes the link visible to the health
+	// plane before its first exchange.
+	t.down.Set(boolGauge(l.Down()))
+	l.obs.Store(t)
 }
 
 func boolGauge(b bool) int64 {
@@ -244,7 +244,7 @@ func (l *WANLink) SetDown(down bool) {
 	l.mu.Lock()
 	l.down = down
 	l.mu.Unlock()
-	l.obs.Load().M().SetGauge(l.gDown, boolGauge(down))
+	l.obs.Load().down.Set(boolGauge(down))
 }
 
 // Down reports whether the link is partitioned.
@@ -327,16 +327,16 @@ func (l *WANLink) forwarder(homeSide int, addr Address) Handler {
 		down := l.down
 		lost := l.cfg.Loss > 0 && l.rng.Float64() < l.cfg.Loss
 		l.mu.Unlock()
-		met := l.obs.Load().M()
+		t := l.obs.Load()
 		if down {
-			met.Add(l.mRefused, 1)
+			t.refused.Add(1)
 			return nil, fmt.Errorf("%w: %s", ErrLinkDown, l.name)
 		}
 		if lost {
-			met.Add(l.mLost, 1)
+			t.lost.Add(1)
 			return nil, fmt.Errorf("%w: lost on wan link %s", ErrDropped, l.name)
 		}
-		met.Add(l.mMsgs, 1)
+		t.msgs.Add(1)
 		l.lat.Charge(sim.OpWANHop)
 		l.lat.ChargeN(sim.OpWANByte, len(msg.Payload))
 		l.msgs.Add(1)
@@ -346,7 +346,7 @@ func (l *WANLink) forwarder(homeSide int, addr Address) Handler {
 		// msg.Trace; record the hop and re-inject the (possibly deepened)
 		// context so it crosses to the far side.
 		tc := msg.Trace
-		sp, tc := l.obs.Load().StartSpan("wan.hop", tc)
+		sp, tc := t.o.StartSpan(obs.SpanWANHop, tc)
 		if sp != nil {
 			sp.Site = l.name
 			defer sp.End()
@@ -361,7 +361,7 @@ func (l *WANLink) forwarder(homeSide int, addr Address) Handler {
 			reply, err = l.sideMessenger(homeSide).Send(msg.From, addr, msg.Kind, obs.Inject(tc, msg.Payload))
 		}
 		if err != nil {
-			met.Add(l.mErrors, 1)
+			t.errors.Add(1)
 			return nil, err
 		}
 		l.lat.ChargeN(sim.OpWANByte, len(reply))

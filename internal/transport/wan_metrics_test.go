@@ -37,13 +37,13 @@ func TestWANLinkMetrics(t *testing.T) {
 		t.Fatalf("loss 0.5 over %d sends: %d delivered %d lost", attempts, delivered, lost)
 	}
 	snap := o.M().Snapshot()
-	if got := snap.Counters["wan.link.msgs.ab"]; got != int64(delivered) {
+	if got, _ := snap.Counter(obs.WANLinkMsgs, "ab"); got != int64(delivered) {
 		t.Errorf("wan.link.msgs.ab = %d, want %d", got, delivered)
 	}
-	if got := snap.Counters["wan.link.lost.ab"]; got != int64(lost) {
+	if got, _ := snap.Counter(obs.WANLinkLost, "ab"); got != int64(lost) {
 		t.Errorf("wan.link.lost.ab = %d, want %d", got, lost)
 	}
-	if got := snap.Gauges["wan.link.down.ab"]; got != 0 {
+	if got, _ := snap.Gauge(obs.WANLinkDown, "ab"); got != 0 {
 		t.Errorf("wan.link.down.ab = %d while up", got)
 	}
 
@@ -55,19 +55,19 @@ func TestWANLinkMetrics(t *testing.T) {
 		}
 	}
 	snap = o.M().Snapshot()
-	if got := snap.Gauges["wan.link.down.ab"]; got != 1 {
+	if got, _ := snap.Gauge(obs.WANLinkDown, "ab"); got != 1 {
 		t.Errorf("wan.link.down.ab = %d while down, want 1", got)
 	}
-	if got := snap.Counters["wan.link.refused.ab"]; got != 3 {
+	if got, _ := snap.Counter(obs.WANLinkRefused, "ab"); got != 3 {
 		t.Errorf("wan.link.refused.ab = %d, want 3", got)
 	}
-	if got := snap.Counters["wan.link.msgs.ab"]; got != int64(delivered) {
+	if got, _ := snap.Counter(obs.WANLinkMsgs, "ab"); got != int64(delivered) {
 		t.Errorf("refused sends counted as delivered: %d", got)
 	}
 
 	link.SetDown(false)
 	snap = o.M().Snapshot()
-	if got := snap.Gauges["wan.link.down.ab"]; got != 0 {
+	if got, _ := snap.Gauge(obs.WANLinkDown, "ab"); got != 0 {
 		t.Errorf("wan.link.down.ab = %d after heal, want 0", got)
 	}
 }
