@@ -51,8 +51,7 @@ func Drain100k(cfg Config, apps int) (*Drain100kResult, error) {
 	defer fed.Close()
 	a1, _ := dcA.Machine("a1")
 	for i := 0; i < apps; i++ {
-		// Distinct images per enclave: a batch stores one pending envelope
-		// per MRENCLAVE at the destination, and a real fleet drains many
+		// Distinct images per enclave: a real fleet drains many
 		// applications, not one replicated binary.
 		if _, err := a1.LaunchApp(appImage(fmt.Sprintf("d100k-%06d", i)), core.NewMemoryStorage(), core.InitNew); err != nil {
 			return nil, err

@@ -148,7 +148,6 @@ var sentinels = []sentinel{
 	{federation.ErrNotPartnered, "not-partnered"},
 	{federation.ErrNotConnected, "not-connected"},
 	{fleet.ErrAttemptsExhausted, "attempts-exhausted"},
-	{fleet.ErrIdentityBusy, "identity-busy"},
 	{fleet.ErrRestoreOnLiveDestination, "restore-on-live-dest"},
 	{fleet.ErrNoDestination, "no-destination"},
 	{fleet.ErrEmptyPlan, "empty-plan"},

@@ -648,13 +648,26 @@ type App struct {
 // blob is then escrowed with the quorum on every update, making the app
 // recoverable on any rack peer after this machine dies.
 func (m *Machine) LaunchApp(img *sgx.Image, storage *core.MemoryStorage, state core.InitState) (*App, error) {
+	return m.launch(img, storage, func(lib *core.Library) error { return lib.Init(state, m.ME) })
+}
+
+// RestoreApp is LaunchApp(img, storage, core.InitMigrated) for the one
+// incoming migration named by its done-token, rather than the oldest one
+// pending for img's identity: the fleet's restore of a stream member.
+func (m *Machine) RestoreApp(img *sgx.Image, storage *core.MemoryStorage, token []byte) (*App, error) {
+	return m.launch(img, storage, func(lib *core.Library) error { return lib.InitMigratedToken(m.ME, token) })
+}
+
+// launch loads img's enclave, runs one of the library's entry calls
+// (init, init from a named migration, recover) on it, and registers the app.
+func (m *Machine) launch(img *sgx.Image, storage *core.MemoryStorage, enter func(*core.Library) error) (*App, error) {
 	lib, e, err := m.prepareLibrary(img, storage)
 	if err != nil {
 		return nil, err
 	}
-	if err := lib.Init(state, m.ME); err != nil {
+	if err := enter(lib); err != nil {
 		m.HW.Destroy(e)
-		return nil, fmt.Errorf("init migration library: %w", err)
+		return nil, fmt.Errorf("start migration library: %w", err)
 	}
 	return m.registerApp(e, lib, storage, img), nil
 }
@@ -676,16 +689,7 @@ func (m *Machine) RecoverAppCtx(tc obs.TraceContext, img *sgx.Image, escrowID [1
 	if live := m.dc.findInstance(escrowID); live != nil {
 		return nil, fmt.Errorf("%w: %s on %s", ErrInstanceAlive, live.Image().Name, live.Machine().ID())
 	}
-	storage := core.NewMemoryStorage()
-	lib, e, err := m.prepareLibrary(img, storage)
-	if err != nil {
-		return nil, err
-	}
-	if err := lib.RecoverCtx(tc, m.ME, escrowID); err != nil {
-		m.HW.Destroy(e)
-		return nil, fmt.Errorf("recover migration library: %w", err)
-	}
-	return m.registerApp(e, lib, storage, img), nil
+	return m.launch(img, core.NewMemoryStorage(), func(lib *core.Library) error { return lib.RecoverCtx(tc, m.ME, escrowID) })
 }
 
 // prepareLibrary loads the enclave and builds its library with the

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -43,11 +42,12 @@ const (
 	chunkBytes   = 8 << 10 // target chunk payload size
 )
 
-// Destination-side resource bounds. Both tables are populated by
-// untrusted network input (any peer that completes a handshake), so they
-// are capped with least-recently-admitted eviction as a backstop against
-// peers that open state and vanish; the primary cleanup paths are batch
-// completion and the sender's explicit abort.
+// Destination-side resource bounds. These tables are populated by
+// untrusted network input (any peer that completes a handshake). The
+// session and reassembly tables are capped with least-recently-admitted
+// eviction as a backstop against peers that open state and vanish; the
+// primary cleanup paths are batch completion and the sender's explicit
+// abort.
 const (
 	// maxAcceptedSessions bounds the destination's resumable-session
 	// table. Sessions are one per live (source ME, dest ME) pair, so the
@@ -57,6 +57,12 @@ const (
 	// source runs one batch per destination at a time, so this caps the
 	// number of simultaneously-sending peers.
 	maxRxBatches = 128
+	// maxStoredIncoming bounds the envelopes stored awaiting their enclave
+	// (about 1.3 kB each). Unlike the two tables above this one is never
+	// evicted from: every stored envelope was acknowledged, so its source
+	// counts on it. A delivery beyond the cap is refused and stays held at
+	// its source ME.
+	maxStoredIncoming = 1 << 14
 )
 
 // batchAbortSeq is the reserved stream position that authenticates a
@@ -444,8 +450,7 @@ func (bs *BatchSender) Add(index uint32, token []byte) error {
 		return abort(err)
 	}
 	bs.tokens[index] = append([]byte(nil), token...)
-	bs.buf = appendU32(bs.buf, uint32(len(recRaw)))
-	bs.buf = append(bs.buf, recRaw...)
+	bs.buf = appendBytes(bs.buf, recRaw)
 	bs.savings += saved
 	bs.compIn += inBytes
 	bs.compOut += outBytes
@@ -723,33 +728,32 @@ func (me *MigrationEnclave) AcceptedSessions() int {
 	return len(me.accepted)
 }
 
-// storeIncoming applies the destination's fork-prevention rules to one
-// decoded envelope and stores it for the matching local enclave.
+// storeIncoming applies the destination's per-token fork-prevention rules
+// to one decoded envelope and stores it for a matching local enclave.
 func (me *MigrationEnclave) storeIncoming(env *migrationEnvelope, tc obs.TraceContext, solo bool) error {
+	key := hex.EncodeToString(env.DoneToken)
 	me.mu.Lock()
 	defer me.mu.Unlock()
-	if me.restored[hex.EncodeToString(env.DoneToken)] {
+	switch rec := me.incoming[key]; {
+	case rec == nil:
+	case rec.env == nil:
 		// This exact envelope was already fetched by a restoring library
 		// here (a retry raced the restore); storing it again could fork
 		// the restored enclave.
 		return ErrEnvelopeConsumed
+	default:
+		// A re-send of the very same migration (e.g. the previous
+		// delivery's ack was lost) is accepted idempotently: the stored
+		// copy is kept and acknowledged again, so retries of a
+		// delivered-but-unacknowledged transfer converge instead of wedging.
+		return nil
 	}
-	existing, exists := me.incoming[env.MREnclave]
-	// A re-send of the very same migration (identical done-token — e.g.
-	// the previous delivery's ack was lost) is accepted idempotently: the
-	// stored copy is kept and acknowledged again, so retries of a
-	// delivered-but-unacknowledged transfer converge instead of wedging.
-	duplicate := exists && string(existing.env.DoneToken) == string(env.DoneToken)
-	if exists && !duplicate {
-		// One pending migration per enclave identity: accepting a second,
-		// different envelope would silently destroy the first one's only
-		// deliverable copy. Refuse; the source ME keeps its copy and can
-		// retry once the parked migration has been restored (§V-D).
-		return fmt.Errorf("%w (%v)", ErrAlreadyPending, env.MREnclave)
+	if me.stored >= maxStoredIncoming {
+		return ErrIncomingFull
 	}
-	if !duplicate {
-		me.incoming[env.MREnclave] = &incomingRecord{env: env, trace: tc, solo: solo}
-	}
+	me.incoming[key] = &incomingRecord{env: env, trace: tc, solo: solo}
+	me.arrivals[env.MREnclave] = append(me.arrivals[env.MREnclave], key)
+	me.stored++
 	return nil
 }
 
@@ -1078,14 +1082,15 @@ func (me *MigrationEnclave) drainRecordsLocked(st *batchRecvState) error {
 		if len(st.buf) < 4 {
 			return nil
 		}
-		n := int(binary.BigEndian.Uint32(st.buf))
+		rd := newWireReader(st.buf)
+		n := int(rd.u32())
 		if n == 0 || n > wirec.MaxField {
 			return fmt.Errorf("%w: batch record length %d", ErrDataFormat, n)
 		}
 		if len(st.buf) < 4+n {
 			return nil
 		}
-		rec, err := decodeBatchRecord(st.buf[4 : 4+n])
+		rec, err := decodeBatchRecord(rd.take(n))
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -27,8 +28,9 @@ func newBareME() *MigrationEnclave {
 	return &MigrationEnclave{
 		addr:      "bare-me",
 		outgoing:  make(map[string]*outgoingRecord),
-		incoming:  make(map[sgx.Measurement]*incomingRecord),
-		restored:  make(map[string]bool),
+		incoming:  make(map[string]*incomingRecord),
+		arrivals:  make(map[sgx.Measurement][]string),
+		acks:      make(map[string]*incomingRecord),
 		sessions:  make(map[string]*resumableSession),
 		accepted:  make(map[string]*resumableSession),
 		rxBatches: make(map[string]*batchRecvState),
@@ -415,7 +417,8 @@ func TestForgedRefusalDoesNotEvictCachedSession(t *testing.T) {
 
 // TestDestinationTablesBounded: the peer-populated accepted-session and
 // reassembly tables stay under their caps, evicting least-recently-used
-// entries first.
+// entries first; the incoming store refuses beyond its cap and never
+// evicts, since every stored envelope was acknowledged to its source.
 func TestDestinationTablesBounded(t *testing.T) {
 	me := newBareME()
 	for i := 0; i < maxAcceptedSessions+50; i++ {
@@ -451,5 +454,38 @@ func TestDestinationTablesBounded(t *testing.T) {
 	}
 	if got := me.ActiveRxBatches(); got != maxRxBatches {
 		t.Fatalf("rx batches = %d, want cap %d", got, maxRxBatches)
+	}
+
+	// One identity may queue many envelopes, up to the cap and no further.
+	var twin sgx.Measurement
+	envelope := func(i int) *migrationEnvelope {
+		return &migrationEnvelope{Data: &MigrationData{}, MREnclave: twin, DoneToken: []byte(fmt.Sprintf("token-%08d", i))}
+	}
+	for i := 0; i < maxStoredIncoming; i++ {
+		if err := me.storeIncoming(envelope(i), obs.TraceContext{}, false); err != nil {
+			t.Fatalf("store %d: %v", i, err)
+		}
+	}
+	if err := me.storeIncoming(envelope(maxStoredIncoming), obs.TraceContext{}, false); !errors.Is(err, ErrIncomingFull) {
+		t.Fatalf("store beyond the cap: %v, want ErrIncomingFull", err)
+	}
+	// A full store still acknowledges what it holds (idempotent re-delivery)
+	// and dropped nothing to make room.
+	if err := me.storeIncoming(envelope(0), obs.TraceContext{}, false); err != nil {
+		t.Fatalf("re-delivery of a stored envelope at the cap: %v", err)
+	}
+	if got := me.PendingIncoming(); got != maxStoredIncoming {
+		t.Fatalf("pending incoming = %d, want cap %d", got, maxStoredIncoming)
+	}
+	// A fetch frees a place; the fetched token stays tombstoned.
+	conn := &localConn{session: &attest.LocalSession{PeerMREnclave: twin}}
+	if resp := me.handleFetchIncoming("s", conn, &localRequest{}); resp.Status != statusData {
+		t.Fatalf("fetch: %+v", resp)
+	}
+	if err := me.storeIncoming(envelope(maxStoredIncoming), obs.TraceContext{}, false); err != nil {
+		t.Fatalf("store after a fetch freed a place: %v", err)
+	}
+	if err := me.storeIncoming(envelope(0), obs.TraceContext{}, false); !errors.Is(err, ErrEnvelopeConsumed) {
+		t.Fatalf("re-delivery of the fetched envelope: %v, want ErrEnvelopeConsumed", err)
 	}
 }

@@ -20,11 +20,6 @@ var (
 	ErrPeerIdentity   = errors.New("core: peer migration enclave has a different identity")
 	ErrQuoteBinding   = errors.New("core: quote does not bind the handshake keys")
 	ErrUnknownToken   = errors.New("core: unknown migration token")
-	// ErrAlreadyPending reports a delivery refused because the destination
-	// already holds an unrestored migration for the same enclave identity.
-	// The text doubles as the cross-transport marker for this condition
-	// (handler errors travel as strings over TCP).
-	ErrAlreadyPending = errors.New("core: migration already pending at destination for this enclave identity")
 	// ErrMigrationDone reports a retry/redirect of a migration whose DONE
 	// confirmation has already arrived: the state was restored at a
 	// destination, so re-sending the stale envelope would fork it.
@@ -41,6 +36,11 @@ var (
 	// envelope again could fork a completed restore, so it is refused
 	// either way.
 	ErrEnvelopeConsumed = errors.New("core: this migration's envelope was already fetched at the destination")
+	// ErrIncomingFull reports a delivery refused because the destination
+	// already stores maxStoredIncoming unfetched envelopes. The envelope
+	// stays held at the source; a retry succeeds once restores drain the
+	// store. Nothing already acknowledged is ever evicted to make room.
+	ErrIncomingFull = errors.New("core: destination's incoming migration store is full")
 )
 
 // MigrationEnclaveVersion is the ME code version; all machines in a data
@@ -80,6 +80,8 @@ type outgoingRecord struct {
 // incomingRecord is an incoming migration — stored awaiting its enclave,
 // then delivered and awaiting the library's ack — plus the trace context
 // it traveled with, so the restoring library joins the originating trace.
+// Once a library fetched it, the table's record drops env and stays as
+// the token's tombstone (as outgoing keeps its done records).
 // solo marks the only member of its stream: nothing else will queue a
 // DONE behind it, so its confirmation is flushed at ack time (Fig. 2's
 // final arrow) instead of waiting for an aggregated flush.
@@ -108,13 +110,16 @@ type MigrationEnclave struct {
 	mu       sync.Mutex
 	locals   map[string]*localConn
 	outgoing map[string]*outgoingRecord // key: hex done-token
-	incoming map[sgx.Measurement]*incomingRecord
-	// restored holds the done-tokens of envelopes fetched by restoring
-	// libraries on this machine. Entries are deliberately retained for
-	// the ME's lifetime (like outgoing's done records): pruning one would
-	// reopen the window where a late re-delivery of that envelope forks
-	// the restored enclave.
-	restored map[string]bool            // key: hex done-token
+	// incoming holds every migration ever delivered here, by done-token:
+	// stored until a restoring library fetches it, a tombstone from then
+	// on. Tombstones are deliberately retained for the ME's lifetime (like
+	// outgoing's done records): pruning one would reopen the window where
+	// a late re-delivery of that envelope forks the restored enclave.
+	// arrivals indexes the stored tokens of each enclave identity in
+	// arrival order, always starting at a stored one; stored counts them.
+	incoming map[string]*incomingRecord // key: hex done-token
+	arrivals map[sgx.Measurement][]string
+	stored   int
 	acks     map[string]*incomingRecord // delivered, unacknowledged; key: local session ID
 
 	// epoch is this ME instance's trust epoch, minted at construction.
@@ -165,8 +170,8 @@ func NewMigrationEnclave(
 		addr:      addr,
 		locals:    make(map[string]*localConn),
 		outgoing:  make(map[string]*outgoingRecord),
-		incoming:  make(map[sgx.Measurement]*incomingRecord),
-		restored:  make(map[string]bool),
+		incoming:  make(map[string]*incomingRecord),
+		arrivals:  make(map[sgx.Measurement][]string),
 		acks:      make(map[string]*incomingRecord),
 		epoch:     epoch,
 		sessions:  make(map[string]*resumableSession),
@@ -260,7 +265,7 @@ func (me *MigrationEnclave) dispatchLocal(sessionID string, conn *localConn, req
 	case opMigrateOut, opMigrateOutHold:
 		return me.handleMigrateOut(conn, req)
 	case opFetchIncoming:
-		return me.handleFetchIncoming(sessionID, conn)
+		return me.handleFetchIncoming(sessionID, conn, req)
 	case opAckRestored:
 		return me.handleAckRestored(sessionID, req)
 	case opCheckDone:
@@ -309,31 +314,44 @@ func (me *MigrationEnclave) handleMigrateOut(conn *localConn, req *localRequest)
 	return &localResponse{Status: statusSent, Token: token}
 }
 
-// handleFetchIncoming hands stored migration data to a local library
-// whose attested identity matches, deleting the stored copy so it can be
+// handleFetchIncoming hands one stored envelope to a local library whose
+// attested identity matches — the one the request names by done-token,
+// else the oldest stored for that identity — and tombstones it so it is
 // delivered exactly once (fork prevention, R3).
-func (me *MigrationEnclave) handleFetchIncoming(sessionID string, conn *localConn) *localResponse {
+func (me *MigrationEnclave) handleFetchIncoming(sessionID string, conn *localConn, req *localRequest) *localResponse {
+	mre := conn.session.PeerMREnclave
 	me.mu.Lock()
 	defer me.mu.Unlock()
-	inc, ok := me.incoming[conn.session.PeerMREnclave]
-	if !ok {
+	key := hex.EncodeToString(req.Token)
+	if q := me.arrivals[mre]; len(req.Token) == 0 && len(q) > 0 {
+		key = q[0]
+	}
+	inc := me.incoming[key]
+	if inc == nil || inc.env == nil || inc.env.MREnclave != mre {
 		return &localResponse{Status: statusNone}
 	}
-	env := inc.env
-	delete(me.incoming, conn.session.PeerMREnclave)
-	// Tombstone the token atomically with the delete: from this moment
-	// the envelope is being restored, and a re-delivery of the same
-	// migration (a retry racing the restore) must never be stored again —
-	// it would fork the restored enclave.
-	me.restored[hex.EncodeToString(env.DoneToken)] = true
-	me.acks[sessionID] = inc
-	raw, err := env.encode()
+	// Drop the envelope atomically with the hand-over: from this moment it
+	// is being restored, and a re-delivery of the same migration (a retry
+	// racing the restore) must never be stored again — it would fork the
+	// restored enclave.
+	ack := *inc
+	inc.env = nil
+	me.stored--
+	q := me.arrivals[mre]
+	for len(q) > 0 && me.incoming[q[0]].env == nil {
+		q = q[1:]
+	}
+	if me.arrivals[mre] = q; len(q) == 0 {
+		delete(me.arrivals, mre)
+	}
+	me.acks[sessionID] = &ack
+	raw, err := ack.env.encode()
 	if err != nil {
 		return &localResponse{Status: "error", Detail: err.Error()}
 	}
 	// Hand the migration's trace context to the restoring library so its
 	// resume spans join the originating trace.
-	return &localResponse{Status: statusData, Body: raw, Trace: inc.trace.Marshal()}
+	return &localResponse{Status: statusData, Body: raw, Trace: ack.trace.Marshal()}
 }
 
 // handleAckRestored queues the DONE confirmation for the source ME and
@@ -457,7 +475,7 @@ func (me *MigrationEnclave) PendingOutgoing() int {
 func (me *MigrationEnclave) PendingIncoming() int {
 	me.mu.Lock()
 	defer me.mu.Unlock()
-	return len(me.incoming)
+	return me.stored
 }
 
 // OutstandingTokens returns the done-tokens of outgoing migrations that

@@ -227,6 +227,19 @@ func (l *Library) publishAllSlotsLocked() {
 // attested channel to the local Migration Enclave and initializes the
 // library state according to initState.
 func (l *Library) Init(initState InitState, me *MigrationEnclave) error {
+	return l.init(initState, me, nil)
+}
+
+// InitMigratedToken is Init(InitMigrated, me) for one named migration: it
+// restores the envelope stored under that done-token instead of the
+// oldest one stored for this enclave's identity, so a caller restoring
+// several same-identity enclaves pairs each with its own state. The ME
+// hands the envelope over only if its MRENCLAVE is this enclave's.
+func (l *Library) InitMigratedToken(me *MigrationEnclave, token []byte) error {
+	return l.init(InitMigrated, me, token)
+}
+
+func (l *Library) init(initState InitState, me *MigrationEnclave, token []byte) error {
 	if err := l.enclave.ECall(); err != nil {
 		return err
 	}
@@ -302,7 +315,7 @@ func (l *Library) Init(initState InitState, me *MigrationEnclave) error {
 		}
 		l.st = *st
 	case InitMigrated:
-		if err := l.receiveMigrationLocked(); err != nil {
+		if err := l.receiveMigrationLocked(token); err != nil {
 			return err
 		}
 	default:
@@ -340,11 +353,12 @@ func (l *Library) Init(initState InitState, me *MigrationEnclave) error {
 	return nil
 }
 
-// receiveMigrationLocked fetches pending migration data from the local
+// receiveMigrationLocked fetches pending migration data (the envelope
+// token names; the oldest for this identity when nil) from the local
 // Migration Enclave, re-creates the counters with the migrated effective
 // values as offsets, installs the MSK, persists, and acknowledges.
-func (l *Library) receiveMigrationLocked() error {
-	reply, err := l.localCallLocked(&localRequest{Op: opFetchIncoming})
+func (l *Library) receiveMigrationLocked(token []byte) error {
+	reply, err := l.localCallLocked(&localRequest{Op: opFetchIncoming, Token: token})
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,8 @@ import (
 	"repro/internal/transport"
 )
 
-// quoteToWire converts an attest.Quote for JSON transport.
+// quoteToWire converts an attest.Quote to its wire form (inlined into
+// the offer and its reply by appendQuote).
 func quoteToWire(q *attest.Quote) (*wireQuote, error) {
 	cert, err := certToWire(q.PlatformCert)
 	if err != nil {
@@ -25,7 +26,7 @@ func quoteToWire(q *attest.Quote) (*wireQuote, error) {
 	}, nil
 }
 
-// quoteFromWire reconstructs an attest.Quote.
+// quoteFromWire reconstructs an attest.Quote from its wire form.
 func quoteFromWire(w *wireQuote) (*attest.Quote, error) {
 	if w == nil || len(w.Data) != sgx.ReportDataSize {
 		return nil, fmt.Errorf("%w: bad quote", ErrDataFormat)

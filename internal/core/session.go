@@ -2,7 +2,6 @@ package core
 
 import (
 	"crypto/subtle"
-	"encoding/binary"
 
 	"repro/internal/attest"
 	"repro/internal/xcrypto"
@@ -66,30 +65,18 @@ func deriveSessionSecret(shared, transcript []byte) []byte {
 	return k[:]
 }
 
-func u64be(v uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return b[:]
-}
-
-func u32be(v uint32) []byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	return b[:]
-}
-
 // resumeMAC authenticates a resume ticket: possession of the session
 // secret, bound to the session id, the destination epoch the source
 // believes is current, the counter being reserved, and the batch size.
 func resumeMAC(secret, sid, epoch []byte, counter uint64, count uint32) []byte {
-	k := xcrypto.DeriveKey(secret, labelResumeMAC, sid, epoch, u64be(counter), u32be(count))
+	k := xcrypto.DeriveKey(secret, labelResumeMAC, sid, epoch, appendU64(nil, counter), appendU32(nil, count))
 	return k[:]
 }
 
 // resumeConfirmMAC is the destination's proof-of-acceptance, confirming
 // it holds the same secret and accepted exactly this counter.
 func resumeConfirmMAC(secret, sid []byte, counter uint64) []byte {
-	k := xcrypto.DeriveKey(secret, labelResumeOK, sid, u64be(counter))
+	k := xcrypto.DeriveKey(secret, labelResumeOK, sid, appendU64(nil, counter))
 	return k[:]
 }
 
@@ -101,7 +88,7 @@ func resumeConfirmMAC(secret, sid []byte, counter uint64) []byte {
 // such unauthenticated refusals merely trigger the (authenticated)
 // fresh-handshake fallback without evicting the cache.
 func resumeRefuseMAC(secret, sid []byte, counter uint64) []byte {
-	k := xcrypto.DeriveKey(secret, labelResumeRefuse, sid, u64be(counter))
+	k := xcrypto.DeriveKey(secret, labelResumeRefuse, sid, appendU64(nil, counter))
 	return k[:]
 }
 
@@ -110,8 +97,8 @@ func resumeRefuseMAC(secret, sid []byte, counter uint64) []byte {
 // A fresh counter yields fresh keys, so stream sequence numbers restart
 // at zero without nonce reuse.
 func batchKeys(secret []byte, counter uint64) (data, ack [32]byte) {
-	data = xcrypto.DeriveKey(secret, labelBatchData, u64be(counter))
-	ack = xcrypto.DeriveKey(secret, labelBatchAck, u64be(counter))
+	data = xcrypto.DeriveKey(secret, labelBatchData, appendU64(nil, counter))
+	ack = xcrypto.DeriveKey(secret, labelBatchAck, appendU64(nil, counter))
 	return data, ack
 }
 

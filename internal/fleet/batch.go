@@ -1,11 +1,9 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -25,44 +23,26 @@ import (
 // groupAssignments splits the compiled assignments into worker groups.
 // Recoveries and image-less entries stay alone (a recovery is not a
 // migration); the rest group by (source, destination) into streams of up
-// to batchSize with at most one member per enclave identity per stream
-// (the destination ME stores one pending envelope per MRENCLAVE, so
-// same-identity members must not share a stream).
+// to batchSize, in plan order.
 func groupAssignments(assignments []Assignment, batchSize int) [][]Assignment {
 	out := make([][]Assignment, 0, len(assignments))
 	type gkey struct{ src, dst string }
-	open := make(map[gkey][]int) // indices into out of groups with room
+	open := make(map[gkey]int) // the pair's group that still has room, as an index into out
 	for _, as := range assignments {
 		if as.Recover || as.App == nil {
 			out = append(out, []Assignment{as})
 			continue
 		}
 		k := gkey{as.Source.ID(), as.Dest.ID()}
-		mre := as.App.Image().Measure()
-		gi := -1
-		for pos, cand := range open[k] {
-			dup := false
-			for _, other := range out[cand] {
-				if other.App.Image().Measure() == mre {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			gi = cand
-			out[gi] = append(out[gi], as)
-			if len(out[gi]) >= batchSize {
-				open[k] = append(open[k][:pos], open[k][pos+1:]...)
-			}
-			break
+		gi, ok := open[k]
+		if !ok {
+			gi = len(out)
+			out = append(out, nil)
+			open[k] = gi
 		}
-		if gi < 0 {
-			if batchSize > 1 { // a new group of one still has room
-				open[k] = append(open[k], len(out))
-			}
-			out = append(out, []Assignment{as})
+		out[gi] = append(out[gi], as)
+		if len(out[gi]) >= batchSize {
+			delete(open, k) // closed
 		}
 	}
 	return out
@@ -97,7 +77,7 @@ type member struct {
 	start time.Time
 
 	token    []byte // done-token once frozen+held (set from the start when resuming)
-	restored bool   // LaunchApp(InitMigrated) succeeded this attempt
+	restored bool   // RestoreApp by token succeeded this attempt
 	terminal bool   // entry finalized
 	retryErr error  // last retryable failure this attempt
 }
@@ -164,8 +144,8 @@ func (o *Orchestrator) complete(m *member, dest *cloud.Machine, links map[*cloud
 }
 
 // completedElsewhere finalizes a migration whose restore was performed
-// outside this worker (an earlier plan, or a concurrent same-identity
-// worker consuming our envelope): only the frozen source remains.
+// outside this worker (an earlier plan; its DONE has arrived): only the
+// frozen source remains.
 func (o *Orchestrator) completedElsewhere(m *member, dest *cloud.Machine, links map[*cloud.Machine]string) {
 	m.entry.DoneConfirmed = true
 	m.as.App.Terminate()
@@ -174,17 +154,16 @@ func (o *Orchestrator) completedElsewhere(m *member, dest *cloud.Machine, links 
 
 // resolveParked is the pre-flight for an assignment whose app already
 // froze in an earlier plan that did not finish (its library holds a
-// done-token; StartMigration would fail with ErrFrozen). Where the data
-// sits decides the fork-safe move: DONE already arrived → completed
-// elsewhere; delivered to a still-live destination → finish the restore
-// *there*, never re-send; otherwise it is parked at the source ME (or its
-// delivered copy died with the destination ME) and joins a stream like
-// any other member — toward the previously targeted machine while that
-// lives, so that if a delivered-but-ack-lost transfer actually parked our
-// envelope there, idempotent re-delivery reuses that copy instead of
-// creating a second one on a policy-chosen machine. It returns the
-// assignment to stream, or the finished entry when nothing is left to send.
-func (o *Orchestrator) resolveParked(ctx context.Context, as Assignment, links map[*cloud.Machine]string) (Assignment, *Entry) {
+// done-token; StartMigration would fail with ErrFrozen). DONE already
+// arrived → completed elsewhere, nothing left to send. Otherwise it joins
+// a stream like any other member — toward the previously targeted machine
+// while that lives, never a policy-chosen one: re-delivering the same
+// token to the same ME is idempotent if its copy is still stored there,
+// refused as consumed if a restore fetched it, and a fresh store only if
+// the ME instance that held it is gone (its copies died with its enclave
+// memory), so no second deliverable copy can appear. It returns the
+// assignment to stream, or the finished entry.
+func (o *Orchestrator) resolveParked(as Assignment, links map[*cloud.Machine]string) (Assignment, *Entry) {
 	if as.Recover || as.App == nil {
 		return as, nil
 	}
@@ -192,7 +171,7 @@ func (o *Orchestrator) resolveParked(ctx context.Context, as Assignment, links m
 	if token == nil {
 		return as, nil
 	}
-	prevAddr, sent, done, err := as.Source.ME.OutgoingStatus(token)
+	prevAddr, _, done, err := as.Source.ME.OutgoingStatus(token)
 	// DataCenter machines are never removed, so a delivered-to address
 	// always resolves; nil means the address was never one of ours.
 	prev := o.machineByAddress(prevAddr)
@@ -209,37 +188,10 @@ func (o *Orchestrator) resolveParked(ctx context.Context, as Assignment, links m
 		}
 		o.completedElsewhere(m, dest, links)
 		return as, &m.entry
-	case prev == nil || !prev.ME.Enclave().Alive():
-		return as, nil
-	case !sent:
+	case prev != nil && prev.ME.Enclave().Alive():
 		as.Dest = prev
-		return as, nil
 	}
-	// Restore-only: the data was delivered by the earlier plan, so this
-	// plan performs no delivery (Attempts stays 0 and the entry is excluded
-	// from the latency summary, which measures full freeze-through-restore).
-	m := o.newMember(as, links)
-	release, cerr := o.acquireLink(ctx, links[prev])
-	if cerr != nil {
-		o.finish(m, prev, links, StatusCanceled, cerr)
-		return as, &m.entry
-	}
-	unlock := o.locks.lock(prev.ID(), as.App.Image().Measure())
-	_, lerr := prev.LaunchApp(as.App.Image(), core.NewMemoryStorage(), core.InitMigrated)
-	if lerr == nil {
-		_ = prev.ME.FlushDones(as.Source.ME.Address())
-	}
-	unlock()
-	release()
-	if lerr == nil {
-		o.complete(m, prev, links)
-	} else if done, derr := as.App.Library.MigrationComplete(); derr == nil && done {
-		// A concurrent same-identity worker consumed our envelope.
-		o.completedElsewhere(m, prev, links)
-	} else {
-		o.finish(m, prev, links, StatusFailed, fmt.Errorf("%w: %v", ErrRestoreOnLiveDestination, lerr))
-	}
-	return as, &m.entry
+	return as, nil
 }
 
 // migrateGroup runs one group end to end — freeze + stream at the source,
@@ -315,24 +267,6 @@ func (o *Orchestrator) migrateGroup(ctx context.Context, group []Assignment, tar
 			}
 			return entries()
 		}
-		// Hold every member's (destination, identity) delivery slot for
-		// the whole attempt, deliver through restore, acquired in MRENCLAVE
-		// order so concurrent groups to one destination cannot deadlock.
-		sort.Slice(rem, func(i, j int) bool {
-			a, b := rem[i].as.App.Image().Measure(), rem[j].as.App.Image().Measure()
-			return bytes.Compare(a[:], b[:]) < 0
-		})
-		unlocks := make([]func(), 0, len(rem))
-		for _, m := range rem {
-			unlocks = append(unlocks, o.locks.lock(dest.ID(), m.as.App.Image().Measure()))
-		}
-		unlockAll := func() {
-			for i := len(unlocks) - 1; i >= 0; i-- {
-				unlocks[i]()
-			}
-			release()
-		}
-
 		// The stream's own spans (offer, data frames) join the trace of the
 		// member that opens it; every member's record carries its own.
 		bs, err := src.ME.BeginBatch(dest.MEAddress(), len(rem), core.BatchOpts{
@@ -361,7 +295,7 @@ func (o *Orchestrator) migrateGroup(ctx context.Context, group []Assignment, tar
 			// resolved or another destination machine is selected", §V-D):
 			// every member parks, frozen and resumable by token.
 			each(len(rem), workers, func(i int) { freeze(rem[i]) })
-			unlockAll()
+			release()
 			lastErr = err
 			for _, m := range rem {
 				if !m.terminal {
@@ -384,24 +318,20 @@ func (o *Orchestrator) migrateGroup(ctx context.Context, group []Assignment, tar
 					}
 					m := rem[idx]
 					o.emit(Event{Type: EventDelivered, App: m.entry.App, Source: src.ID(), Dest: dest.ID(), Attempt: attempt})
-					_, lerr := dest.LaunchApp(m.as.App.Image(), core.NewMemoryStorage(), core.InitMigrated)
-					if lerr == nil {
+					// Each member restores its own envelope, named by token.
+					_, lerr := dest.RestoreApp(m.as.App.Image(), core.NewMemoryStorage(), m.token)
+					switch {
+					case lerr == nil:
 						m.restored = true
-						continue
-					}
-					if dest.ME.Enclave().Alive() {
-						if done, derr := m.as.App.Library.MigrationComplete(); derr == nil && done {
-							o.completedElsewhere(m, dest, links)
-							continue
-						}
+					case dest.ME.Enclave().Alive():
 						finish(m, StatusFailed, fmt.Errorf("%w: %v", ErrRestoreOnLiveDestination, lerr))
-						continue
+					default:
+						// The destination machine restarted after accepting the
+						// data: the envelope died with the ME's enclave memory,
+						// and the source still holds its copy (no DONE arrived),
+						// so re-sending cannot fork.
+						m.retryErr = lerr
 					}
-					// The destination machine restarted after accepting the
-					// data: the envelope died with the ME's enclave memory,
-					// and the source still holds its copy (no DONE arrived),
-					// so re-sending cannot fork.
-					m.retryErr = lerr
 				}
 			}()
 		}
@@ -414,9 +344,9 @@ func (o *Orchestrator) migrateGroup(ctx context.Context, group []Assignment, tar
 				return
 			}
 			if aerr := bs.Add(uint32(i), m.token); isMigrationDone(aerr) {
-				// A concurrent same-identity worker consumed our envelope:
-				// the source ME refuses the re-send, and the migration is in
-				// fact complete.
+				// A parked member's late DONE arrived after resolveParked
+				// looked (another group's flush carried it): the source ME
+				// refuses the re-send, and the migration is in fact complete.
 				o.completedElsewhere(m, dest, links)
 			} else if aerr != nil {
 				// Stream already failed (or closed): the member stays frozen
@@ -430,36 +360,12 @@ func (o *Orchestrator) migrateGroup(ctx context.Context, group []Assignment, tar
 			lastErr = serr
 		}
 
-		// A member refused because another same-identity envelope occupies
-		// its slot at this live destination restores that envelope here,
-		// still under the slot; whether it was ours is decided below.
-		var busy []*member
-		for i, m := range rem {
-			if st, acked := statuses[uint32(i)]; acked && !st.OK && !m.terminal && isAlreadyPending(errors.New(st.Detail)) {
-				if _, lerr := dest.LaunchApp(m.as.App.Image(), core.NewMemoryStorage(), core.InitMigrated); lerr != nil {
-					finish(m, StatusFailed, fmt.Errorf("%w: %v", ErrRestoreOnLiveDestination, lerr))
-				} else {
-					busy = append(busy, m)
-				}
-			}
-		}
 		// Flush the destination's queued DONE confirmations back to the
 		// source so MigrationComplete verifies below. Best-effort: a lost
 		// flush leaves DoneConfirmed=false, never an unsafe state.
 		_ = dest.ME.FlushDones(src.ME.Address())
-		unlockAll()
+		release()
 
-		for _, m := range busy {
-			if done, derr := m.as.App.Library.MigrationComplete(); derr == nil && done {
-				o.complete(m, dest, links)
-			} else {
-				// The restored envelope belonged to a same-identity sibling;
-				// our data is still parked at the source ME. Stop here rather
-				// than risk racing the sibling's own worker — a later plan
-				// resumes this migration through its token.
-				finish(m, StatusFailed, ErrIdentityBusy)
-			}
-		}
 		for i, m := range rem {
 			if m.terminal {
 				continue

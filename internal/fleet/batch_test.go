@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cloud"
-	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -58,36 +57,5 @@ func TestDrainBatched(t *testing.T) {
 	}
 	if !report.HasLatency || report.Latency.N != n {
 		t.Fatalf("latency summary missing or wrong N: %+v", report.Latency)
-	}
-}
-
-// TestDrainBatchedSameImage puts several apps sharing one enclave
-// identity into the fleet: the grouper must keep same-MRENCLAVE
-// members out of a single batch, and every copy must still land.
-func TestDrainBatchedSameImage(t *testing.T) {
-	dc, err := cloud.NewDataCenter("dc", sim.NewInstantLatency())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := dc.AddMachine("A")
-	b, _ := dc.AddMachine("B")
-
-	const n = 6
-	img := testImage("twin")
-	for i := 0; i < n; i++ {
-		if _, err := a.LaunchApp(img, core.NewMemoryStorage(), core.InitNew); err != nil {
-			t.Fatalf("launch twin %d: %v", i, err)
-		}
-	}
-	orch := fleet.New(dc, fleet.Config{Workers: 4, BatchSize: 8})
-	report, err := orch.Execute(context.Background(), fleet.Drain("A"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Completed != n || report.Failed != 0 {
-		t.Fatalf("report: %+v", report)
-	}
-	if b.AppCount() != n {
-		t.Fatalf("B hosts %d apps, want %d", b.AppCount(), n)
 	}
 }

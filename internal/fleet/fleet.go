@@ -11,7 +11,6 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/sgx"
 	"repro/internal/stats"
 	"repro/internal/transport"
 )
@@ -32,11 +31,6 @@ var (
 	// budget. The source stays frozen and the data is held at the source
 	// Migration Enclave for later redirection — safe, but not completed.
 	ErrAttemptsExhausted = errors.New("fleet: delivery attempts exhausted")
-	// ErrIdentityBusy reports a migration stopped because the destination
-	// held a pending migration of another same-identity enclave; this
-	// one's data stays parked at the source ME and a later plan resumes
-	// it through its token.
-	ErrIdentityBusy = errors.New("fleet: destination held a same-identity migration; data remains parked at source")
 	// ErrNoReplicaTarget reports a drain/evacuate whose source hosts a
 	// counter replica but no eligible machine can take the role over
 	// (every target is a source, dead, or already hosts a replica).
@@ -197,16 +191,10 @@ func (r *Report) String() string {
 	return s
 }
 
-// Orchestrator executes compiled plans against one data center. Plans
-// run through one Orchestrator — including concurrent Execute calls —
-// share its delivery serialization; running two Orchestrators against
-// the same DataCenter concurrently forfeits that coordination (the
-// enclave-level guarantees still hold, but racing same-identity
-// migrations can spuriously fail).
+// Orchestrator executes compiled plans against one data center.
 type Orchestrator struct {
-	dc    *cloud.DataCenter
-	cfg   Config
-	locks *lockTable
+	dc  *cloud.DataCenter
+	cfg Config
 
 	// remoteMu guards the cross-DC bookkeeping below.
 	remoteMu sync.Mutex
@@ -224,7 +212,6 @@ func New(dc *cloud.DataCenter, cfg Config) *Orchestrator {
 	return &Orchestrator{
 		dc:        dc,
 		cfg:       cfg.withDefaults(),
-		locks:     newLockTable(),
 		remotes:   make(map[transport.Address]RemoteTarget),
 		linkSlots: make(map[string]chan struct{}),
 	}
@@ -278,34 +265,6 @@ func (o *Orchestrator) emit(e Event) {
 	}
 }
 
-// lockTable serializes deliveries per (destination, enclave identity)
-// across every plan an Orchestrator runs: the destination ME stores at
-// most one pending envelope per MRENCLAVE, so two concurrent migrations
-// of same-identity enclaves to one machine must not interleave. Entries
-// are one mutex per (machine, image) pair ever migrated — negligible.
-type lockTable struct {
-	mu    sync.Mutex
-	locks map[string]*sync.Mutex
-}
-
-func newLockTable() *lockTable {
-	return &lockTable{locks: make(map[string]*sync.Mutex)}
-}
-
-// lock acquires the (destination, identity) slot and returns its unlock.
-func (t *lockTable) lock(destID string, mre sgx.Measurement) func() {
-	key := fmt.Sprintf("%s|%x", destID, mre)
-	t.mu.Lock()
-	mu, ok := t.locks[key]
-	if !ok {
-		mu = &sync.Mutex{}
-		t.locks[key] = mu
-	}
-	t.mu.Unlock()
-	mu.Lock()
-	return mu.Unlock
-}
-
 // machineByAddress finds the machine whose ME listens on addr — in this
 // data center, or among the remote destinations plans have named.
 func (o *Orchestrator) machineByAddress(addr transport.Address) *cloud.Machine {
@@ -355,8 +314,6 @@ func matchesSentinel(err, sentinel error) bool {
 	return err != nil &&
 		(errors.Is(err, sentinel) || strings.Contains(err.Error(), sentinel.Error()))
 }
-
-func isAlreadyPending(err error) bool { return matchesSentinel(err, core.ErrAlreadyPending) }
 
 // isMigrationDone recognizes the source ME's already-completed refusal.
 func isMigrationDone(err error) bool { return matchesSentinel(err, core.ErrMigrationDone) }
@@ -557,7 +514,7 @@ func (o *Orchestrator) Run(ctx context.Context, plan Plan, assignments []Assignm
 	// still has data to send is re-targeted and grouped with the rest.
 	streamable := make([]Assignment, 0, len(assignments))
 	for _, as := range assignments {
-		as, settled := o.resolveParked(ctx, as, links)
+		as, settled := o.resolveParked(as, links)
 		if settled != nil {
 			record(*settled)
 			continue
@@ -758,10 +715,10 @@ func (o *Orchestrator) recoverOne(ctx context.Context, as Assignment, targets []
 // it to completion: for each machine, the source ME's OutstandingTokens
 // name the migrations without a DONE, and the frozen libraries holding a
 // matching token are re-driven through the normal resume path
-// (resolveParked: prefer the previously targeted machine, restore
-// delivered-but-unconfirmed data in place, redirect only away from dead
-// destinations). Call it on orchestrator start; together with mid-plan
-// SnapshotStore writes it makes plans survive their orchestrator.
+// (resolveParked: re-deliver to the previously targeted machine while it
+// lives, redirect only away from dead destinations). Call it on
+// orchestrator start; together with mid-plan SnapshotStore writes it
+// makes plans survive their orchestrator.
 func (o *Orchestrator) ResumeParked(ctx context.Context) (*Report, error) {
 	policy := Policy(LeastLoaded{})
 	machines := o.dc.Machines()

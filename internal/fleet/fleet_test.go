@@ -5,7 +5,6 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -399,49 +398,6 @@ func TestResumeDeliveredToLiveDestination(t *testing.T) {
 	verifySurvival(t, states, []*cloud.Machine{b})
 }
 
-// TestSecondPendingDeliveryRefused pins the core guarantee the resume
-// logic depends on: while one migration for an enclave identity is
-// parked at a destination ME, a second same-identity delivery is refused
-// rather than silently overwriting the first one's only deliverable copy.
-func TestSecondPendingDeliveryRefused(t *testing.T) {
-	dc, err := cloud.NewDataCenter("dc", sim.NewInstantLatency())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := dc.AddMachine("A")
-	b, _ := dc.AddMachine("B")
-	img := testImage("twin")
-	app1, err := a.LaunchApp(img, core.NewMemoryStorage(), core.InitNew)
-	if err != nil {
-		t.Fatal(err)
-	}
-	app2, err := a.LaunchApp(img, core.NewMemoryStorage(), core.InitNew)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := app1.Library.StartMigration(b.MEAddress()); err != nil {
-		t.Fatal(err)
-	}
-	// Same identity, same destination, first envelope not yet restored.
-	if err := app2.Library.StartMigration(b.MEAddress()); !errors.Is(err, core.ErrMigrationPending) {
-		t.Fatalf("second delivery: %v, want ErrMigrationPending (refused, parked at source)", err)
-	}
-	if got := b.ME.PendingIncoming(); got != 1 {
-		t.Fatalf("destination holds %d envelopes, want 1", got)
-	}
-	// Restore the first, then the parked second goes through on retry.
-	if _, err := b.LaunchApp(img, core.NewMemoryStorage(), core.InitMigrated); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.ME.RetryOutgoing(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.LaunchApp(img, core.NewMemoryStorage(), core.InitMigrated); err != nil {
-		t.Fatalf("second migration after retry: %v", err)
-	}
-}
-
 // TestIdempotentRedelivery pins the ack-loss recovery behavior: re-sending
 // the very same migration (same done-token) to a destination that already
 // holds it is acknowledged idempotently — one stored copy, no refusal.
@@ -482,66 +438,6 @@ func TestIdempotentRedelivery(t *testing.T) {
 	}
 	if got := b.ME.PendingIncoming(); got != 0 {
 		t.Fatalf("stale envelope re-delivered after completion (%d pending)", got)
-	}
-}
-
-// TestDrainSameImageSerialized migrates many enclaves that share one
-// MRENCLAVE to a single destination: the destination ME can hold only one
-// pending envelope per identity, so the orchestrator must serialize them
-// — losing none, forking none.
-func TestDrainSameImageSerialized(t *testing.T) {
-	dc, err := cloud.NewDataCenter("dc", sim.NewInstantLatency())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := dc.AddMachine("A")
-	b, _ := dc.AddMachine("B")
-
-	const n = 10
-	img := testImage("shared-tenant")
-	want := make([]uint32, 0, n)
-	for i := 0; i < n; i++ {
-		app, err := a.LaunchApp(img, core.NewMemoryStorage(), core.InitNew)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctr, _, err := app.Library.CreateCounter()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j <= i; j++ {
-			if _, err := app.Library.IncrementCounter(ctr); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want = append(want, uint32(i+1))
-	}
-
-	orch := fleet.New(dc, fleet.Config{Workers: 8})
-	report, err := orch.Execute(context.Background(), fleet.Drain("A"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Completed != n {
-		t.Fatalf("completed = %d, want %d", report.Completed, n)
-	}
-	apps := b.Apps()
-	if len(apps) != n {
-		t.Fatalf("B hosts %d apps, want %d", len(apps), n)
-	}
-	var got []uint32
-	for _, app := range apps {
-		v, err := app.Library.ReadCounter(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, v)
-	}
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("counter multiset = %v, want %v", got, want)
-		}
 	}
 }
 

@@ -18,8 +18,8 @@ func groupTestImage(name string) *sgx.Image {
 }
 
 // TestGroupAssignments checks the grouper directly: grouping by (source,
-// destination), the stream-width cap, recoveries kept alone, token-resumed
-// members grouped like any other, and the one-identity-per-stream rule.
+// destination) in plan order, the stream-width cap, recoveries kept alone,
+// token-resumed members and same-identity twins grouped like any other.
 func TestGroupAssignments(t *testing.T) {
 	dc, err := cloud.NewDataCenter("dc", sim.NewInstantLatency())
 	if err != nil {
@@ -38,9 +38,9 @@ func TestGroupAssignments(t *testing.T) {
 	}
 
 	var as []Assignment
-	// Five distinct apps A→B: should pack into groups of ≤3. One of them
+	// Four distinct apps A→B: should pack into groups of ≤3. One of them
 	// already froze in an earlier plan (its library holds a done-token).
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 4; i++ {
 		as = append(as, Assignment{App: launch(a, fmt.Sprintf("ab-%d", i)), Source: a, Dest: b})
 	}
 	parked := as[1].App
@@ -53,7 +53,7 @@ func TestGroupAssignments(t *testing.T) {
 	}
 	// A recovery must stay a singleton.
 	as = append(as, Assignment{App: launch(a, "rec"), Source: a, Dest: b, Recover: true})
-	// Two same-identity apps A→B must land in different batches.
+	// Two same-identity apps A→B share the open stream: it has room for both.
 	twin1 := launch(a, "twin")
 	twin2 := launch(a, "twin")
 	as = append(as, Assignment{App: twin1, Source: a, Dest: b}, Assignment{App: twin2, Source: a, Dest: b})
@@ -61,21 +61,17 @@ func TestGroupAssignments(t *testing.T) {
 	groups := groupAssignments(as, 3)
 
 	total := 0
-	for _, g := range groups {
+	groupOf := make(map[*cloud.App]int)
+	for gi, g := range groups {
 		total += len(g)
 		if len(g) > 3 {
 			t.Fatalf("group of %d exceeds batch size 3", len(g))
 		}
-		seen := make(map[[32]byte]bool)
 		for _, m := range g {
 			if m.Recover && len(g) != 1 {
 				t.Fatal("recovery grouped with migrations")
 			}
-			mre := m.App.Image().Measure()
-			if seen[mre] {
-				t.Fatal("two same-identity members share a batch")
-			}
-			seen[mre] = true
+			groupOf[m.App] = gi
 			if m.App == parked && len(g) != 3 {
 				t.Fatalf("token-resumed member in a group of %d, want it packed with its neighbours (3)", len(g))
 			}
@@ -86,6 +82,13 @@ func TestGroupAssignments(t *testing.T) {
 	}
 	if total != len(as) {
 		t.Fatalf("grouper lost members: %d in, %d out", len(as), total)
+	}
+	if groupOf[twin1] != groupOf[twin2] {
+		t.Fatal("same-identity twins were split across streams")
+	}
+	// A→B: 4 + 2 members at width 3 is two streams; A→C one; the recovery.
+	if len(groups) != 4 {
+		t.Fatalf("%d groups, want 4", len(groups))
 	}
 
 	// BatchSize 1 degenerates to all singletons.

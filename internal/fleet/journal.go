@@ -47,9 +47,9 @@ type Entry struct {
 	// landed, PlannedDest where the plan originally put it.
 	Source, PlannedDest, Dest string
 	// Attempts counts delivery attempts this plan performed (1 = first
-	// try succeeded; 0 = a resumed migration whose data was already
-	// delivered or restored by an earlier plan — no delivery happened
-	// here).
+	// try succeeded, also for a resumed migration re-delivered to the
+	// machine that may still hold it; 0 = a resumed migration whose DONE
+	// had already arrived — no delivery happened here).
 	Attempts int
 	// Redirects counts destination changes after delivery failures.
 	Redirects int

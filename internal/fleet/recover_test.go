@@ -92,8 +92,8 @@ func TestRecoveryModeMixedSources(t *testing.T) {
 	dc := newRackDC(t, 1, "r1", "r2", "r3", "spare")
 	r1, r2 := mustMachine(t, dc, "r1"), mustMachine(t, dc, "r2")
 	deadStates := launchApps(t, r1, 3)
-	// The live source's apps need names distinct from launchApps' (two
-	// same-identity enclaves would contend for one delivery slot).
+	// The live source's apps need names distinct from launchApps':
+	// verifySurvival finds each app by its image name.
 	liveStates := make(map[string]*appState, 2)
 	for _, name := range []string{"live-a", "live-b"} {
 		app, err := r2.LaunchApp(testImage(name), core.NewMemoryStorage(), core.InitNew)

@@ -2,6 +2,7 @@ package fleet_test
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,6 +20,32 @@ import (
 // ME, resumable by token), a later ResumeParked must land every one of
 // them exactly once, and no enclave may ever run twice.
 func TestBatchDrainWANFlapParksAndResumes(t *testing.T) {
+	const n = 16
+	var states map[string]*appState
+	wanFlapParksAndResumes(t, n,
+		func(a1 *cloud.Machine) { states = launchApps(t, a1, n) },
+		func(b1 *cloud.Machine) { verifySurvival(t, states, []*cloud.Machine{b1}) })
+}
+
+// TestSameImageWANFlapParksAndResumes is the same flap with sixteen
+// replicas of one image sharing the stream: the members no ack covered
+// park, and the resume lands each one's own counter value exactly once.
+func TestSameImageWANFlapParksAndResumes(t *testing.T) {
+	const n = 16
+	img := testImage("replica")
+	wanFlapParksAndResumes(t, n,
+		func(a1 *cloud.Machine) { launchTwins(t, a1, img, n, 1) },
+		func(b1 *cloud.Machine) {
+			if got := twinValues(t, b1, img); !slices.Equal(got, oneToN(n)) {
+				t.Fatalf("counter multiset on b1 = %v, want %v", got, oneToN(n))
+			}
+		})
+}
+
+// wanFlapParksAndResumes launches n enclaves on a1, cuts the WAN link in
+// the middle of their one-stream drain to b1, resumes, and hands b1 to
+// verify.
+func wanFlapParksAndResumes(t *testing.T, n int, launch, verify func(*cloud.Machine)) {
 	fed := federation.New("flap")
 	dcA, err := cloud.NewDataCenter("flap-a", sim.NewInstantLatency())
 	if err != nil {
@@ -47,8 +74,7 @@ func TestBatchDrainWANFlapParksAndResumes(t *testing.T) {
 	}
 	defer fed.Close()
 
-	const n = 16
-	states := launchApps(t, a1, n)
+	launch(a1)
 
 	// One stream. The link carries its offer and first data frame — the
 	// first member to freeze, cut into a frame of its own because the
@@ -117,5 +143,5 @@ func TestBatchDrainWANFlapParksAndResumes(t *testing.T) {
 	if got := b1.AppCount(); got != n {
 		t.Fatalf("b1 hosts %d apps, want %d", got, n)
 	}
-	verifySurvival(t, states, []*cloud.Machine{b1})
+	verify(b1)
 }
