@@ -106,7 +106,8 @@ type BatchSender struct {
 	fresh    bool                  // batch began with a full handshake
 	cert     []byte                // seq-0 provider auth (fresh only)
 	sig      []byte
-	count    int // declared member count (the destination's completion bar)
+	authed   func() // fresh only: lets the next open toward dest proceed (beginStream)
+	count    int    // declared member count (the destination's completion bar)
 	compress bool
 	link     string
 
@@ -142,6 +143,15 @@ func (me *MigrationEnclave) BeginBatch(dest transport.Address, count int, opts B
 }
 
 // beginStream is BeginBatch from inside the enclave (no entry transition).
+//
+// Opens toward one destination are serialized: resume counters then reach
+// it in the order they were drawn (it refuses one at or below the last it
+// saw), and openers that find a handshake under way wait and resume its
+// session instead of each attesting. A resumed stream leaves the section
+// once open. A fresh one stays inside until the destination is known to
+// have authenticated us — its frame 0 acknowledged — or the stream ends:
+// a resume presented earlier is refused with the MAC, which drops the
+// session at both ends.
 func (me *MigrationEnclave) beginStream(dest transport.Address, count int, opts BatchOpts) (*BatchSender, error) {
 	if count <= 0 || count > maxBatchCount {
 		return nil, fmt.Errorf("core: batch size %d out of range [1, %d]", count, maxBatchCount)
@@ -150,22 +160,23 @@ func (me *MigrationEnclave) beginStream(dest transport.Address, count int, opts 
 	if sp != nil {
 		sp.Site = string(me.addr)
 	}
+	opened := me.lockPeer(me.opening, dest)
 	bs, err := me.beginResumed(dest, count, opts, tc)
+	if err == nil && bs == nil {
+		// No cached session, or resumption refused: full handshake.
+		bs, err = me.beginFresh(dest, count, opts, tc)
+	}
 	if err != nil {
+		opened()
 		if sp != nil {
 			sp.End()
 		}
 		return nil, err
 	}
-	if bs == nil {
-		// No cached session, or resumption refused: full handshake.
-		bs, err = me.beginFresh(dest, count, opts, tc)
-		if err != nil {
-			if sp != nil {
-				sp.End()
-			}
-			return nil, err
-		}
+	if bs.fresh {
+		bs.authed = opened
+	} else {
+		opened()
 	}
 	bs.sp = sp
 	bs.tc = tc
@@ -502,6 +513,9 @@ func (bs *BatchSender) sendChunk(seq uint64, chunk []byte) {
 			list, err = decodeBatchStatusList(pt)
 		}
 	}
+	if err == nil && bs.authed != nil && seq == 0 {
+		bs.authed() // the ack proves the destination verified frame 0's certificate
+	}
 	var newlyStored []uint32
 	bs.mu.Lock()
 	if err != nil {
@@ -588,6 +602,9 @@ func (bs *BatchSender) Finish() (map[uint32]BatchMemberStatus, error) {
 	}
 	bs.mu.Unlock()
 	close(bs.delivered)
+	if bs.authed != nil {
+		bs.authed() // frame 0 never made it; stop holding up the next open
+	}
 	// Release every member's in-flight latch: unacked records go back to
 	// held-and-retryable (parked).
 	me := bs.me

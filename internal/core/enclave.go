@@ -140,6 +140,12 @@ type MigrationEnclave struct {
 	// doneQueue accumulates DONE tokens per source-ME address until the
 	// next flush.
 	doneQueue map[string][][]byte
+	// opening and flushing serialize, per peer address, the two exchanges
+	// that must not overtake each other toward one peer: stream opens
+	// toward a destination (beginStream) and DONE flushes toward a source
+	// (flushDones). An entry exists only while its section is held.
+	opening  map[string]chan struct{}
+	flushing map[string]chan struct{}
 }
 
 // NewMigrationEnclave loads the ME on the machine, registers it on the
@@ -178,6 +184,8 @@ func NewMigrationEnclave(
 		accepted:  make(map[string]*resumableSession),
 		rxBatches: make(map[string]*batchRecvState),
 		doneQueue: make(map[string][][]byte),
+		opening:   make(map[string]chan struct{}),
+		flushing:  make(map[string]chan struct{}),
 	}
 	if err := net.Register(addr, me.handleNetwork); err != nil {
 		return nil, fmt.Errorf("register migration enclave: %w", err)
@@ -201,6 +209,32 @@ func (me *MigrationEnclave) observer() *obs.Observer {
 	me.mu.Lock()
 	defer me.mu.Unlock()
 	return me.obs
+}
+
+// lockPeer enters peer's critical section in held (me.opening or
+// me.flushing), waiting out whoever is inside, and returns the function
+// that leaves it. The exit may run on any goroutine, and more than once.
+func (me *MigrationEnclave) lockPeer(held map[string]chan struct{}, peer transport.Address) (unlock func()) {
+	for {
+		me.mu.Lock()
+		busy, ok := held[string(peer)]
+		if !ok {
+			left := make(chan struct{})
+			held[string(peer)] = left
+			me.mu.Unlock()
+			var once sync.Once
+			return func() {
+				once.Do(func() {
+					me.mu.Lock()
+					delete(held, string(peer))
+					me.mu.Unlock()
+					close(left)
+				})
+			}
+		}
+		me.mu.Unlock()
+		<-busy
+	}
 }
 
 // Enclave exposes the ME's own enclave (tests and the management VM).
@@ -354,10 +388,13 @@ func (me *MigrationEnclave) handleFetchIncoming(sessionID string, conn *localCon
 	return &localResponse{Status: statusData, Body: raw, Trace: ack.trace.Marshal()}
 }
 
-// handleAckRestored queues the DONE confirmation for the source ME and
-// flushes the queue when this was a stream of one or enough have piled
-// up. A failed flush keeps the tokens queued and the source keeps its
-// copy — the safe failure mode of a lost DONE.
+// handleAckRestored queues the DONE confirmation for the source ME. The
+// only member of a stream of one flushes it here (Fig. 2's final arrow);
+// a wider stream's restores never wait on the network — whoever drives
+// the stream flushes (FlushDones), and the queue flushes itself only as
+// a backstop, once it is as long as the incoming store it confirms. A
+// failed flush keeps the tokens queued and the source keeps its copy —
+// the safe failure mode of a lost DONE.
 func (me *MigrationEnclave) handleAckRestored(sessionID string, req *localRequest) *localResponse {
 	me.mu.Lock()
 	ack, ok := me.acks[sessionID]
@@ -382,7 +419,7 @@ func (me *MigrationEnclave) handleAckRestored(sessionID string, req *localReques
 	source := ack.env.SourceME
 	me.mu.Lock()
 	me.doneQueue[source] = append(me.doneQueue[source], ack.env.DoneToken)
-	flush := ack.solo || len(me.doneQueue[source]) >= doneFlushThreshold
+	flush := ack.solo || len(me.doneQueue[source]) >= maxStoredIncoming
 	me.mu.Unlock()
 	if flush {
 		if err := me.flushDones(transport.Address(source), tc); err != nil {
@@ -409,19 +446,20 @@ func (me *MigrationEnclave) handleCheckDone(req *localRequest) *localResponse {
 	return &localResponse{Status: statusWaiting}
 }
 
-// doneFlushThreshold triggers an automatic FlushDones once this many
-// confirmations are queued for one source ME.
-const doneFlushThreshold = 64
-
 // FlushDones sends every queued DONE confirmation for the given source
-// ME in one exchange. On failure the tokens are re-queued (the source
-// keeps its copies; retries converge).
+// ME in one exchange. Flushes toward one source are single-flight: a
+// caller that finds one on the wire waits for it, then sends whatever is
+// still queued — so when FlushDones returns nil, every confirmation
+// queued before the call has been applied at the source, whoever carried
+// it. On failure the tokens are re-queued (the source keeps its copies;
+// retries converge).
 func (me *MigrationEnclave) FlushDones(source transport.Address) error {
 	return me.flushDones(source, obs.TraceContext{})
 }
 
 // flushDones is FlushDones under the trace of the restore that triggered it.
 func (me *MigrationEnclave) flushDones(source transport.Address, tc obs.TraceContext) error {
+	defer me.lockPeer(me.flushing, source)()
 	me.mu.Lock()
 	tokens := me.doneQueue[string(source)]
 	delete(me.doneQueue, string(source))

@@ -258,15 +258,6 @@ func (o *Orchestrator) migrateGroup(ctx context.Context, group []Assignment, tar
 			}
 		}
 
-		// For WAN destinations the attempt holds one of the link's
-		// concurrency slots (LinkCap).
-		release, cerr := o.acquireLink(ctx, links[dest])
-		if cerr != nil {
-			for _, m := range rem {
-				finish(m, StatusCanceled, cerr)
-			}
-			return entries()
-		}
 		// The stream's own spans (offer, data frames) join the trace of the
 		// member that opens it; every member's record carries its own.
 		bs, err := src.ME.BeginBatch(dest.MEAddress(), len(rem), core.BatchOpts{
@@ -274,6 +265,20 @@ func (o *Orchestrator) migrateGroup(ctx context.Context, group []Assignment, tar
 			Link:     links[dest],
 			Trace:    rem[0].tc,
 		})
+		// For WAN destinations the attempt holds one of the link's
+		// concurrency slots (LinkCap) from its first freeze to its last
+		// restore. The open above and the DONE flush below are round trips
+		// that carry no migration data, so they stay outside it.
+		release, cerr := o.acquireLink(ctx, links[dest])
+		if cerr != nil {
+			if bs != nil {
+				_, _ = bs.Finish() // nothing was added: tells the destination the stream is over
+			}
+			for _, m := range rem {
+				finish(m, StatusCanceled, cerr)
+			}
+			return entries()
+		}
 		// freeze reports whether m holds (or now gets) a held envelope to
 		// stream. A freeze/export failure happens before any data left the
 		// machine and is terminal.
@@ -356,6 +361,7 @@ func (o *Orchestrator) migrateGroup(ctx context.Context, group []Assignment, tar
 		})
 		statuses, serr := bs.Finish()
 		restoreWg.Wait()
+		release()
 		if serr != nil {
 			lastErr = serr
 		}
@@ -364,7 +370,6 @@ func (o *Orchestrator) migrateGroup(ctx context.Context, group []Assignment, tar
 		// source so MigrationComplete verifies below. Best-effort: a lost
 		// flush leaves DoneConfirmed=false, never an unsafe state.
 		_ = dest.ME.FlushDones(src.ME.Address())
-		release()
 
 		for i, m := range rem {
 			if m.terminal {

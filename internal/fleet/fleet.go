@@ -85,7 +85,10 @@ type Event struct {
 
 // Config tunes the orchestrator.
 type Config struct {
-	// Workers bounds concurrent migrations. Default 8.
+	// Workers bounds the groups (streams; recoveries) in progress at once,
+	// and sizes each group's freeze pool and restore pool: a group of n
+	// members freezes and restores min(Workers, n) of them at a time.
+	// Default 8.
 	Workers int
 	// BatchSize groups migrations that share a (source, destination)
 	// pair into streams of up to this many enclaves
@@ -116,9 +119,16 @@ type Config struct {
 	// snapshots. Writes are best-effort: a failing store never fails the
 	// plan.
 	SnapshotStore core.Storage
-	// LinkCap bounds concurrent deliveries per federation WAN link (by
-	// link name): a cross-DC drain must not stampede a constrained link
-	// with the whole worker pool. Zero/absent means no per-link cap.
+	// LinkCap bounds, per federation WAN link (by link name), the groups
+	// that are between their first freeze and their last restore: a
+	// cross-DC drain must not stampede a constrained link — or the
+	// destination's cores — with the whole worker pool. A group opens its
+	// stream before it takes a slot and flushes its DONE confirmations
+	// after it gave the slot back; those two round trips carry no migration
+	// data. The restores stay inside the slot: in a CPU-bound drain it is
+	// also the limit on work in progress, and letting the next group freeze
+	// while this one still restores lengthens every migration. Zero/absent
+	// means no per-link cap.
 	LinkCap map[string]int
 	// Obs, when set, receives fleet telemetry: one root span per
 	// migration ("fleet.migrate") and recovery ("fleet.recover") whose

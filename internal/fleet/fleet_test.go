@@ -121,7 +121,8 @@ func TestDrainLargeFleet(t *testing.T) {
 	}
 
 	orch := fleet.New(dc, fleet.Config{Workers: 16, Meter: meter})
-	report, err := orch.Execute(context.Background(), fleet.Drain("A"))
+	var report *fleet.Report
+	noGoroutineGrowth(t, func() { report, err = orch.Execute(context.Background(), fleet.Drain("A")) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +467,8 @@ func TestExecuteCancellation(t *testing.T) {
 		},
 	}
 	orch := fleet.New(dc, cfg)
-	report, err := orch.Execute(ctx, fleet.Drain("A"))
+	var report *fleet.Report
+	noGoroutineGrowth(t, func() { report, err = orch.Execute(ctx, fleet.Drain("A")) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -42,29 +42,36 @@ func TestSameImageWANFlapParksAndResumes(t *testing.T) {
 		})
 }
 
-// wanFlapParksAndResumes launches n enclaves on a1, cuts the WAN link in
-// the middle of their one-stream drain to b1, resumes, and hands b1 to
-// verify.
-func wanFlapParksAndResumes(t *testing.T, n int, launch, verify func(*cloud.Machine)) {
-	fed := federation.New("flap")
-	dcA, err := cloud.NewDataCenter("flap-a", sim.NewInstantLatency())
-	if err != nil {
+// wanPair is two data centers joined by one WAN link: a1 (plus a2, the
+// local candidate ResumeParked needs to plan with) and b1 across the link.
+type wanPair struct {
+	dcA, dcB *cloud.DataCenter
+	a1, b1   *cloud.Machine
+	link     *transport.WANLink
+}
+
+func newWANPair(t *testing.T, name string) *wanPair {
+	t.Helper()
+	fed := federation.New(name)
+	t.Cleanup(fed.Close)
+	w := &wanPair{}
+	var err error
+	if w.dcA, err = cloud.NewDataCenter(name+"-a", sim.NewInstantLatency()); err != nil {
 		t.Fatal(err)
 	}
-	dcB, err := cloud.NewDataCenter("flap-b", sim.NewInstantLatency())
-	if err != nil {
+	if w.dcB, err = cloud.NewDataCenter(name+"-b", sim.NewInstantLatency()); err != nil {
 		t.Fatal(err)
 	}
-	a1, _ := dcA.AddMachine("a1")
-	dcA.AddMachine("a2") // ResumeParked needs a local candidate to plan with
-	b1, _ := dcB.AddMachine("b1")
-	if err := fed.Admit(dcA); err != nil {
+	w.a1, _ = w.dcA.AddMachine("a1")
+	w.dcA.AddMachine("a2")
+	w.b1, _ = w.dcB.AddMachine("b1")
+	if err := fed.Admit(w.dcA); err != nil {
 		t.Fatal(err)
 	}
-	if err := fed.Admit(dcB); err != nil {
+	if err := fed.Admit(w.dcB); err != nil {
 		t.Fatal(err)
 	}
-	link, err := fed.Connect("flap-a", "flap-b", transport.WANConfig{
+	w.link, err = fed.Connect(name+"-a", name+"-b", transport.WANConfig{
 		RTT:       10 * time.Millisecond,
 		Bandwidth: 1 << 30,
 		Scale:     1,
@@ -72,7 +79,24 @@ func wanFlapParksAndResumes(t *testing.T, n int, launch, verify func(*cloud.Mach
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fed.Close()
+	return w
+}
+
+// evacuate is the plan that moves everything on a1 across the link to b1.
+func (w *wanPair) evacuate() fleet.Plan {
+	return fleet.Plan{
+		Intent:        fleet.IntentEvacuate,
+		Sources:       []string{"a1"},
+		RemoteTargets: []fleet.RemoteTarget{{Machine: w.b1, Link: w.link.Name()}},
+	}
+}
+
+// wanFlapParksAndResumes launches n enclaves on a1, cuts the WAN link in
+// the middle of their one-stream drain to b1, resumes, and hands b1 to
+// verify.
+func wanFlapParksAndResumes(t *testing.T, n int, launch, verify func(*cloud.Machine)) {
+	w := newWANPair(t, "flap")
+	dcA, a1, b1, link := w.dcA, w.a1, w.b1, w.link
 
 	launch(a1)
 
@@ -88,12 +112,9 @@ func wanFlapParksAndResumes(t *testing.T, n int, launch, verify func(*cloud.Mach
 		return nil
 	}})
 	orch := fleet.New(dcA, fleet.Config{Workers: 2, BatchSize: n, MaxAttempts: 1})
-	plan := fleet.Plan{
-		Intent:        fleet.IntentEvacuate,
-		Sources:       []string{"a1"},
-		RemoteTargets: []fleet.RemoteTarget{{Machine: b1, Link: link.Name()}},
-	}
-	report, err := orch.Execute(context.Background(), plan)
+	var report *fleet.Report
+	var err error
+	noGoroutineGrowth(t, func() { report, err = orch.Execute(context.Background(), w.evacuate()) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +140,8 @@ func wanFlapParksAndResumes(t *testing.T, n int, launch, verify func(*cloud.Mach
 	// The held data re-streams to the originally targeted machine.
 	dcA.Network.SetAdversary(nil)
 	link.SetDown(false)
-	resume, err := orch.ResumeParked(context.Background())
+	var resume *fleet.Report
+	noGoroutineGrowth(t, func() { resume, err = orch.ResumeParked(context.Background()) })
 	if err != nil {
 		t.Fatal(err)
 	}
