@@ -378,6 +378,16 @@ func (l *Library) receiveMigrationLocked(token []byte) error {
 	}
 	l.st = libraryState{}
 	l.st.MSK = env.Data.MSK
+	// A restore that fails before its state is persisted gives back what
+	// it allocated: the enclave is about to be destroyed, and every
+	// counter left behind would cost its identity a slot of this
+	// facility's budget per failed attempt.
+	persisted := false
+	defer func() {
+		if !persisted {
+			l.releaseRestoredLocked()
+		}
+	}()
 	for i := 0; i < NumCounters; i++ {
 		if !env.Data.CountersActive[i] {
 			continue
@@ -410,14 +420,27 @@ func (l *Library) receiveMigrationLocked(token []byte) error {
 	}
 	l.mskSealer = sealer
 	if err := l.persistLocked(); err != nil {
-		l.releaseEscrowBindingLocked()
 		return err
 	}
+	persisted = true
 	// DONE: confirm the restore so the source can delete its copy.
 	if _, err := l.localCallLocked(&localRequest{Op: opAckRestored, Trace: tc.Marshal()}); err != nil {
 		return fmt.Errorf("acknowledge migration: %w", err)
 	}
 	return nil
+}
+
+// releaseRestoredLocked destroys, best-effort, the counters a failed
+// restore had re-created and its escrow binding. Callers hold mu.
+func (l *Library) releaseRestoredLocked() {
+	for i, active := range l.st.CountersActive {
+		if active {
+			// The failure that brought us here is the one to report.
+			_ = l.counters.Destroy(l.enclave, l.st.CounterUUIDs[i])
+			l.st.CountersActive[i] = false
+		}
+	}
+	l.releaseEscrowBindingLocked()
 }
 
 // ready validates the common preconditions of every data operation. It

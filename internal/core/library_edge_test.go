@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pse"
 )
 
 func TestCounterSlotReuseAfterDestroy(t *testing.T) {
@@ -160,6 +162,78 @@ func TestDestinationKeepsFullCounterCapacity(t *testing.T) {
 	}
 	if got, _ := dstApp.Library.ReadCounter(0); got != 0 {
 		t.Fatalf("migrated counter disturbed: %d", got)
+	}
+}
+
+// TestFailedRestoreReleasesCounters: the destination has room for two of
+// the identity's counters and the envelope needs three, so the restore
+// re-creates two and fails on the third. It must give the two back — they
+// used to stay allocated, one slot of the identity's budget per counter
+// per failed attempt. Then a resident frees exactly the one slot that was
+// missing, the destination's ME restarts (forgetting the half-restored
+// delivery; the source still holds the envelope, no DONE was sent), and
+// the same token is delivered and restored there with its values intact.
+func TestFailedRestoreReleasesCounters(t *testing.T) {
+	e := newEnv(t)
+	img := testAppImage(t, "app")
+	resident, err := e.dst.LaunchApp(img, core.NewMemoryStorage(), core.InitNew)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < pse.MaxCounters-2; i++ {
+		if _, _, err := resident.Library.CreateCounter(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	app, err := e.src.LaunchApp(img, core.NewMemoryStorage(), core.InitNew)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < 3; c++ {
+		id, _, err := app.Library.CreateCounter()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j <= c; j++ {
+			if _, err := app.Library.IncrementCounter(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := app.Library.StartMigration(e.dst.MEAddress()); err != nil {
+		t.Fatal(err)
+	}
+	token := app.Library.MigrationToken()
+	owner := resident.Enclave.MREnclave()
+
+	before := e.dst.Counters.Count(owner)
+	if _, err := e.dst.RestoreApp(img, core.NewMemoryStorage(), token); !errors.Is(err, pse.ErrCounterLimit) {
+		t.Fatalf("restore into too little room: %v, want ErrCounterLimit", err)
+	}
+	if got := e.dst.Counters.Count(owner); got != before {
+		t.Fatalf("identity holds %d counters after the failed restore, %d before it", got, before)
+	}
+	if done, err := app.Library.MigrationComplete(); err != nil || done {
+		t.Fatalf("source after the failed restore: done=%v err=%v, want the envelope still held", done, err)
+	}
+
+	if err := resident.Library.DestroyCounter(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.dst.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.src.ME.Redirect(token, e.dst.MEAddress()); err != nil {
+		t.Fatalf("re-deliver the held envelope: %v", err)
+	}
+	restored, err := e.dst.RestoreApp(img, core.NewMemoryStorage(), token)
+	if err != nil {
+		t.Fatalf("restore after one slot was freed: %v", err)
+	}
+	for c := 0; c < 3; c++ {
+		if v, err := restored.Library.ReadCounter(c); err != nil || v != uint32(c+1) {
+			t.Fatalf("counter %d after the second restore = %d, %v; want %d", c, v, err, c+1)
+		}
 	}
 }
 

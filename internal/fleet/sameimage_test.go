@@ -251,6 +251,11 @@ func TestSameImageRestoresPairExactly(t *testing.T) {
 	if done != 2 || len(landed) != 3 {
 		t.Fatalf("%d sources saw DONE, B reads %v; want 2 and the resident plus two", done, landed)
 	}
+	// The member that failed gave back the six counters it had re-created
+	// before B ran out: the identity holds the resident's and two members'.
+	if got := b.Counters.Count(resident.Enclave.MREnclave()); got != 150+2*50 {
+		t.Fatalf("identity holds %d counters on B, want 250", got)
+	}
 	if confirmed, err := bystander.Library.MigrationComplete(); err != nil || confirmed || b.ME.PendingIncoming() != 1 {
 		t.Fatalf("bystander: done=%v err=%v, B holds %d envelopes; want it untouched", confirmed, err, b.ME.PendingIncoming())
 	}

@@ -1,106 +1,484 @@
 package pserepl
 
 import (
-	"runtime"
+	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/pse"
 	"repro/internal/transport"
 )
 
 // opHook is an adversary that shows the test every counter-op request in
 // the clear (the group key is the test's own) before it reaches its
 // replica; f may block to hold the request, or return an error to drop it.
+// done, when set, sees the request again once its replica has answered.
 type opHook struct {
-	g *Group
-	f func(replica string, m *opMessage) error
+	g    *Group
+	f    func(replica string, m *opMessage) error
+	done func(replica string, m *opMessage)
 }
 
-func (h opHook) OnRequest(msg *transport.Message) error {
+func (h opHook) open(msg *transport.Message) (string, *opMessage) {
 	if msg.Kind != kindOp {
-		return nil
+		return "", nil
 	}
 	replica := strings.TrimSuffix(string(msg.To), "/ctr")
 	raw, err := h.g.sealer.Open(msg.Payload, aadReq(kindOp, replica))
 	if err != nil {
-		return nil
+		return "", nil
 	}
 	m, err := decodeOpMessage(raw)
 	if err != nil {
-		return nil
+		return "", nil
 	}
-	return h.f(replica, m)
+	return replica, m
 }
 
-func (opHook) OnResponse(transport.Message, *[]byte) error { return nil }
+func (h opHook) OnRequest(msg *transport.Message) error {
+	if replica, m := h.open(msg); m != nil {
+		return h.f(replica, m)
+	}
+	return nil
+}
 
-// TestStragglerLandingMidConfirmStillConverges is the regression for a
-// tier-1 flake: a read whose durability check falls short only because
-// one acker's increment is still in flight must wait for that apply and
-// re-confirm — even when the straggler lands while the check is still
-// running. (The commit used to decide that from a second look at the
-// in-flight table; a straggler landing between the two looks turned a
-// converged group into ErrNoQuorum.) Five replicas, every step held on a
-// channel:
-//
-//	increment to 7: rep-0, rep-3, rep-4 ack; rep-1's copy is dropped
-//	(it stays at 6, nothing in flight); rep-2's copy is held in flight.
-//	read: acked by rep-0 (7), rep-1 (6) and rep-2 (6, in flight), so 7
-//	is confirmed on one replica, repairable on one more, and quorum is 3.
-//	The repair sent to rep-1 is the signal, from inside the durability
-//	check, that releases rep-2's held increment and waits for it to land.
-func TestStragglerLandingMidConfirmStillConverges(t *testing.T) {
-	r := newRig(t, 2)
+func (h opHook) OnResponse(msg transport.Message, _ *[]byte) error {
+	if h.done == nil {
+		return nil
+	}
+	if replica, m := h.open(&msg); m != nil {
+		h.done(replica, m)
+	}
+	return nil
+}
+
+// heldOp parks one request on the wire: the first goroutine to call park
+// closes arrived and blocks until the test closes release; later callers
+// pass straight through.
+type heldOp struct {
+	taken            atomic.Bool
+	arrived, release chan struct{}
+}
+
+func newHeldOp() *heldOp {
+	return &heldOp{arrived: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (h *heldOp) park() {
+	if h.taken.CompareAndSwap(false, true) {
+		close(h.arrived)
+		<-h.release
+	}
+}
+
+// wantEverywhere asserts that every replica holds the counter at want, in
+// its firmware and in the value its slot carries.
+func (r *rig) wantEverywhere(t *testing.T, uuid pse.UUID, want uint32) {
+	t.Helper()
+	for i, rep := range r.replicas {
+		rep.mu.Lock()
+		slot, agent := rep.table[uuid.ID], rep.agent
+		rep.mu.Unlock()
+		if slot == nil {
+			t.Errorf("%s: no slot for counter %d", rep.ID(), uuid.ID)
+			continue
+		}
+		v, err := r.services[i].Read(agent, slot.local)
+		if err != nil {
+			t.Fatalf("%s: local read: %v", rep.ID(), err)
+		}
+		if v != want || slot.value != want {
+			t.Errorf("%s: local counter = %d (slot carries %d), want %d", rep.ID(), v, slot.value, want)
+		}
+	}
+}
+
+// TestReseedCoversHeldWrite: an increment acked by rep-0 and rep-1 leaves
+// rep-2's copy on the wire; rep-2's machine restarts and is reseeded to
+// the quorum value; then the held write lands. It must change nothing
+// (a relative "+1" used to land on top of the reseed: 2, and through the
+// escrow binding counter a lost enclave).
+func TestReseedCoversHeldWrite(t *testing.T) {
+	r := newRig(t, 1)
 	g := r.group
 	uuid, _, err := g.Create(r.client)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.IncrementN(r.client, uuid, 6); err != nil {
+	g.Quiesce()
+
+	write := newHeldOp()
+	r.net.SetAdversary(opHook{g: g, f: func(replica string, m *opMessage) error {
+		if replica == "rep-2" && m.Op == opAdvance {
+			write.park()
+		}
+		return nil
+	}})
+	if v, err := g.Increment(r.client, uuid); err != nil || v != 1 {
+		t.Fatalf("increment acked by rep-0, rep-1: v=%d err=%v", v, err)
+	}
+	<-write.arrived
+
+	r.machines[2].Restart()
+	if err := r.replicas[2].Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Reseed("rep-2"); err != nil {
+		t.Fatal(err)
+	}
+	close(write.release)
+	g.Quiesce()
+
+	if v, err := g.Read(r.client, uuid); err != nil || v != 1 {
+		t.Fatalf("read after the held write landed on the reseeded replica: v=%d err=%v, want 1", v, err)
+	}
+	g.Quiesce()
+	r.wantEverywhere(t, uuid, 1)
+}
+
+// TestMissedCreateRepairCoversHeldWrite: rep-2's copies of the create and
+// of the first increment are both held. A read answered first by rep-0
+// (1) and rep-2 (not found) repairs rep-2 — create, then advance to 1 —
+// and then the held messages land: the create is a duplicate, the write
+// already covered.
+func TestMissedCreateRepairCoversHeldWrite(t *testing.T) {
+	r := newRig(t, 1)
+	g := r.group
+
+	create, write := newHeldOp(), newHeldOp()
+	var reads atomic.Int32
+	othersAnswered, repaired := make(chan struct{}), make(chan struct{})
+	var repairedOnce sync.Once
+	r.net.SetAdversary(opHook{g: g,
+		f: func(replica string, m *opMessage) error {
+			switch {
+			case replica == "rep-2" && m.Op == opCreate:
+				create.park()
+			case replica == "rep-2" && m.Op == opAdvance:
+				write.park() // the increment's write; the repair's passes
+			case replica == "rep-1" && m.Op == opRead:
+				<-othersAnswered
+			}
+			return nil
+		},
+		done: func(replica string, m *opMessage) {
+			switch {
+			case replica != "rep-1" && m.Op == opRead:
+				if reads.Add(1) == 2 {
+					close(othersAnswered)
+				}
+			case replica == "rep-2" && m.Op == opAdvance:
+				repairedOnce.Do(func() { close(repaired) })
+			}
+		},
+	})
+
+	uuid, _, err := g.Create(r.client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-create.arrived
+	if v, err := g.Increment(r.client, uuid); err != nil || v != 1 {
+		t.Fatalf("increment acked by rep-0, rep-1: v=%d err=%v", v, err)
+	}
+	<-write.arrived
+	if v, err := g.Read(r.client, uuid); err != nil || v != 1 {
+		t.Fatalf("read across a replica that missed the create: v=%d err=%v, want 1", v, err)
+	}
+	<-repaired
+	close(create.release)
+	close(write.release)
+	g.Quiesce()
+
+	r.wantEverywhere(t, uuid, 1)
+	if v, err := g.Read(r.client, uuid); err != nil || v != 1 {
+		t.Fatalf("read after the held create and write landed: v=%d err=%v, want 1", v, err)
+	}
+	g.Quiesce()
+}
+
+// TestReadDoesNotWaitForHeldWrite: with rep-2's copy of an increment held
+// and rep-1 slow, a read is answered by rep-0 (1) and rep-2 (0). It
+// repairs rep-2 and returns 1 while the write is still on the wire (it
+// used to wait for the write to land first); the write landing afterwards
+// changes nothing.
+func TestReadDoesNotWaitForHeldWrite(t *testing.T) {
+	r := newRig(t, 1)
+	g := r.group
+	uuid, _, err := g.Create(r.client)
+	if err != nil {
 		t.Fatal(err)
 	}
 	g.Quiesce()
 
-	held := make(chan struct{}) // closed to let every held request go
-	var release sync.Once
+	write := newHeldOp()
+	readReturned := make(chan struct{})
 	r.net.SetAdversary(opHook{g: g, f: func(replica string, m *opMessage) error {
 		switch {
-		case m.Op == opIncrement && replica == "rep-1":
+		case replica == "rep-2" && m.Op == opAdvance:
+			write.park()
+		case replica == "rep-1" && m.Op == opRead:
+			<-readReturned
+		}
+		return nil
+	}})
+	if v, err := g.Increment(r.client, uuid); err != nil || v != 1 {
+		t.Fatalf("increment acked by rep-0, rep-1: v=%d err=%v", v, err)
+	}
+	<-write.arrived
+
+	type result struct {
+		v   uint32
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		v, err := g.Read(r.client, uuid)
+		got <- result{v, err}
+	}()
+	select {
+	case res := <-got:
+		if res.err != nil || res.v != 1 {
+			t.Fatalf("read with a write still held: v=%d err=%v, want 1", res.v, res.err)
+		}
+	case <-time.After(10 * time.Second): // only ever reached by a failing run
+		t.Fatal("read is waiting for the held write")
+	}
+	close(readReturned)
+	close(write.release)
+	g.Quiesce()
+
+	r.wantEverywhere(t, uuid, 1)
+	if v, err := g.Read(r.client, uuid); err != nil || v != 1 {
+		t.Fatalf("read after the held write landed: v=%d err=%v, want 1", v, err)
+	}
+	g.Quiesce()
+}
+
+// TestForgedCapabilityInstallsNothing: a write is refused by a replica
+// that holds no slot for its counter, so neither a never-issued ID nor a
+// live ID under a wrong nonce — sent while rep-2 has missed the create —
+// mints a slot, spends budget, or moves the real counter.
+func TestForgedCapabilityInstallsNothing(t *testing.T) {
+	r := newRig(t, 1)
+	g := r.group
+	owner := r.client.MREnclave()
+	r.net.SetAdversary(dropAdversary{kind: kindOp, to: r.replicas[2].Address()})
+	uuid, _, err := g.Create(r.client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Quiesce()
+	r.net.SetAdversary(nil)
+
+	footprint := func() string {
+		s := fmt.Sprintf("live=%d owned=%d", g.TotalLive(), g.Count(owner))
+		for i, rep := range r.replicas {
+			rep.mu.Lock()
+			s += fmt.Sprintf(" %s:%d/%d", rep.ID(), len(rep.table), r.services[i].TotalLive())
+			rep.mu.Unlock()
+		}
+		return s
+	}
+	before := footprint()
+	if want := "live=1 owned=1 rep-0:1/1 rep-1:1/1 rep-2:0/0"; before != want {
+		t.Fatalf("setup: %s, want %s", before, want)
+	}
+
+	wrongNonce := uuid
+	wrongNonce.Nonce[0] ^= 0xFF
+	for name, forged := range map[string]pse.UUID{
+		"never-issued id": {ID: uuid.ID + 1000, Nonce: uuid.Nonce},
+		"wrong nonce":     wrongNonce,
+	} {
+		if _, err := g.Increment(r.client, forged); !errors.Is(err, pse.ErrCounterNotFound) {
+			t.Errorf("%s: increment: err = %v", name, err)
+		}
+		if _, err := g.Read(r.client, forged); !errors.Is(err, pse.ErrCounterNotFound) {
+			t.Errorf("%s: read: err = %v", name, err)
+		}
+		if _, err := g.AdminAdvance(owner, forged, 7); !errors.Is(err, pse.ErrCounterNotFound) {
+			t.Errorf("%s: admin advance: err = %v", name, err)
+		}
+		g.Quiesce()
+		if after := footprint(); after != before {
+			t.Errorf("%s: footprint %s, was %s", name, after, before)
+		}
+	}
+	// The refused writes consumed nothing of the real counter either.
+	if v, err := g.Increment(r.client, uuid); err != nil || v != 1 {
+		t.Fatalf("owner's increment after the forgeries: v=%d err=%v, want 1", v, err)
+	}
+	g.Quiesce()
+}
+
+// TestWritesCommuteUnderAdversary is the seeded property behind the three
+// scenarios above: one incrementer, two readers, and an adversary that for
+// every increment picks a replica and drops, delays (past the following
+// increment) or records-for-replay the next write addressed to it —
+// sometimes dropping a second replica's copy too, so the attempt fails on
+// a minority. Every successful increment returns exactly the previous
+// result + 1 + the attempts that failed in between, and more than any
+// read before it; a reader never sees a value go back; no replica ever
+// holds more than the highest value issued.
+func TestWritesCommuteUnderAdversary(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) { writesCommute(t, seed) })
+	}
+}
+
+func writesCommute(t *testing.T, seed int64) {
+	const (
+		pass = iota
+		drop
+		dropTwo
+		delay
+		record
+		modes
+	)
+	r := newRig(t, 1)
+	g := r.group
+	uuid, _, err := g.Create(r.client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Quiesce()
+
+	// The plan of the current increment, set by the incrementer.
+	var (
+		mu       sync.Mutex
+		mode     int
+		victim   string
+		second   string // dropTwo's other replica
+		armed    bool   // the victim's next write has not been seen yet
+		gate     chan struct{}
+		recorded []transport.Message
+	)
+	r.net.SetAdversary(&transport.Interceptor{Request: func(msg *transport.Message) error {
+		replica, m := opHook{g: g}.open(msg)
+		if m == nil || m.Op != opAdvance {
+			return nil
+		}
+		mu.Lock()
+		md, hit, wait := mode, armed && replica == victim, gate
+		if hit {
+			armed = false
+			if md == record {
+				cp := *msg
+				cp.Payload = append([]byte(nil), msg.Payload...)
+				recorded = append(recorded, cp)
+			}
+		}
+		also := md == dropTwo && replica == second
+		mu.Unlock()
+		switch {
+		case also, hit && (md == drop || md == dropTwo):
 			return transport.ErrDropped
-		case m.Op == opIncrement && replica == "rep-2",
-			m.Op == opRead && (replica == "rep-3" || replica == "rep-4"):
-			<-held
-		case m.Op == opAdvance && replica == "rep-1":
-			release.Do(func() {
-				close(held)
-				for g.counterInflight(uuid.ID) {
-					runtime.Gosched()
-				}
-			})
+		case hit && md == delay:
+			<-wait
 		}
 		return nil
 	}})
 
-	if v, err := g.Increment(r.client, uuid); err != nil || v != 7 {
-		t.Fatalf("increment acked by rep-0, rep-3, rep-4: v=%d err=%v", v, err)
-	}
-	// rep-1's refusal may still be in the increment's late-vote queue.
-	for g.hasInflight(uuid.ID, "rep-1") {
-		runtime.Gosched()
-	}
-	if !g.hasInflight(uuid.ID, "rep-2") {
-		t.Fatal("setup: rep-2's increment is not in flight")
+	var maxRead atomic.Uint32
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	var gates []chan struct{} // gates[i] is released when increment i+2 starts
+	released := 0
+	defer func() {
+		close(stop)
+		for _, gt := range gates[released:] {
+			close(gt)
+		}
+		readers.Wait()
+		g.Quiesce()
+	}()
+	for i := 0; i < 2; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var last uint32
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v, err := g.Read(r.client, uuid)
+				if errors.Is(err, ErrNoQuorum) {
+					continue // a dropped repair can leave a read short of a quorum
+				}
+				if err != nil {
+					t.Errorf("read: %v", err)
+					return
+				}
+				if v < last {
+					t.Errorf("read went back: %d after %d", v, last)
+					return
+				}
+				last = v
+				for cur := maxRead.Load(); v > cur && !maxRead.CompareAndSwap(cur, v); cur = maxRead.Load() {
+				}
+			}
+		}()
 	}
 
-	v, err := g.Read(r.client, uuid)
-	if err != nil || v != 7 {
-		t.Fatalf("read across a straggler that landed mid-confirm: v=%d err=%v, want 7", v, err)
+	rng := rand.New(rand.NewSource(seed))
+	var issued, failed uint32 // highest value issued; attempts failed since the last success
+	for op := 0; op < 200 && !t.Failed(); op++ {
+		if op >= 2 {
+			close(gates[released])
+			released++
+		}
+		next := make(chan struct{})
+		gates = append(gates, next)
+		mu.Lock()
+		armed = false // the replay below is delivered as is
+		var replay *transport.Message
+		if len(recorded) > 0 && rng.Intn(2) == 0 {
+			replay = &recorded[rng.Intn(len(recorded))]
+		}
+		mu.Unlock()
+		if replay != nil {
+			// A recorded write delivered again, increments later.
+			_, _ = r.net.Send(replay.From, replay.To, replay.Kind, replay.Payload)
+		}
+		mu.Lock()
+		mode, armed, gate = rng.Intn(modes), true, next
+		v := rng.Intn(3)
+		victim, second = r.replicas[v].ID(), r.replicas[(v+1+rng.Intn(2))%3].ID()
+		mu.Unlock()
+
+		seen := maxRead.Load()
+		got, err := g.Increment(r.client, uuid)
+		issued++
+		switch {
+		case errors.Is(err, ErrNoQuorum):
+			failed++
+		case err != nil:
+			t.Fatalf("increment %d: %v", op, err)
+		case got != issued:
+			t.Fatalf("increment %d returned %d, want %d (%d attempts failed since the last success)", op, got, issued, failed)
+		case got <= seen:
+			t.Fatalf("increment %d returned %d, not above the earlier read of %d", op, got, seen)
+		default:
+			failed = 0
+		}
+		for i, rep := range r.replicas {
+			rep.mu.Lock()
+			slot, agent := rep.table[uuid.ID], rep.agent
+			rep.mu.Unlock()
+			if v, err := r.services[i].Read(agent, slot.local); err != nil || v > issued {
+				t.Fatalf("after increment %d: %s holds %d (err=%v), highest issued is %d", op, rep.ID(), v, err, issued)
+			}
+		}
 	}
-	select {
-	case <-held:
-	default:
-		t.Fatal("the read never repaired rep-1: the scenario did not run")
+	if last, err := g.Inspect(r.client.MREnclave(), uuid); err == nil && (last > issued || last < issued-failed) {
+		t.Fatalf("final value %d, want %d..%d", last, issued-failed, issued)
 	}
-	g.Quiesce()
 }

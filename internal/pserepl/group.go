@@ -7,14 +7,23 @@
 // A Group fronts 2f+1 Replicas hosted on distinct machines. Mutations
 // (Create, Increment, IncrementN, DestroyAndRead) commit when a majority
 // (f+1) of replicas ack; Read returns the maximum value reported by a
-// majority, then read-repairs stragglers up to it. Because any two
-// majorities intersect, the maximum over a read quorum always includes
-// the latest committed increment, and the repair keeps any value a read
-// has returned — including one left by a partial, quorum-failed
-// increment — visible to every later majority: counter values never
-// regress while at most f replicas are down, the rollback protection the
-// migration protocol needs, now minus the single-machine single point of
-// failure.
+// majority, then repairs stragglers up to it. Because any two majorities
+// intersect, the maximum over a read quorum always includes the latest
+// committed increment, and the repair keeps any value a read has
+// returned — including one left by a partial, quorum-failed increment —
+// visible to every later majority: counter values never regress while at
+// most f replicas are down, the rollback protection the migration
+// protocol needs, now minus the single-machine single point of failure.
+//
+// There is one counter write, "advance to at least N" (opAdvance). The
+// coordinator serializes a counter's writers and remembers the highest
+// value it issued for it, so an increment by n is one broadcast of
+// "advance to issued+n": above everything any replica holds, hence a
+// unique result above every earlier read. Repairs, reseeds and handoffs
+// write the same way, and a replica applies max(local, N), so writes
+// commute: one that arrives late, twice, out of order, or after a repair
+// that already covered it changes nothing. A replicated counter never
+// skips — it is as strong as a native one (the paper's R1).
 //
 // Replication messages ride the repository's tagged binary wire codec
 // over transport.Messenger, so every hop is charged through sim.Latency
@@ -23,10 +32,10 @@
 // bench.ReplicationSweep.
 //
 // Recovery: a replica that rejoins after a machine restart refuses to
-// serve until Group.Reseed replays the quorum's per-counter maxima onto
-// it as forward-only deltas; a machine being drained hands its replica
-// role to a fresh machine through Group.Handoff the same way. Neither
-// path can ever lower a counter value.
+// serve until Group.Reseed raises its counters to the quorum's
+// per-counter maxima; a machine being drained hands its replica role to
+// a fresh machine through Group.Handoff the same way. Neither path can
+// ever lower a counter value.
 package pserepl
 
 import (
@@ -98,11 +107,12 @@ type Group struct {
 	// broadcast collects its deciding votes, so reconfiguration (Reseed,
 	// Handoff) serializes against the commit point of in-flight
 	// operations: a snapshot taken under the write lock reflects every
-	// operation that has returned. Straggler votes and their background
-	// read-repairs can outlive the read lock (the early-quorum return);
-	// they are forward-only opAdvance traffic that cannot regress the
-	// snapshot, and Quiesce waits them out when a settled group is
-	// needed.
+	// operation that has returned. Straggler writes and their background
+	// repairs can outlive the read lock (the early-quorum return); every
+	// one of them is an opAdvance to a value the snapshot's quorum already
+	// holds or exceeds, so landing before, during or after the reseed it
+	// neither regresses the target nor pushes it past what was issued.
+	// Quiesce waits them out when a settled group is needed.
 	memMu   sync.RWMutex
 	members map[string]transport.Address
 
@@ -123,12 +133,13 @@ type Group struct {
 	// forked enclave's freeze would succeed alongside the original's.
 	destroyMu sync.Mutex
 
-	// incrMu stripes serialize increments per counter, again standing in
-	// for the firmware's serial rate-limited transactions: without it,
-	// two concurrent increments could each take the maximum over their
-	// own ack sets and return the same value, losing the unique-result
-	// property TrInc-style attestation builds on.
-	incrMu [16]sync.Mutex
+	// incrMu stripes serialize the writers of a counter, again standing
+	// in for the firmware's serial rate-limited transactions, and hold the
+	// highest value issued for each live counter (at most pse.MaxCounters
+	// entries in all). Every value a replica holds was issued here, so
+	// issued+n exceeds them all and no two increments share a result — the
+	// unique-result property TrInc-style attestation builds on.
+	incrMu [16]counterStripe
 
 	// recoverMu guards the two failure ledgers below.
 	recoverMu sync.Mutex
@@ -147,16 +158,6 @@ type Group struct {
 	// snapshot merge cleans the ghosts up at the next reseed instead.
 	aborted map[uint32]struct{}
 
-	// inflightMu guards inflight: per counter, the replicas whose
-	// RELATIVE increment applies are still in flight after an
-	// early-quorum return. A replica lagging for that reason must NOT be
-	// read-repaired: the absolute advance would land first and the
-	// relative apply on top of it, double-counting the increment. Such
-	// lag is transient and self-healing (the apply is already on its
-	// way); repair skips these replicas, and entries clear as the
-	// straggler votes drain.
-	inflightMu sync.Mutex
-	inflight   map[uint32]map[string]int
 	// escrowObs and escrowAud, when set, observe committed escrow puts
 	// (guarded by recoverMu; see SetEscrowObserver / SetEscrowAuditor).
 	escrowObs func(owner sgx.Measurement, id [16]byte, version uint32)
@@ -165,6 +166,14 @@ type Group struct {
 	// obs records quorum-operation spans, per-op counters, per-replica
 	// vote telemetry and escrow audit events; nil disables recording.
 	obs atomic.Pointer[groupObs]
+}
+
+// counterStripe is one stripe of Group.incrMu. Under its lock, issued
+// maps a counter to the highest value written for it: 0 from its create,
+// dropped when a destroy completes.
+type counterStripe struct {
+	sync.Mutex
+	issued map[uint32]uint32
 }
 
 // groupObs is the group's observer with every member's children of the
@@ -219,7 +228,9 @@ func NewGroup(name string, f int, msgr transport.Messenger, replicas ...*Replica
 		perOwner:      make(map[sgx.Measurement]int),
 		destroyFinals: make(map[uint32]uint32),
 		aborted:       make(map[uint32]struct{}),
-		inflight:      make(map[uint32]map[string]int),
+	}
+	for i := range g.incrMu {
+		g.incrMu[i].issued = make(map[uint32]uint32)
 	}
 	g.obs.Store(&groupObs{})
 	seen := make(map[string]bool, len(replicas))
@@ -569,21 +580,40 @@ func statusErr(st byte) error {
 	}
 }
 
-// quorumOp stamps one operation with a fresh nonce, broadcasts it, and
-// applies the quorum tally, returning as soon as the success tally is
-// decidable. A replayed request at a replica can at most over-advance a
-// counter (like a firmware retry after a lost ack) — never regress one —
-// so requests need no dedup state replica-side; the nonce's job is making
-// the votes unforgeable.
-func (g *Group) quorumOp(m *opMessage, goneIsAck bool) (uint32, error) {
+// sendOp stamps one counter operation with a fresh nonce and broadcasts
+// it under the membership read lock — to every member, or only to the
+// named ones — collecting votes until early decides (nil: all of them).
+func (g *Group) sendOp(m *opMessage, only []string, early func([]vote) bool) ([]vote, <-chan vote, error) {
 	nonce, err := newNonce()
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
 	m.Nonce = nonce
 	g.memMu.RLock()
 	defer g.memMu.RUnlock()
-	votes, _ := g.broadcastLocked(g.members, kindOp, m.encode(), nonce, replyOp, g.successRule(goneIsAck))
+	to := g.members
+	if only != nil {
+		to = make(map[string]transport.Address, len(only))
+		for _, id := range only {
+			if addr, ok := g.members[id]; ok {
+				to[id] = addr
+			}
+		}
+	}
+	votes, late := g.broadcastLocked(to, kindOp, m.encode(), nonce, replyOp, early)
+	return votes, late, nil
+}
+
+// quorumOp broadcasts one operation and applies the quorum tally,
+// returning as soon as the success tally is decidable. A replayed request
+// changes nothing at a replica — creates and destroys are idempotent per
+// ID, the one counter write is "at least N" — so requests need no dedup
+// state replica-side; the nonce's job is making the votes unforgeable.
+func (g *Group) quorumOp(m *opMessage, goneIsAck bool) (uint32, error) {
+	votes, _, err := g.sendOp(m, nil, g.successRule(goneIsAck))
+	if err != nil {
+		return 0, err
+	}
 	return g.tally(votes, goneIsAck)
 }
 
@@ -606,10 +636,12 @@ func (g *Group) Increment(e *sgx.Enclave, uuid pse.UUID) (uint32, error) {
 
 // IncrementN adds n to the counter in one replicated transaction,
 // committing on a majority, and returns the new value. Increments on one
-// counter are coordinator-serialized (unique results, like the serial
-// firmware), and the returned value is confirmed durable: at least a
-// majority of replicas holds it before the call returns, so no single
-// (≤f) failure can make a returned value unobservable again.
+// counter are coordinator-serialized and written as "advance to issued+n"
+// (unique results, like the serial firmware), and the returned value is
+// confirmed durable: at least a majority of replicas holds it before the
+// call returns, so no single (≤f) failure can make a returned value
+// unobservable again. The target of an attempt that failed its quorum
+// stays consumed — it may sit on a minority where a read can see it.
 func (g *Group) IncrementN(e *sgx.Enclave, uuid pse.UUID, n int) (uint32, error) {
 	if n < 1 {
 		return 0, fmt.Errorf("%w: %d", pse.ErrBadIncrement, n)
@@ -621,10 +653,35 @@ func (g *Group) IncrementN(e *sgx.Enclave, uuid pse.UUID, n int) (uint32, error)
 		return 0, err
 	}
 	defer g.opSpan(obs.SpanQuorumIncrement, obs.QuorumIncrement).End()
-	mu := &g.incrMu[uuid.ID%uint32(len(g.incrMu))]
-	mu.Lock()
-	defer mu.Unlock()
-	return g.commitOp(&opMessage{Op: opIncrement, UUID: uuid, Owner: e.MREnclave(), N: uint32(n)})
+	st := g.stripe(uuid.ID)
+	st.Lock()
+	defer st.Unlock()
+	issued, live := st.issued[uuid.ID]
+	if !live {
+		return 0, pse.ErrCounterNotFound
+	}
+	if uint32(n) > ^uint32(0)-issued {
+		return 0, pse.ErrCounterOverflow
+	}
+	return g.advanceLocked(st, e.MREnclave(), uuid, issued+uint32(n))
+}
+
+// stripe returns the incrMu stripe of a counter ID.
+func (g *Group) stripe(id uint32) *counterStripe {
+	return &g.incrMu[id%uint32(len(g.incrMu))]
+}
+
+// advanceLocked commits "advance to at least n" on a quorum and returns
+// the quorum value; the caller holds the counter's stripe st and found
+// the counter live there. n counts as issued unless the replicas refused
+// it outright (wrong capability or owner: none of them applied it), so a
+// caller without the capability cannot make the owner's counter skip.
+func (g *Group) advanceLocked(st *counterStripe, owner sgx.Measurement, uuid pse.UUID, n uint32) (uint32, error) {
+	v, err := g.commitOp(&opMessage{Op: opAdvance, UUID: uuid, Owner: owner, N: n})
+	if (err == nil || errors.Is(err, ErrNoQuorum)) && n > st.issued[uuid.ID] {
+		st.issued[uuid.ID] = n
+	}
+	return v, err
 }
 
 // Read returns the counter value: the maximum a majority of replicas
@@ -705,17 +762,26 @@ func (g *Group) AdminCreate(owner sgx.Measurement) (pse.UUID, error) {
 		release()
 		return pse.UUID{}, fmt.Errorf("replicated create: %w", err)
 	}
+	st := g.stripe(m.UUID.ID)
+	st.Lock()
+	st.issued[m.UUID.ID] = 0
+	st.Unlock()
 	return m.UUID, nil
 }
 
-// AdminAdvance raises the counter to at least v on a quorum (forward-
-// only, idempotent — the mirror's value-synchronization primitive, the
-// same opAdvance read-repair uses). It can never lower a counter, and a
-// replica that missed the counter's create installs it from the carried
-// capability, so replaying or repeating an advance is harmless. Returns
-// the quorum value after the advance.
+// AdminAdvance raises the counter to at least v on a quorum — the
+// mirror's value-synchronization primitive, and the same write increments
+// and repairs send. It can never lower a counter, so replaying or
+// repeating an advance is harmless. Returns the quorum value after the
+// advance.
 func (g *Group) AdminAdvance(owner sgx.Measurement, uuid pse.UUID, v uint32) (uint32, error) {
-	return g.commitOp(&opMessage{Op: opAdvance, UUID: uuid, Owner: owner, N: v})
+	st := g.stripe(uuid.ID)
+	st.Lock()
+	defer st.Unlock()
+	if _, live := st.issued[uuid.ID]; !live {
+		return 0, pse.ErrCounterNotFound
+	}
+	return g.advanceLocked(st, owner, uuid, v)
 }
 
 // AdminDestroy destroys a counter on behalf of the named owner without
@@ -728,272 +794,114 @@ func (g *Group) AdminDestroy(owner sgx.Measurement, uuid pse.UUID) (uint32, erro
 	return g.destroyQuorum(owner, uuid)
 }
 
-// addInflight marks replicas with a relative apply still in flight.
-func (g *Group) addInflight(id uint32, replicas []string) {
-	if len(replicas) == 0 {
-		return
-	}
-	g.inflightMu.Lock()
-	per := g.inflight[id]
-	if per == nil {
-		per = make(map[string]int)
-		g.inflight[id] = per
-	}
-	for _, r := range replicas {
-		per[r]++
-	}
-	g.inflightMu.Unlock()
-}
-
-// clearInflight retires one in-flight apply (its straggler vote drained).
-func (g *Group) clearInflight(id uint32, replica string) {
-	g.inflightMu.Lock()
-	if per := g.inflight[id]; per != nil {
-		if per[replica] > 1 {
-			per[replica]--
-		} else {
-			delete(per, replica)
-			if len(per) == 0 {
-				delete(g.inflight, id)
-			}
-		}
-	}
-	g.inflightMu.Unlock()
-}
-
-// hasInflight reports whether a replica has relative applies in flight
-// for the counter (read-repair must leave it alone).
-func (g *Group) hasInflight(id uint32, replica string) bool {
-	g.inflightMu.Lock()
-	defer g.inflightMu.Unlock()
-	per := g.inflight[id]
-	return per != nil && per[replica] > 0
-}
-
-// commitOp is the shared commit sequence of reads and increments: stamp
-// a fresh nonce, broadcast, tally — returning as soon as a quorum of acks
-// makes the result decidable — and confirm the result durable on a
-// majority (repairing stragglers) before returning it. Votes that arrive
-// after an early return are drained in the background and read-repaired
-// the same way, so the healing the full-wait collection performed still
-// happens; it just no longer sits on the caller's latency path
-// (Quiesce observes its completion).
+// commitOp is the shared commit sequence of reads and writes: broadcast,
+// tally — returning as soon as a quorum of acks makes the result
+// decidable — and confirm the result durable on a majority (repairing
+// stragglers) before returning it. Votes that arrive after an early
+// return are drained in the background and repaired the same way, so the
+// healing the full-wait collection performed still happens; it just no
+// longer sits on the caller's latency path (Quiesce observes its
+// completion).
 func (g *Group) commitOp(m *opMessage) (uint32, error) {
-	nonce, err := newNonce()
+	votes, late, err := g.sendOp(m, nil, g.successRule(false))
 	if err != nil {
 		return 0, err
-	}
-	m.Nonce = nonce
-	g.memMu.RLock()
-	members := make(map[string]transport.Address, len(g.members))
-	for id, addr := range g.members {
-		members[id] = addr
-	}
-	if m.Op == opIncrement {
-		// Register every replica's +n apply as in flight BEFORE the
-		// broadcast, so no concurrent read-repair can land an absolute
-		// advance under a relative apply (which would double-count this
-		// increment). Responders are cleared as their votes arrive;
-		// stragglers clear when repairLate/drainLate drains them.
-		all := make([]string, 0, len(members))
-		for id := range members {
-			all = append(all, id)
-		}
-		g.addInflight(m.UUID.ID, all)
-	}
-	votes, late := g.broadcastLocked(members, kindOp, m.encode(), nonce, replyOp, g.successRule(false))
-	g.memMu.RUnlock()
-	if m.Op == opIncrement {
-		for i := range votes {
-			g.clearInflight(m.UUID.ID, votes[i].id)
-		}
 	}
 	v, err := g.tally(votes, false)
 	if err != nil {
-		g.drainLate(m, late, len(members)-len(votes))
+		return 0, err // never decided early: the vote set is complete
+	}
+	g.repairLate(m, late, 2*g.f+1-len(votes), v)
+	if err := g.confirmDurable(m, votes, v); err != nil {
 		return 0, err
 	}
-	if converging, err := g.confirmDurable(m, votes, v); err != nil {
-		// The late channel is handed to exactly one drainer: from here on
-		// drainLate owns it (repairLate must not also consume it — each
-		// straggler vote is sent once).
-		g.drainLate(m, late, len(members)-len(votes))
-		if !converging {
-			return 0, err
-		}
-		// The shortfall involves replicas whose relative applies were
-		// still in flight when confirmDurable looked: they could not be
-		// counted (unrepairable without double-counting) but WILL converge
-		// on their own. Wait for the applies to land, then re-confirm v
-		// durable. (confirmDurable's own observation decides this, not a
-		// second sample: a straggler landing in between would turn a
-		// converged group into ErrNoQuorum.)
-		if err := g.awaitConverged(m, v); err != nil {
-			return 0, err
-		}
-		return v, nil
-	}
-	g.repairLate(m, late, len(members)-len(votes), v)
 	return v, nil
 }
 
-// counterInflight reports whether any replica has relative applies in
-// flight for the counter.
-func (g *Group) counterInflight(id uint32) bool {
-	g.inflightMu.Lock()
-	defer g.inflightMu.Unlock()
-	return len(g.inflight[id]) > 0
-}
+// repairSet collects the voters a commit has to bring up to its value:
+// lagging ones hold the counter below it, missing ones never saw the
+// counter's create.
+type repairSet struct{ lagging, missing []string }
 
-// awaitConverged waits for a counter's in-flight relative applies to
-// land (they clear as straggler votes drain), then re-reads the quorum
-// and confirms v durable on a majority. Used when a commit's durability
-// check fell short only because repairs had to skip converging
-// replicas; v stays the operation's result, so increment results remain
-// unique.
-func (g *Group) awaitConverged(m *opMessage, v uint32) error {
-	deadline := time.Now().Add(30 * time.Second)
-	for g.counterInflight(m.UUID.ID) && time.Now().Before(deadline) {
-		time.Sleep(100 * time.Microsecond)
+// note files one vote against the commit value v and reports whether the
+// voter already holds it.
+func (s *repairSet) note(vt *vote, v uint32) bool {
+	if vt.err != nil || vt.reply == nil {
+		return false
 	}
-	rd := &opMessage{Op: opRead, UUID: m.UUID, Owner: m.Owner}
-	nonce, err := newNonce()
-	if err != nil {
-		return err
+	switch {
+	case vt.reply.Status == statusNotFound:
+		s.missing = append(s.missing, vt.id)
+	case vt.reply.Status != statusOK:
+	case vt.reply.Value >= v:
+		return true
+	default:
+		s.lagging = append(s.lagging, vt.id)
 	}
-	rd.Nonce = nonce
-	g.memMu.RLock()
-	votes, _ := g.broadcastLocked(g.members, kindOp, rd.encode(), nonce, replyOp, nil)
-	g.memMu.RUnlock()
-	if _, err := g.tally(votes, false); err != nil {
-		return err
-	}
-	_, err = g.confirmDurable(rd, votes, v)
-	return err
+	return false
 }
 
 // confirmDurable makes the value an operation is about to return
-// majority-durable: ack-set members that reported below v are advanced
-// up to it (forward-only read-repair), and unless at least a quorum of
-// replicas then holds v, the operation reports ErrNoQuorum instead of
+// majority-durable: ack-set members that reported below v (or missed the
+// counter's create) are repaired up to it, and unless at least a quorum
+// of replicas then holds v, the operation reports ErrNoQuorum instead of
 // returning a value a single ≤f failure could make unobservable. The
 // common case — all ackers already agree on v — confirms without any
-// extra round trip. converging reports that a shortfall left out at least
-// one replica only because its relative applies were still in flight.
-func (g *Group) confirmDurable(m *opMessage, votes []vote, v uint32) (converging bool, err error) {
+// extra round trip.
+func (g *Group) confirmDurable(m *opMessage, votes []vote, v uint32) error {
 	confirmed := 0
-	var lagging []string
-	for _, vt := range votes {
-		if vt.err != nil || vt.reply == nil {
-			continue
-		}
-		switch {
-		case vt.reply.Status == statusOK && vt.reply.Value >= v:
+	var behind repairSet
+	for i := range votes {
+		if behind.note(&votes[i], v) {
 			confirmed++
-		case vt.reply.Status == statusOK:
-			// A replica lagging only because its relative applies are
-			// still in flight must not be advanced (the apply would land
-			// on top and double-count); its own applies will carry it to
-			// v. It counts as neither confirmed nor repairable.
-			if g.hasInflight(m.UUID.ID, vt.id) {
-				converging = true
-			} else {
-				lagging = append(lagging, vt.id)
-			}
-		case vt.reply.Status == statusNotFound:
-			// The replica missed the committed create entirely; the
-			// repair installs the slot (opAdvance carries the full
-			// capability), so the group heals back to full replication
-			// instead of silently running one replica short.
-			lagging = append(lagging, vt.id)
 		}
 	}
-	if confirmed >= g.Quorum() && len(lagging) == 0 {
-		return false, nil
-	}
-	for _, vt := range g.advanceSubset(m, lagging, v) {
+	for _, vt := range g.repair(m, &behind, v) {
 		if vt.err == nil && vt.reply != nil && vt.reply.Status == statusOK && vt.reply.Value >= v {
 			confirmed++
 		}
 	}
 	if confirmed < g.Quorum() {
-		return converging, fmt.Errorf("%w: value %d confirmed on %d replicas, need %d",
+		return fmt.Errorf("%w: value %d confirmed on %d replicas, need %d",
 			ErrNoQuorum, v, confirmed, g.Quorum())
 	}
-	return false, nil
+	return nil
 }
 
-// advanceSubset read-repairs the named members up to v for m's counter
-// (forward-only, idempotent) and returns their votes.
-func (g *Group) advanceSubset(m *opMessage, ids []string, v uint32) []vote {
-	if len(ids) == 0 {
+// repair advances the set's members to at least v for m's counter and
+// returns their votes. A member that missed the create is sent the
+// idempotent create first: only a repair installs a slot, and a repair
+// runs only after a quorum acked the same capability — the write itself
+// never does, so a client cannot mint or poison a slot with it.
+func (g *Group) repair(m *opMessage, s *repairSet, v uint32) []vote {
+	if len(s.lagging)+len(s.missing) == 0 {
 		return nil
 	}
-	adv := &opMessage{Op: opAdvance, UUID: m.UUID, Owner: m.Owner, N: v}
-	nonce, err := newNonce()
-	if err != nil {
-		return nil
+	if len(s.missing) > 0 {
+		g.sendOp(&opMessage{Op: opCreate, UUID: m.UUID, Owner: m.Owner}, s.missing, nil)
 	}
-	adv.Nonce = nonce
-	g.memMu.RLock()
-	subset := make(map[string]transport.Address, len(ids))
-	for _, id := range ids {
-		if addr, ok := g.members[id]; ok {
-			subset[id] = addr
-		}
-	}
-	repairs, _ := g.broadcastLocked(subset, kindOp, adv.encode(), nonce, replyOp, nil)
-	g.memMu.RUnlock()
-	return repairs
+	// Best effort: the advance's votes say whether the repair took.
+	votes, _, _ := g.sendOp(&opMessage{Op: opAdvance, UUID: m.UUID, Owner: m.Owner, N: v}, append(s.lagging, s.missing...), nil)
+	return votes
 }
 
 // repairLate drains the votes outstanding after an early-quorum return
-// and read-repairs stragglers that answered below the returned value (or
+// and repairs stragglers that answered below the returned value (or
 // missed the counter's create entirely) — the same healing the full-wait
-// collection performed, off the caller's latency path. Draining also
-// retires the inflight registrations of an early-returned increment: a
-// straggler's vote arriving means its apply has landed.
-func (g *Group) repairLate(m *opMessage, late <-chan vote, remaining int, v uint32) {
-	if late == nil || remaining <= 0 {
+// collection performed, off the caller's latency path.
+func (g *Group) repairLate(m *opMessage, late <-chan vote, outstanding int, v uint32) {
+	if late == nil || outstanding <= 0 {
 		return
 	}
 	g.pending.Add(1)
 	go func() {
 		defer g.pending.Done()
-		var lagging []string
-		for i := 0; i < remaining; i++ {
+		var behind repairSet
+		for i := 0; i < outstanding; i++ {
 			vt := <-late
-			if m.Op == opIncrement {
-				g.clearInflight(m.UUID.ID, vt.id)
-			}
-			if vt.err != nil || vt.reply == nil {
-				continue
-			}
-			if vt.reply.Status == statusNotFound ||
-				(vt.reply.Status == statusOK && vt.reply.Value < v &&
-					!g.hasInflight(m.UUID.ID, vt.id)) {
-				lagging = append(lagging, vt.id)
-			}
+			behind.note(&vt, v)
 		}
-		g.advanceSubset(m, lagging, v)
-	}()
-}
-
-// drainLate consumes outstanding votes on an error path, clearing
-// inflight registrations without attempting repairs.
-func (g *Group) drainLate(m *opMessage, late <-chan vote, remaining int) {
-	if late == nil || remaining <= 0 {
-		return
-	}
-	g.pending.Add(1)
-	go func() {
-		defer g.pending.Done()
-		for i := 0; i < remaining; i++ {
-			vt := <-late
-			if m.Op == opIncrement {
-				g.clearInflight(m.UUID.ID, vt.id)
-			}
-		}
+		g.repair(m, &behind, v)
 	}()
 }
 
@@ -1028,20 +936,16 @@ func (g *Group) destroyQuorum(owner sgx.Measurement, uuid pse.UUID) (uint32, err
 	defer g.opSpan(obs.SpanQuorumDestroyRead, obs.QuorumDestroyRead).End()
 	g.destroyMu.Lock()
 	defer g.destroyMu.Unlock()
-	nonce, err := newNonce()
-	if err != nil {
-		return 0, err
-	}
 	// Destroys never return early: destruction must be sticky the moment
 	// the call returns (an op racing a straggler's late destroy-apply
 	// would see a live counter), and the finals bookkeeping above needs
 	// every OK vote. One hung peer costing a rare, once-per-lifetime
 	// destroy its transport deadline is the right trade; the hot ops
 	// (create/increment/read/escrow) are the ones that return on quorum.
-	m := &opMessage{Op: opDestroyRead, UUID: uuid, Owner: owner, Nonce: nonce}
-	g.memMu.RLock()
-	votes, _ := g.broadcastLocked(g.members, kindOp, m.encode(), nonce, replyOp, nil)
-	g.memMu.RUnlock()
+	votes, _, err := g.sendOp(&opMessage{Op: opDestroyRead, UUID: uuid, Owner: owner}, nil, nil)
+	if err != nil {
+		return 0, err
+	}
 	g.recoverMu.Lock()
 	for _, vt := range votes {
 		if vt.err == nil && vt.reply != nil && vt.reply.Status == statusOK {
@@ -1062,6 +966,10 @@ func (g *Group) destroyQuorum(owner sgx.Measurement, uuid pse.UUID) (uint32, err
 	g.recoverMu.Lock()
 	delete(g.destroyFinals, uuid.ID)
 	g.recoverMu.Unlock()
+	st := g.stripe(uuid.ID)
+	st.Lock()
+	delete(st.issued, uuid.ID)
+	st.Unlock()
 	g.ownerMu.Lock()
 	if g.perOwner[owner] > 0 {
 		g.total--
@@ -1180,7 +1088,8 @@ func (g *Group) collectLocked(members map[string]transport.Address, minResponses
 // every committed operation lives on at least f+1, so none can be
 // missed. Values only move forward on the target, so a reseed can never
 // regress a counter. Reconfiguration holds the membership lock, so no
-// commit is in flight while the snapshot is taken.
+// commit is collecting votes while the snapshot is taken (writes still on
+// the wire from earlier commits are harmless, see memMu).
 func (g *Group) Reseed(id string) error {
 	g.memMu.Lock()
 	defer g.memMu.Unlock()

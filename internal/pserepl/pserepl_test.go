@@ -369,6 +369,9 @@ func TestReplicationCharges(t *testing.T) {
 	if got := counts[sim.OpECall]; got != 4 { // 1 client + 3 agents
 		t.Fatalf("ecalls = %d, want 4", got)
 	}
+	if got := counts[sim.OpCounterRead]; got != 0 {
+		t.Fatalf("firmware reads = %d, want 0: a write is one firmware transaction", got)
+	}
 }
 
 // TestGroupCapacityShared pins the rack's counter budget: every replica

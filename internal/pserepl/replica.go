@@ -62,12 +62,16 @@ func AgentImage() *sgx.Image {
 }
 
 // replicaSlot is a replica's bookkeeping for one replicated counter: the
-// group UUID's nonce capability, the owner identity it enforces, and the
-// local hardware counter backing it on this machine.
+// group UUID's nonce capability, the owner identity it enforces, the
+// local hardware counter backing it on this machine, and that counter's
+// value. Only the agent can touch its local counters, so what the
+// firmware last returned (0 at create, an increment's result, a reseed's
+// read) is what it holds: a write is one firmware transaction, no read.
 type replicaSlot struct {
 	nonce [16]byte
 	owner sgx.Measurement
 	local pse.UUID
+	value uint32
 }
 
 // Replica serves one machine's share of a replicated counter group. It
@@ -81,7 +85,7 @@ type replicaSlot struct {
 // firmware/disk-backed state and survive the reboot (the agent seals its
 // table like the Migration Library seals its state); what a rejoining
 // replica is missing is the operations committed while it was away,
-// which Group.Reseed replays as forward-only deltas.
+// which Group.Reseed makes up by raising it to the quorum's values.
 type Replica struct {
 	id   string
 	hw   *sgx.Machine
@@ -382,24 +386,9 @@ func (r *Replica) applyLocked(m *opMessage) *opReply {
 		if _, dead := r.destroyed[m.UUID.ID]; dead {
 			return &opReply{Status: statusGone}
 		}
-		if m.Op == opAdvance {
-			// Repair of a slot this replica never saw (it missed the
-			// committed create): install it and advance to the target —
-			// the message carries the full capability and owner, comes
-			// sealed from the coordinator, and is forward-only, so a
-			// replay can at most re-create the same state.
-			local, _, err := r.svc.Create(r.agent)
-			if err != nil {
-				return errReply(err)
-			}
-			slot = &replicaSlot{nonce: m.UUID.Nonce, owner: m.Owner, local: local}
-			r.table[m.UUID.ID] = slot
-			if uint64(m.UUID.ID) > r.issued {
-				r.issued = uint64(m.UUID.ID)
-			}
-		} else {
-			return &opReply{Status: statusNotFound}
-		}
+		// Only opCreate installs a slot: a write naming a counter this
+		// replica never saw is refused, whatever capability it carries.
+		return &opReply{Status: statusNotFound}
 	}
 	// The nonce is the capability, the owner the identity check — both
 	// enforced replica-side so a coordinator cannot be tricked into
@@ -412,15 +401,6 @@ func (r *Replica) applyLocked(m *opMessage) *opReply {
 	}
 
 	switch m.Op {
-	case opIncrement:
-		if m.N < 1 {
-			return &opReply{Status: statusOverflow}
-		}
-		v, err := r.svc.IncrementN(r.agent, slot.local, int(m.N))
-		if err != nil {
-			return errReply(err)
-		}
-		return &opReply{Status: statusOK, Value: v}
 	case opRead:
 		v, err := r.svc.Read(r.agent, slot.local)
 		if err != nil {
@@ -428,17 +408,9 @@ func (r *Replica) applyLocked(m *opMessage) *opReply {
 		}
 		return &opReply{Status: statusOK, Value: v}
 	case opAdvance:
-		// Read-repair: raise the local counter to at least N. Forward-
-		// only, so neither a repeat nor a replayed message can ever lower
-		// anything.
-		v, err := r.svc.Read(r.agent, slot.local)
+		v, err := r.raiseLocked(slot, m.N)
 		if err != nil {
 			return errReply(err)
-		}
-		if v < m.N {
-			if v, err = r.svc.IncrementN(r.agent, slot.local, int(m.N-v)); err != nil {
-				return errReply(err)
-			}
 		}
 		return &opReply{Status: statusOK, Value: v}
 	case opDestroyRead:
@@ -452,6 +424,21 @@ func (r *Replica) applyLocked(m *opMessage) *opReply {
 	default:
 		return &opReply{Status: statusNotFound}
 	}
+}
+
+// raiseLocked raises the slot's local counter to at least n and returns
+// its value — the one way a counter value moves on a replica (client
+// writes, repairs and reseeds alike). Forward-only and idempotent: a
+// late, repeated or replayed write is a no-op. Callers hold r.mu.
+func (r *Replica) raiseLocked(slot *replicaSlot, n uint32) (uint32, error) {
+	if slot.value < n {
+		v, err := r.svc.IncrementN(r.agent, slot.local, int(n-slot.value))
+		if err != nil {
+			return slot.value, err
+		}
+		slot.value = v
+	}
+	return slot.value, nil
 }
 
 // handleEscrow applies one escrow-store operation. Puts supersede
@@ -524,13 +511,12 @@ func (r *Replica) snapshotLocked() *syncMessage {
 	return snap
 }
 
-// handleReseed applies a quorum snapshot: missing counters are created
-// and advanced to the quorum value, present-but-behind counters are
-// advanced by the delta, counters the quorum destroyed are destroyed
-// locally. Values only ever move forward and locally known tombstones
-// are never overridden, so a reseed can neither make a counter regress
-// nor resurrect one. A successful reseed marks the replica serving and
-// rotates the freshness challenge.
+// handleReseed applies a quorum snapshot: missing counters are created,
+// every listed counter is raised to the quorum value, counters the quorum
+// destroyed are destroyed locally. Values only ever move forward and
+// locally known tombstones are never overridden, so a reseed can neither
+// make a counter regress nor resurrect one. A successful reseed marks the
+// replica serving and rotates the freshness challenge.
 func (r *Replica) handleReseed(payload []byte) ([]byte, error) {
 	m, err := decodeSyncMessage(payload)
 	if err != nil {
@@ -568,14 +554,13 @@ func (r *Replica) handleReseed(payload []byte) ([]byte, error) {
 			slot = &replicaSlot{nonce: e.UUID.Nonce, owner: e.Owner, local: local}
 			r.table[e.UUID.ID] = slot
 		}
-		v, err := r.svc.Read(r.agent, slot.local)
-		if err != nil {
+		// The firmware, not the table carried across the restart, says
+		// where the local counter stands.
+		if slot.value, err = r.svc.Read(r.agent, slot.local); err != nil {
 			return nil, fmt.Errorf("reseed read: %w", err)
 		}
-		if v < e.Value {
-			if _, err := r.svc.IncrementN(r.agent, slot.local, int(e.Value-v)); err != nil {
-				return nil, fmt.Errorf("reseed advance: %w", err)
-			}
+		if _, err := r.raiseLocked(slot, e.Value); err != nil {
+			return nil, fmt.Errorf("reseed advance: %w", err)
 		}
 	}
 	// Apply the quorum's explicit tombstones: counters destroyed while

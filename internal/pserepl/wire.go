@@ -13,7 +13,7 @@ import (
 // Everything that crosses the messenger between a Group coordinator and
 // its Replicas is one of five values:
 //
-//   - opMessage:     one counter operation (create/increment/read/
+//   - opMessage:     one counter operation (create/advance/read/
 //     destroy-read) or a snapshot request, addressed by the replicated
 //     UUID and stamped with the owner identity.
 //   - opReply:       the replica's status + local counter value.
@@ -41,8 +41,10 @@ const (
 // wireVersion is the current replication format version, bumped on any
 // layout change so messages from a different build are rejected cleanly.
 // Version 2 added the state-escrow messages and the escrow entries in
-// snapshots/reseeds.
-const wireVersion byte = 2
+// snapshots/reseeds; version 3 removed the relative increment (op 2 of
+// version 2) and renumbered the ops, so a coordinator still speaking
+// version 2 is refused whole rather than half-understood.
+const wireVersion byte = 3
 
 // Message kinds on the transport.Messenger.
 const (
@@ -54,7 +56,6 @@ const (
 // Replicated counter operations.
 const (
 	opCreate byte = iota + 1
-	opIncrement
 	opRead
 	opDestroyRead
 	opSnapshot
@@ -62,9 +63,10 @@ const (
 	// only operation an unsynced replica answers besides the reseed
 	// itself).
 	opChallenge
-	// opAdvance raises a counter to at least N (read-repair). It is
-	// forward-only and idempotent, so stragglers can be caught up — or
-	// the message replayed — without ever regressing a value.
+	// opAdvance raises a counter to at least N: the only counter write.
+	// Increments (N = one above everything issued before), repairs and
+	// mirror syncs all send it; it is forward-only and idempotent, so late,
+	// repeated and reordered deliveries commute.
 	opAdvance
 )
 
@@ -86,7 +88,7 @@ type opMessage struct {
 	Op    byte
 	UUID  pse.UUID
 	Owner sgx.Measurement
-	// N is the increment count for opIncrement (>= 1); unused otherwise.
+	// N is the value opAdvance raises the counter to; unused otherwise.
 	N uint32
 	// Nonce is the per-request freshness value; the replica echoes it in
 	// its (sealed) reply, so a recorded vote from an earlier request can

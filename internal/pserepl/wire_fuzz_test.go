@@ -2,6 +2,10 @@ package pserepl
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/pse"
@@ -24,7 +28,7 @@ func fuzzSeeds(f *testing.F) {
 }
 
 func sampleOp() *opMessage {
-	m := &opMessage{Op: opIncrement, N: 3}
+	m := &opMessage{Op: opAdvance, N: 3}
 	m.UUID = pse.UUID{ID: 7, Nonce: [16]byte{1, 2, 3, 4}}
 	m.Owner = sgx.Measurement{9, 9, 9}
 	return m
@@ -45,6 +49,30 @@ func FuzzDecodeOpMessage(f *testing.F) {
 			t.Fatal("canonical re-encoding differs from accepted input")
 		}
 	})
+}
+
+// TestStaleRelativeIncrementRejected pins the checked-in seed that holds
+// sampleOp as a version-2 coordinator encoded it, when op 2 was a relative
+// "+N" (opIncrement, since deleted): the decoder refuses it by version, so
+// a stale coordinator's increment can never be taken for another op.
+func TestStaleRelativeIncrementRejected(t *testing.T) {
+	seed, err := os.ReadFile("testdata/fuzz/FuzzDecodeOpMessage/seed-v2-relative-increment")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(seed)), "\n")
+	quoted := strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")")
+	str, err := strconv.Unquote(quoted)
+	if err != nil {
+		t.Fatalf("seed is not a go-fuzz []byte literal: %v", err)
+	}
+	raw := []byte(str)
+	if len(raw) != opMessageSize || raw[0] != tagOp || raw[1] != 2 || raw[2] != 2 {
+		t.Fatalf("seed is not a version-2 op-2 message: % x", raw[:3])
+	}
+	if _, err := decodeOpMessage(raw); !errors.Is(err, ErrWireFormat) {
+		t.Fatalf("version-2 relative increment: err = %v, want ErrWireFormat", err)
+	}
 }
 
 func FuzzDecodeOpReply(f *testing.F) {
