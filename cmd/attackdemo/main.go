@@ -14,6 +14,7 @@ import (
 	"crypto/ed25519"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cloud"
@@ -27,7 +28,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "attackdemo:", err)
 		os.Exit(1)
 	}
@@ -43,9 +44,11 @@ func appImage(name string) *sgx.Image {
 	return &sgx.Image{Name: name, Version: 1, Code: []byte(name), SignerPublicKey: ed25519.PublicKey(key[:])}
 }
 
-func run() error {
-	fmt.Println("Attack matrix (paper §III):")
-	fmt.Println()
+// run plays both attacks against both mechanisms and writes the matrix
+// to out; it fails unless the outcome matches the paper.
+func run(out io.Writer) error {
+	fmt.Fprintln(out, "Attack matrix (paper §III):")
+	fmt.Fprintln(out)
 
 	forkBaseline, err := forkAttackBaseline()
 	if err != nil {
@@ -64,13 +67,13 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("  %-22s %-28s %-28s\n", "attack", "Gu et al. baseline", "this work (Migration Lib)")
-	fmt.Printf("  %-22s %-28s %-28s\n", "fork (III-B)", verdict(forkBaseline), verdict(forkOurs))
-	fmt.Printf("  %-22s %-28s %-28s\n", "roll-back (III-C)", verdict(rollBaseline), verdict(rollOurs))
-	fmt.Println()
+	fmt.Fprintf(out, "  %-22s %-28s %-28s\n", "attack", "Gu et al. baseline", "this work (Migration Lib)")
+	fmt.Fprintf(out, "  %-22s %-28s %-28s\n", "fork (III-B)", verdict(forkBaseline), verdict(forkOurs))
+	fmt.Fprintf(out, "  %-22s %-28s %-28s\n", "roll-back (III-C)", verdict(rollBaseline), verdict(rollOurs))
+	fmt.Fprintln(out)
 	if forkBaseline && rollBaseline && !forkOurs && !rollOurs {
-		fmt.Println("Result matches the paper: both attacks work against the baseline and")
-		fmt.Println("are prevented by migrating persistent state with the Migration Library.")
+		fmt.Fprintln(out, "Result matches the paper: both attacks work against the baseline and")
+		fmt.Fprintln(out, "are prevented by migrating persistent state with the Migration Library.")
 		return nil
 	}
 	return fmt.Errorf("unexpected attack outcome: fork=%v/%v rollback=%v/%v",

@@ -461,7 +461,7 @@ func (bs *BatchSender) Add(index uint32, token []byte) error {
 		return abort(err)
 	}
 	bs.tokens[index] = append([]byte(nil), token...)
-	bs.buf = appendBytes(bs.buf, recRaw)
+	bs.buf = wirec.AppendBytes(bs.buf, recRaw)
 	bs.savings += saved
 	bs.compIn += inBytes
 	bs.compOut += outBytes
@@ -1100,14 +1100,14 @@ func (me *MigrationEnclave) drainRecordsLocked(st *batchRecvState) error {
 			return nil
 		}
 		rd := newWireReader(st.buf)
-		n := int(rd.u32())
+		n := int(rd.U32())
 		if n == 0 || n > wirec.MaxField {
 			return fmt.Errorf("%w: batch record length %d", ErrDataFormat, n)
 		}
 		if len(st.buf) < 4+n {
 			return nil
 		}
-		rec, err := decodeBatchRecord(rd.take(n))
+		rec, err := decodeBatchRecord(rd.Take(n))
 		if err != nil {
 			return err
 		}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/sgx"
 	"repro/internal/sim"
 	"repro/internal/transport"
+	"repro/internal/wirec"
 	"repro/internal/xcrypto"
 )
 
@@ -112,7 +113,7 @@ func sealRecordChunk(t *testing.T, data *xcrypto.StreamSealer, batchID []byte, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := appendU32(nil, uint32(len(recRaw)))
+	payload := wirec.AppendU32(nil, uint32(len(recRaw)))
 	payload = append(payload, recRaw...)
 	raw, err := encodeBatchChunk(&batchChunk{
 		BatchID: batchID,

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+
+	"repro/internal/wirec"
 )
 
 // Wire messages of the ME<->ME migration protocol (Fig. 2 as a stream):
@@ -126,20 +128,20 @@ type batchRecord struct {
 }
 
 func encodeResumeTicketInline(dst []byte, t *resumeTicket) []byte {
-	dst = appendBytes(dst, t.SessionID)
-	dst = appendBytes(dst, t.Epoch)
-	dst = appendU64(dst, t.Counter)
-	dst = appendU32(dst, t.Count)
-	return appendBytes(dst, t.MAC)
+	dst = wirec.AppendBytes(dst, t.SessionID)
+	dst = wirec.AppendBytes(dst, t.Epoch)
+	dst = wirec.AppendU64(dst, t.Counter)
+	dst = wirec.AppendU32(dst, t.Count)
+	return wirec.AppendBytes(dst, t.MAC)
 }
 
 func (r *wireReader) resumeTicket() *resumeTicket {
 	t := &resumeTicket{
-		SessionID: r.bytes(),
-		Epoch:     r.bytes(),
-		Counter:   r.u64(),
-		Count:     r.u32(),
-		MAC:       r.bytes(),
+		SessionID: r.Bytes(),
+		Epoch:     r.Bytes(),
+		Counter:   r.U64(),
+		Count:     r.U32(),
+		MAC:       r.Bytes(),
 	}
 	if r.errState() != nil {
 		return nil
@@ -151,32 +153,32 @@ func encodeBatchOffer(m *batchOffer) ([]byte, error) {
 	if (m.Quote == nil) == (m.Resume == nil) {
 		return nil, fmt.Errorf("%w: batch offer needs exactly one of quote or resume ticket", ErrDataFormat)
 	}
-	out := appendHeader(make([]byte, 0, 256), tagBatchOffer)
-	out = appendU32(out, m.Count)
+	out := wirec.AppendHeader(make([]byte, 0, 256), tagBatchOffer, wireVersion)
+	out = wirec.AppendU32(out, m.Count)
 	if m.Resume != nil {
 		out = append(out, 1)
 		return encodeResumeTicketInline(out, m.Resume), nil
 	}
 	out = append(out, 0)
 	out = appendQuote(out, m.Quote)
-	return appendBytes(out, m.DHPub), nil
+	return wirec.AppendBytes(out, m.DHPub), nil
 }
 
 func decodeBatchOffer(raw []byte) (*batchOffer, error) {
 	rd := newWireReader(raw)
-	if !rd.header(tagBatchOffer) {
+	if !rd.Header(tagBatchOffer, wireVersion) {
 		return nil, rd.errState()
 	}
-	m := &batchOffer{Count: rd.u32()}
+	m := &batchOffer{Count: rd.U32()}
 	if m.Count == 0 || m.Count > maxBatchCount {
 		return nil, fmt.Errorf("%w: batch count %d out of range", ErrDataFormat, m.Count)
 	}
-	switch rd.u8() {
+	switch rd.U8() {
 	case 1:
 		m.Resume = rd.resumeTicket()
 	case 0:
 		m.Quote = rd.quote()
-		m.DHPub = rd.bytes()
+		m.DHPub = rd.Bytes()
 	default:
 		return nil, fmt.Errorf("%w: bad batch offer mode", ErrDataFormat)
 	}
@@ -207,42 +209,42 @@ func encodeBatchOfferReply(m *batchOfferReply) ([]byte, error) {
 	if m.Quote != nil {
 		flags |= batchReplyQuoted
 	}
-	out := appendHeader(make([]byte, 0, 512), tagBatchReply)
+	out := wirec.AppendHeader(make([]byte, 0, 512), tagBatchReply, wireVersion)
 	out = append(out, flags)
-	out = appendBytes(out, m.BatchID)
-	out = appendBytes(out, m.SessionID)
-	out = appendBytes(out, m.Epoch)
-	out = appendBytes(out, m.ConfirmMAC)
-	out = appendBytes(out, m.RefuseMAC)
+	out = wirec.AppendBytes(out, m.BatchID)
+	out = wirec.AppendBytes(out, m.SessionID)
+	out = wirec.AppendBytes(out, m.Epoch)
+	out = wirec.AppendBytes(out, m.ConfirmMAC)
+	out = wirec.AppendBytes(out, m.RefuseMAC)
 	if m.Quote != nil {
 		out = appendQuote(out, m.Quote)
-		out = appendBytes(out, m.DHPub)
-		out = appendBytes(out, m.Cert)
-		out = appendBytes(out, m.Sig)
+		out = wirec.AppendBytes(out, m.DHPub)
+		out = wirec.AppendBytes(out, m.Cert)
+		out = wirec.AppendBytes(out, m.Sig)
 	}
 	return out, nil
 }
 
 func decodeBatchOfferReply(raw []byte) (*batchOfferReply, error) {
 	rd := newWireReader(raw)
-	if !rd.header(tagBatchReply) {
+	if !rd.Header(tagBatchReply, wireVersion) {
 		return nil, rd.errState()
 	}
-	flags := rd.u8()
+	flags := rd.U8()
 	m := &batchOfferReply{
 		Refused:    flags&batchReplyRefused != 0,
 		Resumed:    flags&batchReplyResumed != 0,
-		BatchID:    rd.bytes(),
-		SessionID:  rd.bytes(),
-		Epoch:      rd.bytes(),
-		ConfirmMAC: rd.bytes(),
-		RefuseMAC:  rd.bytes(),
+		BatchID:    rd.Bytes(),
+		SessionID:  rd.Bytes(),
+		Epoch:      rd.Bytes(),
+		ConfirmMAC: rd.Bytes(),
+		RefuseMAC:  rd.Bytes(),
 	}
 	if flags&batchReplyQuoted != 0 {
 		m.Quote = rd.quote()
-		m.DHPub = rd.bytes()
-		m.Cert = rd.bytes()
-		m.Sig = rd.bytes()
+		m.DHPub = rd.Bytes()
+		m.Cert = rd.Bytes()
+		m.Sig = rd.Bytes()
 	}
 	if err := rd.done(); err != nil {
 		return nil, err
@@ -251,25 +253,25 @@ func decodeBatchOfferReply(raw []byte) (*batchOfferReply, error) {
 }
 
 func encodeBatchChunk(m *batchChunk) ([]byte, error) {
-	out := appendHeader(make([]byte, 0, 64+len(m.Cert)+len(m.Sig)+len(m.Sealed)), tagBatchChunk)
-	out = appendBytes(out, m.BatchID)
-	out = appendU64(out, m.Seq)
-	out = appendBytes(out, m.Cert)
-	out = appendBytes(out, m.Sig)
-	return appendBytes(out, m.Sealed), nil
+	out := wirec.AppendHeader(make([]byte, 0, 64+len(m.Cert)+len(m.Sig)+len(m.Sealed)), tagBatchChunk, wireVersion)
+	out = wirec.AppendBytes(out, m.BatchID)
+	out = wirec.AppendU64(out, m.Seq)
+	out = wirec.AppendBytes(out, m.Cert)
+	out = wirec.AppendBytes(out, m.Sig)
+	return wirec.AppendBytes(out, m.Sealed), nil
 }
 
 func decodeBatchChunk(raw []byte) (*batchChunk, error) {
 	rd := newWireReader(raw)
-	if !rd.header(tagBatchChunk) {
+	if !rd.Header(tagBatchChunk, wireVersion) {
 		return nil, rd.errState()
 	}
 	m := &batchChunk{
-		BatchID: rd.bytes(),
-		Seq:     rd.u64(),
-		Cert:    rd.bytes(),
-		Sig:     rd.bytes(),
-		Sealed:  rd.bytes(),
+		BatchID: rd.Bytes(),
+		Seq:     rd.U64(),
+		Cert:    rd.Bytes(),
+		Sig:     rd.Bytes(),
+		Sealed:  rd.Bytes(),
 	}
 	if err := rd.done(); err != nil {
 		return nil, err
@@ -278,32 +280,32 @@ func decodeBatchChunk(raw []byte) (*batchChunk, error) {
 }
 
 func encodeBatchStatusList(m *batchStatusList) ([]byte, error) {
-	out := appendHeader(make([]byte, 0, 8+16*len(m.Statuses)), tagBatchStatus)
-	out = appendU32(out, uint32(len(m.Statuses)))
+	out := wirec.AppendHeader(make([]byte, 0, 8+16*len(m.Statuses)), tagBatchStatus, wireVersion)
+	out = wirec.AppendU32(out, uint32(len(m.Statuses)))
 	for _, s := range m.Statuses {
-		out = appendU32(out, s.Index)
+		out = wirec.AppendU32(out, s.Index)
 		out = append(out, s.Status)
-		out = appendString(out, s.Detail)
+		out = wirec.AppendString(out, s.Detail)
 	}
 	return out, nil
 }
 
 func decodeBatchStatusList(raw []byte) (*batchStatusList, error) {
 	rd := newWireReader(raw)
-	if !rd.header(tagBatchStatus) {
+	if !rd.Header(tagBatchStatus, wireVersion) {
 		return nil, rd.errState()
 	}
-	n := rd.u32()
+	n := rd.U32()
 	// Each status needs at least index(4) + status(1) + detail length(4).
-	if !rd.canHold(n, 9) {
+	if !rd.CanHold(n, 9) {
 		return nil, fmt.Errorf("%w: status count %d exceeds payload", ErrDataFormat, n)
 	}
 	m := &batchStatusList{Statuses: make([]memberStatus, 0, n)}
 	for i := uint32(0); i < n; i++ {
 		m.Statuses = append(m.Statuses, memberStatus{
-			Index:  rd.u32(),
-			Status: rd.u8(),
-			Detail: rd.string(),
+			Index:  rd.U32(),
+			Status: rd.U8(),
+			Detail: rd.String(),
 		})
 	}
 	if err := rd.done(); err != nil {
@@ -313,26 +315,26 @@ func decodeBatchStatusList(raw []byte) (*batchStatusList, error) {
 }
 
 func encodeBatchDoneMessage(m *batchDoneMessage) ([]byte, error) {
-	out := appendHeader(make([]byte, 0, 8+20*len(m.Tokens)), tagBatchDone)
-	out = appendU32(out, uint32(len(m.Tokens)))
+	out := wirec.AppendHeader(make([]byte, 0, 8+20*len(m.Tokens)), tagBatchDone, wireVersion)
+	out = wirec.AppendU32(out, uint32(len(m.Tokens)))
 	for _, t := range m.Tokens {
-		out = appendBytes(out, t)
+		out = wirec.AppendBytes(out, t)
 	}
 	return out, nil
 }
 
 func decodeBatchDoneMessage(raw []byte) (*batchDoneMessage, error) {
 	rd := newWireReader(raw)
-	if !rd.header(tagBatchDone) {
+	if !rd.Header(tagBatchDone, wireVersion) {
 		return nil, rd.errState()
 	}
-	n := rd.u32()
-	if !rd.canHold(n, 4) {
+	n := rd.U32()
+	if !rd.CanHold(n, 4) {
 		return nil, fmt.Errorf("%w: token count %d exceeds payload", ErrDataFormat, n)
 	}
 	m := &batchDoneMessage{Tokens: make([][]byte, 0, n)}
 	for i := uint32(0); i < n; i++ {
-		m.Tokens = append(m.Tokens, rd.bytes())
+		m.Tokens = append(m.Tokens, rd.Bytes())
 	}
 	if err := rd.done(); err != nil {
 		return nil, err
@@ -341,19 +343,19 @@ func decodeBatchDoneMessage(raw []byte) (*batchDoneMessage, error) {
 }
 
 func encodeBatchAbort(m *batchAbort) ([]byte, error) {
-	out := appendHeader(make([]byte, 0, 16+len(m.BatchID)+len(m.Sealed)), tagBatchAbort)
-	out = appendBytes(out, m.BatchID)
-	return appendBytes(out, m.Sealed), nil
+	out := wirec.AppendHeader(make([]byte, 0, 16+len(m.BatchID)+len(m.Sealed)), tagBatchAbort, wireVersion)
+	out = wirec.AppendBytes(out, m.BatchID)
+	return wirec.AppendBytes(out, m.Sealed), nil
 }
 
 func decodeBatchAbort(raw []byte) (*batchAbort, error) {
 	rd := newWireReader(raw)
-	if !rd.header(tagBatchAbort) {
+	if !rd.Header(tagBatchAbort, wireVersion) {
 		return nil, rd.errState()
 	}
 	m := &batchAbort{
-		BatchID: rd.bytes(),
-		Sealed:  rd.bytes(),
+		BatchID: rd.Bytes(),
+		Sealed:  rd.Bytes(),
 	}
 	if err := rd.done(); err != nil {
 		return nil, err
@@ -362,32 +364,32 @@ func decodeBatchAbort(raw []byte) (*batchAbort, error) {
 }
 
 func encodeBatchRecord(m *batchRecord) ([]byte, error) {
-	out := appendHeader(make([]byte, 0, 16+len(m.Trace)+len(m.Envelope)), tagBatchRecord)
-	out = appendU32(out, m.Index)
+	out := wirec.AppendHeader(make([]byte, 0, 16+len(m.Trace)+len(m.Envelope)), tagBatchRecord, wireVersion)
+	out = wirec.AppendU32(out, m.Index)
 	var c byte
 	if m.Compressed {
 		c = 1
 	}
 	out = append(out, c)
-	out = appendBytes(out, m.Trace)
-	return appendBytes(out, m.Envelope), nil
+	out = wirec.AppendBytes(out, m.Trace)
+	return wirec.AppendBytes(out, m.Envelope), nil
 }
 
 func decodeBatchRecord(raw []byte) (*batchRecord, error) {
 	rd := newWireReader(raw)
-	if !rd.header(tagBatchRecord) {
+	if !rd.Header(tagBatchRecord, wireVersion) {
 		return nil, rd.errState()
 	}
-	m := &batchRecord{Index: rd.u32()}
-	switch rd.u8() {
+	m := &batchRecord{Index: rd.U32()}
+	switch rd.U8() {
 	case 0:
 	case 1:
 		m.Compressed = true
 	default:
 		return nil, fmt.Errorf("%w: bad record compression flag", ErrDataFormat)
 	}
-	m.Trace = rd.bytes()
-	m.Envelope = rd.bytes()
+	m.Trace = rd.Bytes()
+	m.Envelope = rd.Bytes()
 	if err := rd.done(); err != nil {
 		return nil, err
 	}

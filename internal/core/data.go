@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/pse"
 	"repro/internal/sgx"
+	"repro/internal/wirec"
 )
 
 // NumCounters is the number of counter slots the library manages (the
@@ -67,24 +68,24 @@ const migrationDataSize = 2 + NumCounters/8 + 4*NumCounters + MSKSize
 // appendMigrationData is the allocation-free inner encoder shared with the
 // envelope codec.
 func (d *MigrationData) append(dst []byte) []byte {
-	dst = appendHeader(dst, tagMigrationData)
+	dst = wirec.AppendHeader(dst, tagMigrationData, wireVersion)
 	dst = appendBitmap(dst, &d.CountersActive)
 	for _, v := range d.CounterValues {
-		dst = appendU32(dst, v)
+		dst = wirec.AppendU32(dst, v)
 	}
 	return append(dst, d.MSK[:]...)
 }
 
 // decodeInto parses migration data from the reader's cursor.
 func (d *MigrationData) decodeInto(rd *wireReader) {
-	if !rd.header(tagMigrationData) {
+	if !rd.Header(tagMigrationData, wireVersion) {
 		return
 	}
 	rd.bitmap(&d.CountersActive)
 	for i := range d.CounterValues {
-		d.CounterValues[i] = rd.u32()
+		d.CounterValues[i] = rd.U32()
 	}
-	copy(d.MSK[:], rd.take(MSKSize))
+	copy(d.MSK[:], rd.Take(MSKSize))
 }
 
 // Encode serializes migration data for transfer over the attested channel.
@@ -142,43 +143,43 @@ const libraryStateSize = 2 + 1 + NumCounters/8 + NumCounters*uuidSize + 4*NumCou
 
 func (s *libraryState) encode() ([]byte, error) {
 	out := make([]byte, 0, libraryStateSize)
-	out = appendHeader(out, tagLibraryState)
+	out = wirec.AppendHeader(out, tagLibraryState, wireVersion)
 	out = append(out, s.Frozen)
 	out = appendBitmap(out, &s.CountersActive)
 	for i := range s.CounterUUIDs {
-		out = appendU32(out, s.CounterUUIDs[i].ID)
+		out = wirec.AppendU32(out, s.CounterUUIDs[i].ID)
 		out = append(out, s.CounterUUIDs[i].Nonce[:]...)
 	}
 	for _, v := range s.CounterOffsets {
-		out = appendU32(out, v)
+		out = wirec.AppendU32(out, v)
 	}
 	out = append(out, s.MSK[:]...)
 	out = append(out, s.EscrowID[:]...)
-	out = appendU32(out, s.BindUUID.ID)
+	out = wirec.AppendU32(out, s.BindUUID.ID)
 	out = append(out, s.BindUUID.Nonce[:]...)
-	return appendU32(out, s.BindVer), nil
+	return wirec.AppendU32(out, s.BindVer), nil
 }
 
 func decodeLibraryState(raw []byte) (*libraryState, error) {
 	var s libraryState
 	rd := newWireReader(raw)
-	if !rd.header(tagLibraryState) {
+	if !rd.Header(tagLibraryState, wireVersion) {
 		return nil, rd.errState()
 	}
-	s.Frozen = rd.u8()
+	s.Frozen = rd.U8()
 	rd.bitmap(&s.CountersActive)
 	for i := range s.CounterUUIDs {
-		s.CounterUUIDs[i].ID = rd.u32()
-		copy(s.CounterUUIDs[i].Nonce[:], rd.take(16))
+		s.CounterUUIDs[i].ID = rd.U32()
+		copy(s.CounterUUIDs[i].Nonce[:], rd.Take(16))
 	}
 	for i := range s.CounterOffsets {
-		s.CounterOffsets[i] = rd.u32()
+		s.CounterOffsets[i] = rd.U32()
 	}
-	copy(s.MSK[:], rd.take(MSKSize))
-	copy(s.EscrowID[:], rd.take(16))
-	s.BindUUID.ID = rd.u32()
-	copy(s.BindUUID.Nonce[:], rd.take(16))
-	s.BindVer = rd.u32()
+	copy(s.MSK[:], rd.Take(MSKSize))
+	copy(s.EscrowID[:], rd.Take(16))
+	s.BindUUID.ID = rd.U32()
+	copy(s.BindUUID.Nonce[:], rd.Take(16))
+	s.BindVer = rd.U32()
 	if err := rd.done(); err != nil {
 		return nil, err
 	}
@@ -201,24 +202,24 @@ func (e *migrationEnvelope) encode() ([]byte, error) {
 		return nil, fmt.Errorf("%w: missing data", ErrDataFormat)
 	}
 	out := make([]byte, 0, 2+migrationDataSize+len(sgx.Measurement{})+8+len(e.SourceME)+len(e.DoneToken))
-	out = appendHeader(out, tagEnvelope)
+	out = wirec.AppendHeader(out, tagEnvelope, wireVersion)
 	out = e.Data.append(out)
 	out = append(out, e.MREnclave[:]...)
-	out = appendString(out, e.SourceME)
-	out = appendBytes(out, e.DoneToken)
+	out = wirec.AppendString(out, e.SourceME)
+	out = wirec.AppendBytes(out, e.DoneToken)
 	return out, nil
 }
 
 func decodeEnvelope(raw []byte) (*migrationEnvelope, error) {
 	e := migrationEnvelope{Data: &MigrationData{}}
 	rd := newWireReader(raw)
-	if !rd.header(tagEnvelope) {
+	if !rd.Header(tagEnvelope, wireVersion) {
 		return nil, rd.errState()
 	}
 	e.Data.decodeInto(&rd)
-	copy(e.MREnclave[:], rd.take(len(e.MREnclave)))
-	e.SourceME = rd.string()
-	e.DoneToken = rd.bytes()
+	copy(e.MREnclave[:], rd.Take(len(e.MREnclave)))
+	e.SourceME = rd.String()
+	e.DoneToken = rd.Bytes()
 	if err := rd.done(); err != nil {
 		return nil, err
 	}

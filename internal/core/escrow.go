@@ -9,6 +9,7 @@ import (
 	"repro/internal/pse"
 	"repro/internal/seal"
 	"repro/internal/sgx"
+	"repro/internal/wirec"
 	"repro/internal/xcrypto"
 )
 
@@ -70,8 +71,8 @@ func escrowKeyAAD(owner sgx.Measurement, id [16]byte, version uint32, bind pse.U
 	out = append(out, label...)
 	out = append(out, owner[:]...)
 	out = append(out, id[:]...)
-	out = appendU32(out, version)
-	out = appendU32(out, bind.ID)
+	out = wirec.AppendU32(out, version)
+	out = wirec.AppendU32(out, bind.ID)
 	return append(out, bind.Nonce[:]...)
 }
 
@@ -81,20 +82,20 @@ func escrowKeyAAD(owner sgx.Measurement, id [16]byte, version uint32, bind pse.U
 // statesealer).
 func encodeEscrowRecord(keyBox, state []byte) []byte {
 	out := make([]byte, 0, 2+4+len(keyBox)+4+len(state))
-	out = appendHeader(out, tagEscrowRecord)
-	out = appendBytes(out, keyBox)
-	return appendBytes(out, state)
+	out = wirec.AppendHeader(out, tagEscrowRecord, wireVersion)
+	out = wirec.AppendBytes(out, keyBox)
+	return wirec.AppendBytes(out, state)
 }
 
 // decodeEscrowRecord parses an escrow record fetched from the (untrusted)
 // escrow store. The returned slices alias the input.
 func decodeEscrowRecord(raw []byte) (keyBox, state []byte, err error) {
 	rd := newWireReader(raw)
-	if !rd.header(tagEscrowRecord) {
+	if !rd.Header(tagEscrowRecord, wireVersion) {
 		return nil, nil, rd.errState()
 	}
-	keyBox = rd.bytes()
-	state = rd.bytes()
+	keyBox = rd.Bytes()
+	state = rd.Bytes()
 	if err := rd.done(); err != nil {
 		return nil, nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sgx"
+	"repro/internal/wirec"
 	"repro/internal/xcrypto"
 )
 
@@ -58,26 +59,26 @@ type localResponse struct {
 
 func encodeLocalRequest(r *localRequest) ([]byte, error) {
 	out := make([]byte, 0, 2+36+len(r.Op)+len(r.Dest)+len(r.Body)+len(r.Token))
-	out = appendHeader(out, tagLocalRequest)
-	out = appendString(out, r.Op)
-	out = appendString(out, r.Dest)
-	out = appendBytes(out, r.Body)
-	out = appendBytes(out, r.Token)
-	out = appendBytes(out, r.Trace)
+	out = wirec.AppendHeader(out, tagLocalRequest, wireVersion)
+	out = wirec.AppendString(out, r.Op)
+	out = wirec.AppendString(out, r.Dest)
+	out = wirec.AppendBytes(out, r.Body)
+	out = wirec.AppendBytes(out, r.Token)
+	out = wirec.AppendBytes(out, r.Trace)
 	return out, nil
 }
 
 func decodeLocalRequest(raw []byte) (*localRequest, error) {
 	rd := newWireReader(raw)
-	if !rd.header(tagLocalRequest) {
+	if !rd.Header(tagLocalRequest, wireVersion) {
 		return nil, rd.errState()
 	}
 	r := &localRequest{
-		Op:    rd.string(),
-		Dest:  rd.string(),
-		Body:  rd.bytes(),
-		Token: rd.bytes(),
-		Trace: rd.bytes(),
+		Op:    rd.String(),
+		Dest:  rd.String(),
+		Body:  rd.Bytes(),
+		Token: rd.Bytes(),
+		Trace: rd.Bytes(),
 	}
 	if err := rd.done(); err != nil {
 		return nil, err
@@ -87,26 +88,26 @@ func decodeLocalRequest(raw []byte) (*localRequest, error) {
 
 func encodeLocalResponse(r *localResponse) ([]byte, error) {
 	out := make([]byte, 0, 2+36+len(r.Status)+len(r.Detail)+len(r.Body)+len(r.Token))
-	out = appendHeader(out, tagLocalResponse)
-	out = appendString(out, r.Status)
-	out = appendString(out, r.Detail)
-	out = appendBytes(out, r.Body)
-	out = appendBytes(out, r.Token)
-	out = appendBytes(out, r.Trace)
+	out = wirec.AppendHeader(out, tagLocalResponse, wireVersion)
+	out = wirec.AppendString(out, r.Status)
+	out = wirec.AppendString(out, r.Detail)
+	out = wirec.AppendBytes(out, r.Body)
+	out = wirec.AppendBytes(out, r.Token)
+	out = wirec.AppendBytes(out, r.Trace)
 	return out, nil
 }
 
 func decodeLocalResponse(raw []byte) (*localResponse, error) {
 	rd := newWireReader(raw)
-	if !rd.header(tagLocalResponse) {
+	if !rd.Header(tagLocalResponse, wireVersion) {
 		return nil, rd.errState()
 	}
 	r := &localResponse{
-		Status: rd.string(),
-		Detail: rd.string(),
-		Body:   rd.bytes(),
-		Token:  rd.bytes(),
-		Trace:  rd.bytes(),
+		Status: rd.String(),
+		Detail: rd.String(),
+		Body:   rd.Bytes(),
+		Token:  rd.Bytes(),
+		Trace:  rd.Bytes(),
 	}
 	if err := rd.done(); err != nil {
 		return nil, err
@@ -141,19 +142,19 @@ type wireQuote struct {
 func appendQuote(dst []byte, q *wireQuote) []byte {
 	dst = append(dst, q.MREnclave[:]...)
 	dst = append(dst, q.MRSigner[:]...)
-	dst = appendBytes(dst, q.Data)
-	dst = appendBytes(dst, q.Cert)
-	return appendBytes(dst, q.Signature)
+	dst = wirec.AppendBytes(dst, q.Data)
+	dst = wirec.AppendBytes(dst, q.Cert)
+	return wirec.AppendBytes(dst, q.Signature)
 }
 
 // quote decodes an inline quote from the reader's cursor.
 func (r *wireReader) quote() *wireQuote {
 	var q wireQuote
-	copy(q.MREnclave[:], r.take(len(q.MREnclave)))
-	copy(q.MRSigner[:], r.take(len(q.MRSigner)))
-	q.Data = r.bytes()
-	q.Cert = r.bytes()
-	q.Signature = r.bytes()
+	copy(q.MREnclave[:], r.Take(len(q.MREnclave)))
+	copy(q.MRSigner[:], r.Take(len(q.MRSigner)))
+	q.Data = r.Bytes()
+	q.Cert = r.Bytes()
+	q.Signature = r.Bytes()
 	if r.errState() != nil {
 		return nil
 	}

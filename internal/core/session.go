@@ -4,6 +4,7 @@ import (
 	"crypto/subtle"
 
 	"repro/internal/attest"
+	"repro/internal/wirec"
 	"repro/internal/xcrypto"
 )
 
@@ -69,14 +70,14 @@ func deriveSessionSecret(shared, transcript []byte) []byte {
 // secret, bound to the session id, the destination epoch the source
 // believes is current, the counter being reserved, and the batch size.
 func resumeMAC(secret, sid, epoch []byte, counter uint64, count uint32) []byte {
-	k := xcrypto.DeriveKey(secret, labelResumeMAC, sid, epoch, appendU64(nil, counter), appendU32(nil, count))
+	k := xcrypto.DeriveKey(secret, labelResumeMAC, sid, epoch, wirec.AppendU64(nil, counter), wirec.AppendU32(nil, count))
 	return k[:]
 }
 
 // resumeConfirmMAC is the destination's proof-of-acceptance, confirming
 // it holds the same secret and accepted exactly this counter.
 func resumeConfirmMAC(secret, sid []byte, counter uint64) []byte {
-	k := xcrypto.DeriveKey(secret, labelResumeOK, sid, appendU64(nil, counter))
+	k := xcrypto.DeriveKey(secret, labelResumeOK, sid, wirec.AppendU64(nil, counter))
 	return k[:]
 }
 
@@ -88,7 +89,7 @@ func resumeConfirmMAC(secret, sid []byte, counter uint64) []byte {
 // such unauthenticated refusals merely trigger the (authenticated)
 // fresh-handshake fallback without evicting the cache.
 func resumeRefuseMAC(secret, sid []byte, counter uint64) []byte {
-	k := xcrypto.DeriveKey(secret, labelResumeRefuse, sid, appendU64(nil, counter))
+	k := xcrypto.DeriveKey(secret, labelResumeRefuse, sid, wirec.AppendU64(nil, counter))
 	return k[:]
 }
 
@@ -97,8 +98,8 @@ func resumeRefuseMAC(secret, sid []byte, counter uint64) []byte {
 // A fresh counter yields fresh keys, so stream sequence numbers restart
 // at zero without nonce reuse.
 func batchKeys(secret []byte, counter uint64) (data, ack [32]byte) {
-	data = xcrypto.DeriveKey(secret, labelBatchData, appendU64(nil, counter))
-	ack = xcrypto.DeriveKey(secret, labelBatchAck, appendU64(nil, counter))
+	data = xcrypto.DeriveKey(secret, labelBatchData, wirec.AppendU64(nil, counter))
+	ack = xcrypto.DeriveKey(secret, labelBatchAck, wirec.AppendU64(nil, counter))
 	return data, ack
 }
 

@@ -45,31 +45,6 @@ const (
 // so stale sealed blobs and envelopes fail decoding instead of aliasing.
 const wireVersion byte = 1
 
-// appendHeader starts an encoded value.
-func appendHeader(dst []byte, tag byte) []byte {
-	return wirec.AppendHeader(dst, tag, wireVersion)
-}
-
-// appendBytes appends a u32 length prefix and the raw bytes.
-func appendBytes(dst, b []byte) []byte {
-	return wirec.AppendBytes(dst, b)
-}
-
-// appendString appends a length-prefixed string.
-func appendString(dst []byte, s string) []byte {
-	return wirec.AppendString(dst, s)
-}
-
-// appendU32 appends one big-endian uint32.
-func appendU32(dst []byte, v uint32) []byte {
-	return wirec.AppendU32(dst, v)
-}
-
-// appendU64 appends one big-endian uint64.
-func appendU64(dst []byte, v uint64) []byte {
-	return wirec.AppendU64(dst, v)
-}
-
 // appendBitmap packs a bool array into bytes, LSB-first within each byte.
 func appendBitmap(dst []byte, bits *[NumCounters]bool) []byte {
 	var packed [NumCounters / 8]byte
@@ -86,67 +61,26 @@ func appendBitmap(dst []byte, bits *[NumCounters]bool) []byte {
 // decoding error sticks; callers check err once at the end (and fail
 // fast on header mismatch). All byte-slice reads alias the input buffer.
 type wireReader struct {
-	r wirec.Reader
+	wirec.Reader
 }
 
 // newWireReader wraps raw wire bytes.
 func newWireReader(raw []byte) wireReader {
-	return wireReader{r: wirec.MakeReader(raw)}
+	return wireReader{wirec.MakeReader(raw)}
 }
 
 // errState reports the sticky decoding error re-rooted under
 // ErrDataFormat (nil if none).
 func (r *wireReader) errState() error {
-	if err := r.r.Err(); err != nil {
+	if err := r.Err(); err != nil {
 		return fmt.Errorf("%w: %v", ErrDataFormat, err)
 	}
 	return nil
 }
 
-// header consumes and checks the tag/version header.
-func (r *wireReader) header(tag byte) bool {
-	return r.r.Header(tag, wireVersion)
-}
-
-// take consumes n raw bytes.
-func (r *wireReader) take(n int) []byte {
-	return r.r.Take(n)
-}
-
-// bytes consumes a length-prefixed byte field. Empty fields decode as nil.
-func (r *wireReader) bytes() []byte {
-	return r.r.Bytes()
-}
-
-// string consumes a length-prefixed string field.
-func (r *wireReader) string() string {
-	return r.r.String()
-}
-
-// u32 consumes one big-endian uint32.
-func (r *wireReader) u32() uint32 {
-	return r.r.U32()
-}
-
-// u64 consumes one big-endian uint64.
-func (r *wireReader) u64() uint64 {
-	return r.r.U64()
-}
-
-// canHold reports whether n entries of at least minEntrySize bytes could
-// still be present (pre-allocation length-bomb defense).
-func (r *wireReader) canHold(n uint32, minEntrySize int) bool {
-	return r.r.CanHold(n, minEntrySize)
-}
-
-// u8 consumes one byte.
-func (r *wireReader) u8() byte {
-	return r.r.U8()
-}
-
 // bitmap consumes a packed bool array.
 func (r *wireReader) bitmap(bits *[NumCounters]bool) {
-	packed := r.take(NumCounters / 8)
+	packed := r.Take(NumCounters / 8)
 	if packed == nil {
 		return
 	}
@@ -157,7 +91,7 @@ func (r *wireReader) bitmap(bits *[NumCounters]bool) {
 
 // done asserts the value was consumed exactly and returns the final error.
 func (r *wireReader) done() error {
-	if err := r.r.Done(); err != nil {
+	if err := r.Done(); err != nil {
 		return fmt.Errorf("%w: %v", ErrDataFormat, err)
 	}
 	return nil

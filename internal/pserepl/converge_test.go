@@ -17,11 +17,12 @@ import (
 // opHook is an adversary that shows the test every counter-op request in
 // the clear (the group key is the test's own) before it reaches its
 // replica; f may block to hold the request, or return an error to drop it.
-// done, when set, sees the request again once its replica has answered.
+// done, when set, sees the request again once its replica has answered,
+// with the vote (nil for a reply that is not one).
 type opHook struct {
 	g    *Group
 	f    func(replica string, m *opMessage) error
-	done func(replica string, m *opMessage)
+	done func(replica string, m *opMessage, rep *opReply)
 }
 
 func (h opHook) open(msg *transport.Message) (string, *opMessage) {
@@ -47,12 +48,16 @@ func (h opHook) OnRequest(msg *transport.Message) error {
 	return nil
 }
 
-func (h opHook) OnResponse(msg transport.Message, _ *[]byte) error {
+func (h opHook) OnResponse(msg transport.Message, reply *[]byte) error {
 	if h.done == nil {
 		return nil
 	}
 	if replica, m := h.open(&msg); m != nil {
-		h.done(replica, m)
+		var rep *opReply
+		if raw, err := h.g.sealer.Open(*reply, aadRep(kindOp, replica)); err == nil {
+			rep, _ = decodeOpReply(raw)
+		}
+		h.done(replica, m, rep)
 	}
 	return nil
 }
@@ -166,7 +171,7 @@ func TestMissedCreateRepairCoversHeldWrite(t *testing.T) {
 			}
 			return nil
 		},
-		done: func(replica string, m *opMessage) {
+		done: func(replica string, m *opMessage, _ *opReply) {
 			switch {
 			case replica != "rep-1" && m.Op == opRead:
 				if reads.Add(1) == 2 {
@@ -317,6 +322,76 @@ func TestForgedCapabilityInstallsNothing(t *testing.T) {
 	g.Quiesce()
 }
 
+// TestDestroyAfterMissedCreate: rep-2's create is held and its copy of the
+// increment to 5 dropped, so a destroy finds rep-2 without the counter.
+// The destroy succeeds on rep-0 and rep-1 with capture 5 and tombstones
+// rep-2 too (create, then destroy), so the held create, landing after it,
+// is turned away instead of installing a live ghost slot. A second destroy
+// is refused at the coordinator without sending a message.
+func TestDestroyAfterMissedCreate(t *testing.T) {
+	r := newRig(t, 1)
+	g := r.group
+	liveBefore := r.services[2].TotalLive()
+
+	create := newHeldOp()
+	var heldNonce atomic.Uint64
+	var advances, sends atomic.Int32
+	lateCreate := make(chan byte, 1)
+	r.net.SetAdversary(opHook{g: g,
+		f: func(replica string, m *opMessage) error {
+			sends.Add(1)
+			switch {
+			case replica == "rep-2" && m.Op == opCreate:
+				heldNonce.CompareAndSwap(0, m.Nonce)
+				create.park() // the first create; the destroy's repair passes
+			case replica == "rep-2" && m.Op == opAdvance && advances.Add(1) == 1:
+				return transport.ErrDropped
+			}
+			return nil
+		},
+		done: func(replica string, m *opMessage, rep *opReply) {
+			if replica == "rep-2" && m.Op == opCreate && m.Nonce == heldNonce.Load() {
+				var st byte
+				if rep != nil {
+					st = rep.Status
+				}
+				lateCreate <- st
+			}
+		},
+	})
+
+	uuid, _, err := g.Create(r.client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-create.arrived
+	if v, err := g.IncrementN(r.client, uuid, 5); err != nil || v != 5 {
+		t.Fatalf("increment acked by rep-0, rep-1: v=%d err=%v", v, err)
+	}
+	if v, err := g.DestroyAndRead(r.client, uuid); err != nil || v != 5 {
+		t.Fatalf("destroy across a replica that missed the create: v=%d err=%v, want 5", v, err)
+	}
+	close(create.release)
+	if st := <-lateCreate; st != statusGone {
+		t.Fatalf("held create landing after the destroy: status %d, want statusGone (%d)", st, statusGone)
+	}
+	g.Quiesce()
+
+	before := sends.Load()
+	if _, err := g.DestroyAndRead(r.client, uuid); !errors.Is(err, pse.ErrCounterNotFound) {
+		t.Fatalf("second destroy: err = %v, want ErrCounterNotFound", err)
+	}
+	if n := sends.Load() - before; n != 0 {
+		t.Fatalf("second destroy sent %d ops, want none", n)
+	}
+	if got := r.services[2].TotalLive(); got != liveBefore {
+		t.Fatalf("rep-2 holds %d local counters, want %d as before the create", got, liveBefore)
+	}
+	if got := g.TotalLive(); got != 0 {
+		t.Fatalf("group TotalLive = %d, want 0", got)
+	}
+}
+
 // TestWritesCommuteUnderAdversary is the seeded property behind the three
 // scenarios above: one incrementer, two readers, and an adversary that for
 // every increment picks a replica and drops, delays (past the following
@@ -326,6 +401,12 @@ func TestForgedCapabilityInstallsNothing(t *testing.T) {
 // result + 1 + the attempts that failed in between, and more than any
 // read before it; a reader never sees a value go back; no replica ever
 // holds more than the highest value issued.
+//
+// Partway through, two destroyers race each other and the incrementer,
+// and the adversary drops the first destroy's copy to one replica (which
+// so keeps the counter live). Exactly one destroy succeeds; its capture is
+// at least every acknowledged increment and every read; no increment or
+// read invoked after it returned succeeds.
 func TestWritesCommuteUnderAdversary(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) { writesCommute(t, seed) })
@@ -349,6 +430,16 @@ func writesCommute(t *testing.T, seed int64) {
 	}
 	g.Quiesce()
 
+	rng := rand.New(rand.NewSource(seed))
+	destroyAt, destroyVictim := 50+rng.Intn(100), r.replicas[rng.Intn(3)].ID()
+	var (
+		dropDestroy atomic.Bool // the first destroy's copy to destroyVictim is dropped
+		destroying  atomic.Bool // a destroyer has been started
+		destroyed   atomic.Bool // the winning destroy has returned
+		maxAcked    atomic.Uint32
+	)
+	dropDestroy.Store(true)
+
 	// The plan of the current increment, set by the incrementer.
 	var (
 		mu       sync.Mutex
@@ -361,6 +452,9 @@ func writesCommute(t *testing.T, seed int64) {
 	)
 	r.net.SetAdversary(&transport.Interceptor{Request: func(msg *transport.Message) error {
 		replica, m := opHook{g: g}.open(msg)
+		if m != nil && m.Op == opDestroyRead && replica == destroyVictim && dropDestroy.CompareAndSwap(true, false) {
+			return transport.ErrDropped
+		}
 		if m == nil || m.Op != opAdvance {
 			return nil
 		}
@@ -379,7 +473,9 @@ func writesCommute(t *testing.T, seed int64) {
 		switch {
 		case also, hit && (md == drop || md == dropTwo):
 			return transport.ErrDropped
-		case hit && md == delay:
+		case hit && md == delay && !destroying.Load():
+			// Once the destroy runs, an increment can meet tombstones and
+			// wait for every vote, this one included: no delays then.
 			<-wait
 		}
 		return nil
@@ -387,7 +483,7 @@ func writesCommute(t *testing.T, seed int64) {
 
 	var maxRead atomic.Uint32
 	stop := make(chan struct{})
-	var readers sync.WaitGroup
+	var readers, destroyers sync.WaitGroup
 	var gates []chan struct{} // gates[i] is released when increment i+2 starts
 	released := 0
 	defer func() {
@@ -396,6 +492,7 @@ func writesCommute(t *testing.T, seed int64) {
 			close(gt)
 		}
 		readers.Wait()
+		destroyers.Wait()
 		g.Quiesce()
 	}()
 	for i := 0; i < 2; i++ {
@@ -409,8 +506,13 @@ func writesCommute(t *testing.T, seed int64) {
 					return
 				default:
 				}
+				after := destroyed.Load()
 				v, err := g.Read(r.client, uuid)
-				if errors.Is(err, ErrNoQuorum) {
+				if err == nil && after {
+					t.Errorf("read returned %d after the destroy had returned", v)
+					return
+				}
+				if errors.Is(err, ErrNoQuorum) || errors.Is(err, pse.ErrCounterNotFound) && destroying.Load() {
 					continue // a dropped repair can leave a read short of a quorum
 				}
 				if err != nil {
@@ -428,9 +530,37 @@ func writesCommute(t *testing.T, seed int64) {
 		}()
 	}
 
-	rng := rand.New(rand.NewSource(seed))
+	// Each destroyer retries an unavailable answer until it wins or finds
+	// the counter gone.
+	var wins atomic.Int32
+	var capture atomic.Uint32
+	destroyer := func() {
+		defer destroyers.Done()
+		for {
+			v, err := g.DestroyAndRead(r.client, uuid)
+			switch {
+			case err == nil:
+				wins.Add(1)
+				capture.Store(v)
+				destroyed.Store(true)
+				return
+			case errors.Is(err, pse.ErrCounterNotFound):
+				return
+			case !errors.Is(err, ErrNoQuorum):
+				t.Errorf("destroy: %v", err)
+				return
+			}
+		}
+	}
+
 	var issued, failed uint32 // highest value issued; attempts failed since the last success
 	for op := 0; op < 200 && !t.Failed(); op++ {
+		if op == destroyAt {
+			destroying.Store(true)
+			destroyers.Add(2)
+			go destroyer()
+			go destroyer()
+		}
 		if op >= 2 {
 			close(gates[released])
 			released++
@@ -454,11 +584,13 @@ func writesCommute(t *testing.T, seed int64) {
 		victim, second = r.replicas[v].ID(), r.replicas[(v+1+rng.Intn(2))%3].ID()
 		mu.Unlock()
 
-		seen := maxRead.Load()
+		seen, after := maxRead.Load(), destroyed.Load()
 		got, err := g.Increment(r.client, uuid)
 		issued++
 		switch {
-		case errors.Is(err, ErrNoQuorum):
+		case err == nil && after:
+			t.Fatalf("increment %d returned %d after the destroy had returned", op, got)
+		case errors.Is(err, ErrNoQuorum), errors.Is(err, pse.ErrCounterNotFound) && destroying.Load():
 			failed++
 		case err != nil:
 			t.Fatalf("increment %d: %v", op, err)
@@ -468,17 +600,29 @@ func writesCommute(t *testing.T, seed int64) {
 			t.Fatalf("increment %d returned %d, not above the earlier read of %d", op, got, seen)
 		default:
 			failed = 0
+			maxAcked.Store(got)
 		}
 		for i, rep := range r.replicas {
+			// Read under the replica's lock: a racing destroy may drop the
+			// slot and its local counter.
 			rep.mu.Lock()
-			slot, agent := rep.table[uuid.ID], rep.agent
+			var v uint32
+			var err error
+			if slot := rep.table[uuid.ID]; slot != nil {
+				v, err = r.services[i].Read(rep.agent, slot.local)
+			}
 			rep.mu.Unlock()
-			if v, err := r.services[i].Read(agent, slot.local); err != nil || v > issued {
+			if err != nil || v > issued {
 				t.Fatalf("after increment %d: %s holds %d (err=%v), highest issued is %d", op, rep.ID(), v, err, issued)
 			}
 		}
 	}
-	if last, err := g.Inspect(r.client.MREnclave(), uuid); err == nil && (last > issued || last < issued-failed) {
-		t.Fatalf("final value %d, want %d..%d", last, issued-failed, issued)
+	destroyers.Wait()
+	if n := wins.Load(); n != 1 {
+		t.Fatalf("%d destroys succeeded, want exactly 1", n)
+	}
+	if c := capture.Load(); c < maxAcked.Load() || c < maxRead.Load() || c > issued {
+		t.Fatalf("destroy captured %d: acknowledged increments reached %d, reads %d, highest issued %d",
+			c, maxAcked.Load(), maxRead.Load(), issued)
 	}
 }

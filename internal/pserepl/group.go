@@ -73,11 +73,16 @@ var (
 // *pse.Service (core.CounterService), so the Migration Library works
 // against it unchanged. All methods are safe for concurrent use.
 //
-// The coordinator itself is untrusted host software, like the cloud
-// management plane: correctness does not depend on it. Each replica
-// enforces the UUID nonce capability and the owner identity itself, and
-// monotonicity comes from the replicas' firmware counters plus quorum
-// intersection, not from coordinator bookkeeping.
+// The coordinator is in the trusted computing base, as the Migration
+// Enclave is: it runs as an enclave on a rack machine and is provisioned
+// with the group key and the rack escrow key. It is trusted for those two
+// keys (whoever holds the group key can seal any op or repair, whoever
+// holds the escrow key can unwrap every escrowed MSK), for destroy
+// arbitration (its counter record decides which destroy of a counter may
+// run and what it captures: the paper's R3 and R4), and for the values it
+// issues (unique increment results). Each replica still enforces the UUID
+// nonce capability and the owner identity itself, and a committed value
+// survives f replica failures by quorum intersection.
 type Group struct {
 	name   string
 	f      int
@@ -119,38 +124,29 @@ type Group struct {
 	// ownerMu guards the counter budget. Every replica backs group
 	// counters with local hardware counters created under its single
 	// agent identity, so the whole group shares one facility's budget
-	// (pse.MaxCounters) across all owners — total tracks it, and
-	// perOwner mirrors pse.Service's per-identity accounting within it.
-	ownerMu  sync.Mutex
-	total    int
-	perOwner map[sgx.Measurement]int
+	// (pse.MaxCounters) across all owners: total counts the live counters
+	// plus the creates in flight, and bounds every owner's share as well.
+	ownerMu sync.Mutex
+	total   int
 
 	// destroyMu serializes destroys group-wide (they are rare: one per
 	// counter lifetime, driven by migration freezes). The coordinator is
 	// the serialization point the firmware singleton provided for free:
-	// without it, two concurrent destroys of one counter could split the
-	// OK votes so that both reach a quorum of ok+gone acks — and a
-	// forked enclave's freeze would succeed alongside the original's.
+	// under it a destroy finds its counter's record or is refused before
+	// any broadcast, so of two racing destroys of one counter — a forked
+	// enclave's freeze and the original's — only the first can succeed.
 	destroyMu sync.Mutex
 
-	// incrMu stripes serialize the writers of a counter, again standing
-	// in for the firmware's serial rate-limited transactions, and hold the
-	// highest value issued for each live counter (at most pse.MaxCounters
-	// entries in all). Every value a replica holds was issued here, so
-	// issued+n exceeds them all and no two increments share a result — the
-	// unique-result property TrInc-style attestation builds on.
+	// incrMu stripes hold the counter records and serialize the writers of
+	// a counter, again standing in for the firmware's serial rate-limited
+	// transactions (at most pse.MaxCounters records in all). Every value a
+	// replica holds was issued here, so issued+n exceeds them all and no
+	// two increments share a result — the unique-result property
+	// TrInc-style attestation builds on.
 	incrMu [16]counterStripe
 
-	// recoverMu guards the two failure ledgers below.
+	// recoverMu guards aborted and the escrow hooks.
 	recoverMu sync.Mutex
-	// destroyFinals remembers, per counter, the highest final value any
-	// replica acked during a destroy whose quorum was NOT reached: that
-	// replica dropped the counter (its value is gone from the fleet), so
-	// a later retry folds the remembered value into its result — the
-	// capture can never report less than an acked increment (R4), even
-	// when the retry's only OK votes come from stragglers. Entries are
-	// dropped when the destroy completes.
-	destroyFinals map[uint32]uint32
 	// aborted records IDs of creates that failed their quorum: their
 	// best-effort rollback may itself have missed a minority replica,
 	// and without a tombstone that ghost entry would re-propagate
@@ -168,12 +164,27 @@ type Group struct {
 	obs atomic.Pointer[groupObs]
 }
 
-// counterStripe is one stripe of Group.incrMu. Under its lock, issued
-// maps a counter to the highest value written for it: 0 from its create,
-// dropped when a destroy completes.
+// counterStripe is one stripe of Group.incrMu: under its lock, live maps
+// each live counter whose ID falls in the stripe to its record.
 type counterStripe struct {
 	sync.Mutex
-	issued map[uint32]uint32
+	live map[uint32]*counterRecord
+}
+
+// counterRecord is the coordinator's only per-counter state. A successful
+// create inserts it and a successful destroy deletes it, so an ID without
+// one is not live: writes and destroys naming it are refused before any
+// broadcast, and a counter can be destroyed only once.
+type counterRecord struct {
+	owner sgx.Measurement
+	// issued is the highest value written for the counter (0 at create).
+	issued uint32
+	// captured is the highest final value a replica reported OK in a
+	// destroy attempt that failed its quorum. That replica dropped the
+	// counter, and its final may be the only copy left of the latest
+	// acknowledged increment, so the destroy that succeeds reports at least
+	// it (R4) even when its own OK votes come from stragglers.
+	captured uint32
 }
 
 // groupObs is the group's observer with every member's children of the
@@ -218,19 +229,17 @@ func NewGroup(name string, f int, msgr transport.Messenger, replicas ...*Replica
 		return nil, fmt.Errorf("escrow sealer: %w", err)
 	}
 	g := &Group{
-		name:          name,
-		f:             f,
-		msgr:          msgr,
-		addr:          transport.Address("ctr-group/" + name),
-		sealer:        sealer,
-		escrowSealer:  escrowSealer,
-		members:       make(map[string]transport.Address, len(replicas)),
-		perOwner:      make(map[sgx.Measurement]int),
-		destroyFinals: make(map[uint32]uint32),
-		aborted:       make(map[uint32]struct{}),
+		name:         name,
+		f:            f,
+		msgr:         msgr,
+		addr:         transport.Address("ctr-group/" + name),
+		sealer:       sealer,
+		escrowSealer: escrowSealer,
+		members:      make(map[string]transport.Address, len(replicas)),
+		aborted:      make(map[uint32]struct{}),
 	}
 	for i := range g.incrMu {
-		g.incrMu[i].issued = make(map[uint32]uint32)
+		g.incrMu[i].live = make(map[uint32]*counterRecord)
 	}
 	g.obs.Store(&groupObs{})
 	seen := make(map[string]bool, len(replicas))
@@ -467,19 +476,18 @@ func (g *Group) broadcastLocked(members map[string]transport.Address, kind strin
 }
 
 // successRule is the early-return predicate of a quorum op: the outcome
-// is decidably successful once a majority acked (with at least one OK
-// when gone counts as an ack). Failure is never decided early — refusals
-// and transport errors wait for the full vote set, because a late ack can
-// still flip a refusal into ErrNoQuorum (the minority-refusal rule) and,
-// on destroys, a late OK carries a final value that must reach
-// destroyFinals. Success is safe to decide early by quorum intersection:
+// is decidably successful once a majority acked, counting tolerated
+// refusals (see tally) beside at least one OK. Failure is never decided
+// early — refusals and transport errors wait for the full vote set,
+// because a late ack can still flip a refusal into success or
+// ErrNoQuorum. Success is safe to decide early by quorum intersection:
 // any committed (or read-observed, hence read-repaired onto a majority)
 // value lives on f+1 replicas, so the maximum over ANY f+1 acks already
 // includes it.
-func (g *Group) successRule(goneIsAck bool) func([]vote) bool {
+func (g *Group) successRule(tolerated byte) func([]vote) bool {
 	q := g.Quorum()
 	return func(votes []vote) bool {
-		oks, gones := 0, 0
+		oks, tols := 0, 0
 		for i := range votes {
 			v := &votes[i]
 			if v.err != nil || v.reply == nil {
@@ -487,11 +495,11 @@ func (g *Group) successRule(goneIsAck bool) func([]vote) bool {
 			}
 			if v.reply.Status == statusOK {
 				oks++
-			} else if goneIsAck && v.reply.Status == statusGone {
-				gones++
+			} else if tolerated != 0 && v.reply.Status == tolerated {
+				tols++
 			}
 		}
-		return oks >= 1 && oks+gones >= q
+		return oks >= 1 && oks+tols >= q
 	}
 }
 
@@ -506,16 +514,20 @@ func (g *Group) Quiesce() { g.pending.Wait() }
 // increments), the replicas' common refusal when a majority responded
 // without acking, ErrNoQuorum when too few responded at all.
 //
-// goneIsAck lets a destroy retry complete: a replica that already
-// dropped the counter in an earlier partial attempt votes statusGone,
-// which counts toward the quorum — but only alongside at least one
-// statusOK vote from a replica that performed the destroy now. With no
-// OK vote at all the counter is simply gone (destroyed earlier), and the
-// operation reports ErrCounterNotFound exactly like pse.Service would —
-// a second freeze of a forked enclave must fail, not succeed with a
-// zero capture.
-func (g *Group) tally(votes []vote, goneIsAck bool) (uint32, error) {
-	oks, gones, responses := 0, 0, 0
+// tolerated (0: none) is the one refusal that counts toward the quorum
+// beside at least one OK vote:
+//   - statusGone for destroys: a replica that dropped the counter in an
+//     earlier partial attempt lets the retry complete. With no OK vote at
+//     all the counter is simply gone, and the operation reports
+//     ErrCounterNotFound exactly like pse.Service would.
+//   - statusNotFound for reads and writes: the voter missed the counter's
+//     create, and confirmDurable heals it. Beside an OK this can never
+//     reach a quorum for a destroyed counter — a successful destroy
+//     leaves tombstones on f+1 replicas — nor for a wrong capability,
+//     which no replica acks.
+//   - none for creates.
+func (g *Group) tally(votes []vote, tolerated byte) (uint32, error) {
+	oks, tols, responses := 0, 0, 0
 	var maxV uint32
 	badCount := make(map[byte]int)
 	for _, v := range votes {
@@ -531,22 +543,21 @@ func (g *Group) tally(votes []vote, goneIsAck bool) (uint32, error) {
 			}
 			continue
 		}
-		if goneIsAck && st == statusGone {
-			gones++
+		if tolerated != 0 && st == tolerated {
+			tols++
 			continue
 		}
 		badCount[st]++
 	}
-	if oks >= 1 && oks+gones >= g.Quorum() {
+	if oks >= 1 && oks+tols >= g.Quorum() {
 		return maxV, nil
 	}
 	if responses >= g.Quorum() && oks == 0 {
 		// A majority answered and not one replica acked: the refusal is
 		// authoritative (e.g. every responder reports the counter
-		// destroyed). Report the dominant reason. All-Gone lands here
-		// too (gones were not counted as refusals in badCount, so fold
-		// them back in).
-		badCount[statusGone] += gones
+		// destroyed). Report the dominant reason, folding the tolerated
+		// refusals (not counted in badCount) back in.
+		badCount[tolerated] += tols
 		worst, n := byte(0), 0
 		for st, c := range badCount {
 			if c > n || (c == n && st > worst) {
@@ -556,11 +567,10 @@ func (g *Group) tally(votes []vote, goneIsAck bool) (uint32, error) {
 		return 0, statusErr(worst)
 	}
 	// Mixed votes (some acks, but not a quorum): never promote a
-	// minority's refusal to an authoritative answer — a straggler that
-	// missed a committed create votes not-found for a perfectly live
-	// counter. Fail safe as unavailable instead.
+	// minority's refusal to an authoritative answer. Fail safe as
+	// unavailable instead.
 	return 0, fmt.Errorf("%w: %d acks among %d responses from %d replicas, need %d",
-		ErrNoQuorum, oks+gones, responses, len(votes), g.Quorum())
+		ErrNoQuorum, oks+tols, responses, len(votes), g.Quorum())
 }
 
 // statusErr maps a replica refusal onto the pse error a single-machine
@@ -609,12 +619,12 @@ func (g *Group) sendOp(m *opMessage, only []string, early func([]vote) bool) ([]
 // changes nothing at a replica — creates and destroys are idempotent per
 // ID, the one counter write is "at least N" — so requests need no dedup
 // state replica-side; the nonce's job is making the votes unforgeable.
-func (g *Group) quorumOp(m *opMessage, goneIsAck bool) (uint32, error) {
-	votes, _, err := g.sendOp(m, nil, g.successRule(goneIsAck))
+func (g *Group) quorumOp(m *opMessage, tolerated byte) (uint32, error) {
+	votes, _, err := g.sendOp(m, nil, g.successRule(tolerated))
 	if err != nil {
 		return 0, err
 	}
-	return g.tally(votes, goneIsAck)
+	return g.tally(votes, tolerated)
 }
 
 // Create allocates a fresh replicated monotonic counter for the calling
@@ -656,14 +666,14 @@ func (g *Group) IncrementN(e *sgx.Enclave, uuid pse.UUID, n int) (uint32, error)
 	st := g.stripe(uuid.ID)
 	st.Lock()
 	defer st.Unlock()
-	issued, live := st.issued[uuid.ID]
-	if !live {
+	rec := st.live[uuid.ID]
+	if rec == nil {
 		return 0, pse.ErrCounterNotFound
 	}
-	if uint32(n) > ^uint32(0)-issued {
+	if uint32(n) > ^uint32(0)-rec.issued {
 		return 0, pse.ErrCounterOverflow
 	}
-	return g.advanceLocked(st, e.MREnclave(), uuid, issued+uint32(n))
+	return g.advanceLocked(rec, e.MREnclave(), uuid, rec.issued+uint32(n))
 }
 
 // stripe returns the incrMu stripe of a counter ID.
@@ -672,14 +682,14 @@ func (g *Group) stripe(id uint32) *counterStripe {
 }
 
 // advanceLocked commits "advance to at least n" on a quorum and returns
-// the quorum value; the caller holds the counter's stripe st and found
-// the counter live there. n counts as issued unless the replicas refused
-// it outright (wrong capability or owner: none of them applied it), so a
-// caller without the capability cannot make the owner's counter skip.
-func (g *Group) advanceLocked(st *counterStripe, owner sgx.Measurement, uuid pse.UUID, n uint32) (uint32, error) {
+// the quorum value; the caller holds the stripe of rec, the counter's
+// record. n counts as issued unless the replicas refused it outright
+// (wrong capability or owner: none of them applied it), so a caller
+// without the capability cannot make the owner's counter skip.
+func (g *Group) advanceLocked(rec *counterRecord, owner sgx.Measurement, uuid pse.UUID, n uint32) (uint32, error) {
 	v, err := g.commitOp(&opMessage{Op: opAdvance, UUID: uuid, Owner: owner, N: n})
-	if (err == nil || errors.Is(err, ErrNoQuorum)) && n > st.issued[uuid.ID] {
-		st.issued[uuid.ID] = n
+	if (err == nil || errors.Is(err, ErrNoQuorum)) && n > rec.issued {
+		rec.issued = n
 	}
 	return v, err
 }
@@ -719,21 +729,16 @@ func (g *Group) AdminCreate(owner sgx.Measurement) (pse.UUID, error) {
 	g.ownerMu.Lock()
 	// The group's capacity is one facility's worth of counters shared by
 	// the whole rack (every replica backs them under its single agent
-	// identity), so the total is bounded like the per-owner budget.
-	if g.total >= pse.MaxCounters || g.perOwner[owner] >= pse.MaxCounters {
+	// identity); an owner's share is bounded by the same total.
+	if g.total >= pse.MaxCounters {
 		g.ownerMu.Unlock()
 		return pse.UUID{}, pse.ErrCounterLimit
 	}
 	g.total++
-	g.perOwner[owner]++
 	g.ownerMu.Unlock()
 	release := func() {
 		g.ownerMu.Lock()
 		g.total--
-		g.perOwner[owner]--
-		if g.perOwner[owner] == 0 {
-			delete(g.perOwner, owner)
-		}
 		g.ownerMu.Unlock()
 	}
 	id := g.nextID.Add(1)
@@ -749,13 +754,13 @@ func (g *Group) AdminCreate(owner sgx.Measurement) (pse.UUID, error) {
 	m := &opMessage{Op: opCreate, Owner: owner}
 	m.UUID.ID = uint32(id)
 	copy(m.UUID.Nonce[:], nonce)
-	if _, err := g.quorumOp(m, false); err != nil {
+	if _, err := g.quorumOp(m, 0); err != nil {
 		// Partial creates on a minority are rolled back best-effort, and
 		// the ID is recorded as aborted: snapshot merges treat it as a
 		// tombstone, so a ghost entry the rollback missed is destroyed by
 		// the holding replica's next reseed instead of propagating.
 		m.Op = opDestroyRead
-		_, _ = g.quorumOp(m, true)
+		_, _ = g.quorumOp(m, statusGone)
 		g.recoverMu.Lock()
 		g.aborted[m.UUID.ID] = struct{}{}
 		g.recoverMu.Unlock()
@@ -764,7 +769,7 @@ func (g *Group) AdminCreate(owner sgx.Measurement) (pse.UUID, error) {
 	}
 	st := g.stripe(m.UUID.ID)
 	st.Lock()
-	st.issued[m.UUID.ID] = 0
+	st.live[m.UUID.ID] = &counterRecord{owner: owner}
 	st.Unlock()
 	return m.UUID, nil
 }
@@ -778,10 +783,11 @@ func (g *Group) AdminAdvance(owner sgx.Measurement, uuid pse.UUID, v uint32) (ui
 	st := g.stripe(uuid.ID)
 	st.Lock()
 	defer st.Unlock()
-	if _, live := st.issued[uuid.ID]; !live {
+	rec := st.live[uuid.ID]
+	if rec == nil {
 		return 0, pse.ErrCounterNotFound
 	}
-	return g.advanceLocked(st, owner, uuid, v)
+	return g.advanceLocked(rec, owner, uuid, v)
 }
 
 // AdminDestroy destroys a counter on behalf of the named owner without
@@ -789,25 +795,26 @@ func (g *Group) AdminAdvance(owner sgx.Measurement, uuid pse.UUID, v uint32) (ui
 // decommissioning and federation revocation (a cross-DC recovery
 // consumes the origin site's binding counter through it). Semantics are
 // exactly DestroyAndRead's: coordinator-serialized, sticky, and the
-// returned final value folds in finals remembered from partial attempts.
+// returned final value folds in the capture of partial attempts.
 func (g *Group) AdminDestroy(owner sgx.Measurement, uuid pse.UUID) (uint32, error) {
 	return g.destroyQuorum(owner, uuid)
 }
 
 // commitOp is the shared commit sequence of reads and writes: broadcast,
-// tally — returning as soon as a quorum of acks makes the result
+// tally — returning as soon as a quorum of OKs makes the result
 // decidable — and confirm the result durable on a majority (repairing
-// stragglers) before returning it. Votes that arrive after an early
-// return are drained in the background and repaired the same way, so the
-// healing the full-wait collection performed still happens; it just no
-// longer sits on the caller's latency path (Quiesce observes its
-// completion).
+// stragglers) before returning it. Only a complete vote set counts a
+// voter that missed the counter's create toward the quorum, as one that
+// confirmDurable then heals. Votes that arrive after an early return are
+// drained in the background and repaired the same way, so the healing the
+// full-wait collection performed still happens; it just no longer sits on
+// the caller's latency path (Quiesce observes its completion).
 func (g *Group) commitOp(m *opMessage) (uint32, error) {
-	votes, late, err := g.sendOp(m, nil, g.successRule(false))
+	votes, late, err := g.sendOp(m, nil, g.successRule(0))
 	if err != nil {
 		return 0, err
 	}
-	v, err := g.tally(votes, false)
+	v, err := g.tally(votes, statusNotFound)
 	if err != nil {
 		return 0, err // never decided early: the vote set is complete
 	}
@@ -856,7 +863,7 @@ func (g *Group) confirmDurable(m *opMessage, votes []vote, v uint32) error {
 			confirmed++
 		}
 	}
-	for _, vt := range g.repair(m, &behind, v) {
+	for _, vt := range g.repair(&behind, advanceTo(m, v)) {
 		if vt.err == nil && vt.reply != nil && vt.reply.Status == statusOK && vt.reply.Value >= v {
 			confirmed++
 		}
@@ -868,20 +875,26 @@ func (g *Group) confirmDurable(m *opMessage, votes []vote, v uint32) error {
 	return nil
 }
 
-// repair advances the set's members to at least v for m's counter and
-// returns their votes. A member that missed the create is sent the
-// idempotent create first: only a repair installs a slot, and a repair
-// runs only after a quorum acked the same capability — the write itself
-// never does, so a client cannot mint or poison a slot with it.
-func (g *Group) repair(m *opMessage, s *repairSet, v uint32) []vote {
+// advanceTo is the repair that raises m's counter to at least v.
+func advanceTo(m *opMessage, v uint32) *opMessage {
+	return &opMessage{Op: opAdvance, UUID: m.UUID, Owner: m.Owner, N: v}
+}
+
+// repair sends the set's members next — an advance, or the destroy that
+// tombstones a destroyed counter — and returns their votes. A member that
+// missed the create is sent the idempotent create first: only a repair
+// installs a slot, and a repair runs only after a quorum acked the same
+// capability — the write itself never does, so a client cannot mint or
+// poison a slot with it.
+func (g *Group) repair(s *repairSet, next *opMessage) []vote {
 	if len(s.lagging)+len(s.missing) == 0 {
 		return nil
 	}
 	if len(s.missing) > 0 {
-		g.sendOp(&opMessage{Op: opCreate, UUID: m.UUID, Owner: m.Owner}, s.missing, nil)
+		g.sendOp(&opMessage{Op: opCreate, UUID: next.UUID, Owner: next.Owner}, s.missing, nil)
 	}
-	// Best effort: the advance's votes say whether the repair took.
-	votes, _, _ := g.sendOp(&opMessage{Op: opAdvance, UUID: m.UUID, Owner: m.Owner, N: v}, append(s.lagging, s.missing...), nil)
+	// Best effort: next's votes say whether the repair took.
+	votes, _, _ := g.sendOp(next, append(s.lagging, s.missing...), nil)
 	return votes
 }
 
@@ -901,7 +914,7 @@ func (g *Group) repairLate(m *opMessage, late <-chan vote, outstanding int, v ui
 			vt := <-late
 			behind.note(&vt, v)
 		}
-		g.repair(m, &behind, v)
+		g.repair(&behind, advanceTo(m, v))
 	}()
 }
 
@@ -919,10 +932,10 @@ func (g *Group) Destroy(e *sgx.Enclave, uuid pse.UUID) error {
 //
 // A destroy that fails its quorum may still have dropped the counter on
 // the replicas that acked — and their finals may be the only copies of
-// the latest committed increments. Those finals are remembered and
-// folded into the retry's result, so the capture a migration freeze
-// records never regresses below an acknowledged increment (R4) even
-// when the retry's own acks come from stragglers.
+// the latest committed increments. Those finals are kept in the
+// counter's record and folded into the retry's result, so the capture a
+// migration freeze records never regresses below an acknowledged
+// increment (R4) even when the retry's own acks come from stragglers.
 func (g *Group) DestroyAndRead(e *sgx.Enclave, uuid pse.UUID) (uint32, error) {
 	if err := e.ECall(); err != nil {
 		return 0, err
@@ -936,49 +949,55 @@ func (g *Group) destroyQuorum(owner sgx.Measurement, uuid pse.UUID) (uint32, err
 	defer g.opSpan(obs.SpanQuorumDestroyRead, obs.QuorumDestroyRead).End()
 	g.destroyMu.Lock()
 	defer g.destroyMu.Unlock()
-	// Destroys never return early: destruction must be sticky the moment
-	// the call returns (an op racing a straggler's late destroy-apply
-	// would see a live counter), and the finals bookkeeping above needs
-	// every OK vote. One hung peer costing a rare, once-per-lifetime
-	// destroy its transport deadline is the right trade; the hot ops
-	// (create/increment/read/escrow) are the ones that return on quorum.
-	votes, _, err := g.sendOp(&opMessage{Op: opDestroyRead, UUID: uuid, Owner: owner}, nil, nil)
-	if err != nil {
-		return 0, err
-	}
-	g.recoverMu.Lock()
-	for _, vt := range votes {
-		if vt.err == nil && vt.reply != nil && vt.reply.Status == statusOK {
-			if cur, ok := g.destroyFinals[uuid.ID]; !ok || vt.reply.Value > cur {
-				g.destroyFinals[uuid.ID] = vt.reply.Value
-			}
-		}
-	}
-	remembered, hadPartial := g.destroyFinals[uuid.ID]
-	g.recoverMu.Unlock()
-	v, err := g.tally(votes, true)
-	if err != nil {
-		return 0, err
-	}
-	if hadPartial && remembered > v {
-		v = remembered
-	}
-	g.recoverMu.Lock()
-	delete(g.destroyFinals, uuid.ID)
-	g.recoverMu.Unlock()
 	st := g.stripe(uuid.ID)
 	st.Lock()
-	delete(st.issued, uuid.ID)
+	rec := st.live[uuid.ID]
 	st.Unlock()
-	g.ownerMu.Lock()
-	if g.perOwner[owner] > 0 {
-		g.total--
-		g.perOwner[owner]--
-		if g.perOwner[owner] == 0 {
-			delete(g.perOwner, owner)
+	if rec == nil {
+		// Never created, or already destroyed: the firmware singleton's
+		// answer to a second destroy, given without asking the replicas.
+		return 0, pse.ErrCounterNotFound
+	}
+	// Destroys never return early: destruction must be sticky the moment
+	// the call returns (an op racing a straggler's late destroy-apply
+	// would see a live counter), and the capture needs every OK vote. One
+	// hung peer costing a rare, once-per-lifetime destroy its transport
+	// deadline is the right trade; the hot ops (create/increment/read/
+	// escrow) are the ones that return on quorum.
+	m := &opMessage{Op: opDestroyRead, UUID: uuid, Owner: owner}
+	votes, _, err := g.sendOp(m, nil, nil)
+	if err != nil {
+		return 0, err
+	}
+	var final uint32
+	var missed repairSet
+	for _, vt := range votes {
+		switch {
+		case vt.err != nil || vt.reply == nil:
+		case vt.reply.Status == statusOK:
+			final = max(final, vt.reply.Value)
+		case vt.reply.Status == statusNotFound:
+			missed.missing = append(missed.missing, vt.id)
 		}
 	}
+	v, err := g.tally(votes, statusGone)
+	st.Lock()
+	rec.captured = max(rec.captured, final)
+	v = max(v, rec.captured)
+	if err == nil {
+		delete(st.live, uuid.ID)
+	}
+	st.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	g.ownerMu.Lock()
+	g.total--
 	g.ownerMu.Unlock()
+	// A voter that missed the create gets it now, then the destroy: its
+	// tombstone turns the straggling create away (statusGone) instead of
+	// letting it install a live ghost slot.
+	g.repair(&missed, m)
 	return v, nil
 }
 
@@ -992,9 +1011,18 @@ func (g *Group) TotalLive() int {
 // Count returns the number of live replicated counters owned by the
 // given identity.
 func (g *Group) Count(owner sgx.Measurement) int {
-	g.ownerMu.Lock()
-	defer g.ownerMu.Unlock()
-	return g.perOwner[owner]
+	n := 0
+	for i := range g.incrMu {
+		st := &g.incrMu[i]
+		st.Lock()
+		for _, rec := range st.live {
+			if rec.owner == owner {
+				n++
+			}
+		}
+		st.Unlock()
+	}
+	return n
 }
 
 // collectLocked gathers snapshots from the given members and merges them
@@ -1011,7 +1039,7 @@ func (g *Group) collectLocked(members map[string]transport.Address, minResponses
 	// forward-only, but needlessly behind), and reseeds/handoffs are rare
 	// enough to pay the full deadline.
 	votes, _ := g.broadcastLocked(members, kindOp, req, nonce, replySnap, nil)
-	merged := &syncMessage{Next: g.nextID.Load()}
+	merged := &syncMessage{}
 	byID := make(map[uint32]*syncEntry)
 	dead := make(map[uint32]bool)
 	escBest := make(map[escrowKey]*escrowEntry)
@@ -1021,9 +1049,6 @@ func (g *Group) collectLocked(members map[string]transport.Address, minResponses
 			continue
 		}
 		responses++
-		if v.snap.Next > merged.Next {
-			merged.Next = v.snap.Next
-		}
 		for i := range v.snap.Entries {
 			e := v.snap.Entries[i]
 			if cur, ok := byID[e.UUID.ID]; ok {

@@ -593,7 +593,6 @@ func TestReseedCannotResurrect(t *testing.T) {
 	// forgery — e.g. assembled from a stale replica's snapshot).
 	rep0 := r.replicas[0]
 	stale := &syncMessage{
-		Next:    2,
 		Entries: []syncEntry{{UUID: uuid, Owner: r.client.MREnclave(), Value: 3}},
 	}
 	rep0.mu.Lock()
@@ -693,8 +692,17 @@ func (a multiDrop) OnResponse(transport.Message, *[]byte) error { return nil }
 // TestStragglerRefusalIsNotAuthoritative pins the mixed-vote rule: a
 // replica that missed a committed create must not be able to turn a
 // live counter's reads into pse.ErrCounterNotFound (the signal the
-// migration protocol reads as destroyed/forked); without a quorum of
-// acks the group reports unavailability instead.
+// migration protocol reads as destroyed/forked).
+//
+// With one replica dead, an OK and a not-found answer the read, and that
+// is decidable. The two responders intersect the create's quorum, and
+// every committed write's, at the OK replica, so its value is the
+// counter's. The not-found voter can only have missed the create: a
+// destroyed counter has tombstones on a majority, so an OK beside a
+// not-found could never reach one for it. So the read returns the value
+// and heals the straggler. With two replicas dead the straggler answers
+// alone: too few responses, so the read reports unavailability, never
+// not-found.
 func TestStragglerRefusalIsNotAuthoritative(t *testing.T) {
 	r := newRig(t, 1)
 	g := r.group
@@ -713,30 +721,42 @@ func TestStragglerRefusalIsNotAuthoritative(t *testing.T) {
 	// afterwards and heal rep-2 ahead of the scenario.
 	g.Quiesce()
 	r.net.SetAdversary(nil)
-	// rep-1 dies: the responders are rep-0 (OK, value 4) and rep-2
-	// (not-found). The refusal of the straggling minority must not win.
+
+	// rep-0 and rep-1 die: only the straggler's not-found answers.
+	r.machines[0].Restart()
 	r.machines[1].Restart()
 	if _, err := g.Read(r.client, uuid); !errors.Is(err, ErrNoQuorum) {
-		t.Fatalf("read with straggler refusal: err = %v (want no-quorum, not not-found)", err)
+		t.Fatalf("read answered by the straggler alone: err = %v (want no-quorum, not not-found)", err)
 	}
-	// With the full quorum back, the counter reads normally — and the
-	// read heals the straggler: opAdvance installs the slot it missed,
-	// so the group is back to full replication and tolerates losing a
-	// different replica afterwards.
+
+	// rep-0 rejoins; rep-1 stays dead. The responders are rep-0 (OK,
+	// value 4) and rep-2 (not-found): the read returns 4 and heals rep-2.
+	if err := r.replicas[0].Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Reseed("rep-0"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := g.Read(r.client, uuid); err != nil || got != 4 {
+		t.Fatalf("read with straggler refusal: got %d err=%v, want 4", got, err)
+	}
+	rep2 := r.replicas[2]
+	rep2.mu.Lock()
+	slot := rep2.table[uuid.ID]
+	rep2.mu.Unlock()
+	if slot == nil || slot.value != 4 {
+		t.Fatalf("straggler not healed by the read: slot %+v", slot)
+	}
+
+	// rep-1 rejoins and rep-0 (an original create acker) dies: the healed
+	// straggler carries its share of the quorum.
 	if err := r.replicas[1].Restart(); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Reseed("rep-1"); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := g.Read(r.client, uuid); err != nil || got != 4 {
-		t.Fatalf("read after recovery: got %d err=%v", got, err)
-	}
-	// With the early-quorum return the healing opAdvance may run off the
-	// latency path (the straggler's not-found vote can arrive after the
-	// read returned); wait for it before relying on the heal.
-	g.Quiesce()
-	r.machines[0].Restart() // rep-0 (an original create acker) dies
+	r.machines[0].Restart()
 	if got, err := g.Read(r.client, uuid); err != nil || got != 4 {
 		t.Fatalf("read served by healed straggler: got %d err=%v", got, err)
 	}

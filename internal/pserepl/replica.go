@@ -107,13 +107,7 @@ type Replica struct {
 	// rotated on every restart and every applied reseed, so recorded
 	// reseed messages cannot be replayed at a stale replica.
 	challenge [16]byte
-	// issued is the highest group counter ID this replica has ever
-	// observed (from ops or reseeds). It travels in snapshots as
-	// syncMessage.Next — bookkeeping no decision consumes yet; it exists
-	// so a future coordinator-recovery path can re-derive the group's ID
-	// high-water mark from replica state alone.
-	issued uint64
-	table  map[uint32]*replicaSlot
+	table     map[uint32]*replicaSlot
 	// destroyed holds explicit tombstones for counters this replica
 	// destroyed or learned destroyed from a reseed. Unlike pse.Service,
 	// absence below the high-water mark is not proof of destruction here
@@ -374,11 +368,6 @@ func (r *Replica) applyLocked(m *opMessage) *opReply {
 			return errReply(err)
 		}
 		r.table[m.UUID.ID] = &replicaSlot{nonce: m.UUID.Nonce, owner: m.Owner, local: local}
-		if uint64(m.UUID.ID) > r.issued {
-			// Concurrent creates may broadcast out of ID order; the
-			// high-water mark only ever moves up.
-			r.issued = uint64(m.UUID.ID)
-		}
 		return &opReply{Status: statusOK}
 	}
 
@@ -490,7 +479,7 @@ func errReply(err error) *opReply {
 // snapshotLocked reports the replica's live table and its explicit
 // tombstones. Callers hold r.mu.
 func (r *Replica) snapshotLocked() *syncMessage {
-	snap := &syncMessage{Next: r.issued}
+	snap := &syncMessage{}
 	for id, slot := range r.table {
 		v, err := r.svc.Read(r.agent, slot.local)
 		if err != nil {
@@ -594,9 +583,6 @@ func (r *Replica) handleReseed(payload []byte) ([]byte, error) {
 		stored := *e
 		stored.Blob = append([]byte(nil), e.Blob...)
 		r.escrows[key] = &stored
-	}
-	if m.Next > r.issued {
-		r.issued = m.Next
 	}
 	if err := r.rotateChallengeLocked(); err != nil {
 		return nil, err

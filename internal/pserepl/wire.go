@@ -43,8 +43,9 @@ const (
 // Version 2 added the state-escrow messages and the escrow entries in
 // snapshots/reseeds; version 3 removed the relative increment (op 2 of
 // version 2) and renumbered the ops, so a coordinator still speaking
-// version 2 is refused whole rather than half-understood.
-const wireVersion byte = 3
+// version 2 is refused whole rather than half-understood; version 4
+// dropped the snapshot's ID high-water mark, which no decision read.
+const wireVersion byte = 4
 
 // Message kinds on the transport.Messenger.
 const (
@@ -177,17 +178,14 @@ type syncEntry struct {
 	Value uint32
 }
 
-// syncMessage is a counter-table snapshot: the ID high-water mark, every
-// live counter, and the explicit tombstones of destroyed ones. As a
-// snapshot reply it reports one replica's state; as a reseed payload it
-// carries the quorum's per-counter maximum and the union of tombstones.
+// syncMessage is a counter-table snapshot: every live counter and the
+// explicit tombstones of destroyed ones. As a snapshot reply it reports
+// one replica's state; as a reseed payload it carries the quorum's
+// per-counter maximum and the union of tombstones.
 // Destruction travels only as an explicit tombstone — absence from a
 // snapshot is never proof a counter was destroyed, because a minority of
 // replicas can miss a committed create.
 type syncMessage struct {
-	// Next is the group's ID-allocation high-water mark (every ID at or
-	// below it has been issued).
-	Next    uint64
 	Entries []syncEntry
 	// Tombstones lists destroyed counter IDs.
 	Tombstones []uint32
@@ -219,9 +217,8 @@ func (m *syncMessage) encode() []byte {
 	for i := range m.Escrows {
 		escSize += escrowEntryMinSize + len(m.Escrows[i].Blob)
 	}
-	out := make([]byte, 0, 2+8+4+len(m.Entries)*syncEntrySize+4+4*len(m.Tombstones)+4+escSize+16+8)
+	out := make([]byte, 0, 2+4+len(m.Entries)*syncEntrySize+4+4*len(m.Tombstones)+4+escSize+16+8)
 	out = wirec.AppendHeader(out, tagSync, wireVersion)
-	out = wirec.AppendU64(out, m.Next)
 	out = wirec.AppendU32(out, uint32(len(m.Entries)))
 	for i := range m.Entries {
 		e := &m.Entries[i]
@@ -248,7 +245,6 @@ func decodeSyncMessage(raw []byte) (*syncMessage, error) {
 	if !rd.Header(tagSync, wireVersion) {
 		return nil, fmt.Errorf("%w: %v", ErrWireFormat, rd.Err())
 	}
-	m.Next = rd.U64()
 	n := rd.U32()
 	if n > maxSyncEntries {
 		return nil, fmt.Errorf("%w: snapshot claims %d entries", ErrWireFormat, n)
