@@ -10,14 +10,16 @@
 //	chaoshunt -seed 42 -seeds 1 -v     one schedule, verbose verdict
 //	chaoshunt -budget 10m -loss 0.2    nightly soak: hunt until the budget
 //	chaoshunt -replay repro.json       re-run a shrunken repro file
-//	chaoshunt -flight flight-seed7.bin decode a flight-recorder bundle
+//	chaoshunt -flight flight-seed7.json summarize a flight-recorder bundle
 //	chaoshunt -json                    machine-readable verdicts
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -25,8 +27,16 @@ import (
 	"repro/internal/obs/flight"
 )
 
+// errViolated reports that a hunt or a replay found an invariant
+// violation; main exits 2 on it so CI can collect the artifact.
+var errViolated = errors.New("invariant violated")
+
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, errViolated) {
+		os.Exit(2)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "chaoshunt:", err)
 		os.Exit(1)
 	}
@@ -40,8 +50,9 @@ type verdict struct {
 	Violations []chaos.Violation `json:"violations,omitempty"`
 	Coverage   chaos.Coverage    `json:"coverage"`
 	Repro      *chaos.Repro      `json:"repro,omitempty"`
-	// FlightFile names the black-box bundle written beside the repro
-	// (flight.DecodeBundle or `fleetd`'s /flight.json shape reads it).
+	// FlightFile names the JSON black-box bundle written beside the
+	// repro (flight.DecodeBundle reads it; fleetd serves the same
+	// encoding at /flight).
 	FlightFile string `json:"flight_file,omitempty"`
 }
 
@@ -62,7 +73,7 @@ func writeFlight(seed int64, repro *chaos.Repro, res *chaos.Result) string {
 	if len(raw) == 0 {
 		return ""
 	}
-	name := fmt.Sprintf("flight-seed%d.bin", seed)
+	name := fmt.Sprintf("flight-seed%d.json", seed)
 	if err := os.WriteFile(name, raw, 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "chaoshunt: write %s: %v\n", name, err)
 		return ""
@@ -70,30 +81,31 @@ func writeFlight(seed int64, repro *chaos.Repro, res *chaos.Result) string {
 	return name
 }
 
-func run() error {
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("chaoshunt", flag.ExitOnError)
 	var (
-		seed     = flag.Int64("seed", 0, "first schedule seed")
-		seeds    = flag.Int("seeds", 24, "number of consecutive seeds to run (ignored with -budget)")
-		steps    = flag.Int("steps", 30, "schedule length per seed")
-		machines = flag.Int("machines", 3, "machines per datacenter")
-		apps     = flag.Int("apps", 4, "enclave identities")
-		counters = flag.Int("counters", 2, "counters per identity")
-		loss     = flag.Float64("loss", 0.1, "WAN loss probability [0,1)")
-		budget   = flag.Duration("budget", 0, "time budget: run consecutive seeds until it expires (soak mode)")
-		shrinkN  = flag.Int("shrink", 200, "max re-runs when shrinking a failing schedule")
-		replay   = flag.String("replay", "", "JSON repro file to re-run instead of hunting")
-		flightIn = flag.String("flight", "", "flight-recorder .bin bundle to decode and print instead of hunting")
-		bias     = flag.Bool("bias", true, "bias schedule generation toward under-covered transitions")
-		asJSON   = flag.Bool("json", false, "emit JSON verdicts")
-		verbose  = flag.Bool("v", false, "per-seed progress")
+		seed     = fs.Int64("seed", 0, "first schedule seed")
+		seeds    = fs.Int("seeds", 24, "number of consecutive seeds to run (ignored with -budget)")
+		steps    = fs.Int("steps", 30, "schedule length per seed")
+		machines = fs.Int("machines", 3, "machines per datacenter")
+		apps     = fs.Int("apps", 4, "enclave identities")
+		counters = fs.Int("counters", 2, "counters per identity")
+		loss     = fs.Float64("loss", 0.1, "WAN loss probability [0,1)")
+		budget   = fs.Duration("budget", 0, "time budget: run consecutive seeds until it expires (soak mode)")
+		shrinkN  = fs.Int("shrink", 200, "max re-runs when shrinking a failing schedule")
+		replay   = fs.String("replay", "", "JSON repro file to re-run instead of hunting")
+		flightIn = fs.String("flight", "", "flight-recorder bundle file to summarize instead of hunting")
+		bias     = fs.Bool("bias", true, "bias schedule generation toward under-covered transitions")
+		asJSON   = fs.Bool("json", false, "emit JSON verdicts")
+		verbose  = fs.Bool("v", false, "per-seed progress")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: Parse does not return on a bad flag
 
 	if *flightIn != "" {
-		return dumpFlight(*flightIn, *asJSON)
+		return dumpFlight(out, *flightIn, *asJSON)
 	}
 	if *replay != "" {
-		return replayFile(*replay, *asJSON)
+		return replayFile(out, *replay, *asJSON)
 	}
 
 	base := chaos.Config{
@@ -136,7 +148,7 @@ func run() error {
 		ran++
 		total.Merge(res.Coverage)
 		if *verbose && !*asJSON {
-			fmt.Printf("seed %-6d %4d ops %4d events  %s\n", s, res.Ops, res.Events, passFail(res))
+			fmt.Fprintf(out, "seed %-6d %4d ops %4d events  %s\n", s, res.Ops, res.Events, passFail(res))
 		}
 		if !res.Failed() {
 			continue
@@ -150,28 +162,22 @@ func run() error {
 		flightFile := writeFlight(s, repro, res)
 		v := verdict{Seed: s, Ops: res.Ops, Events: res.Events, Violations: res.Violations, Coverage: res.Coverage, Repro: repro, FlightFile: flightFile}
 		if *asJSON {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(v); err != nil {
+			if err := writeJSON(out, v); err != nil {
 				return err
 			}
 		} else {
-			fmt.Printf("seed %d VIOLATED %d invariant(s); minimal repro:\n%s", s, len(res.Violations), repro)
+			fmt.Fprintf(out, "seed %d VIOLATED %d invariant(s); minimal repro:\n%s", s, len(res.Violations), repro)
 			if flightFile != "" {
-				fmt.Printf("flight-recorder bundle written to %s\n", flightFile)
+				fmt.Fprintf(out, "flight-recorder bundle written to %s\n", flightFile)
 			}
-			fmt.Printf("re-run: chaoshunt -replay <file> after saving the JSON below\n")
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(repro)
+			fmt.Fprintf(out, "re-run: chaoshunt -replay <file> after saving the JSON below\n")
+			_ = writeJSON(out, repro)
 		}
-		os.Exit(2)
+		return errViolated
 	}
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(map[string]any{
+		return writeJSON(out, map[string]any{
 			"seeds_run":  ran,
 			"first_seed": *seed,
 			"violations": 0,
@@ -179,18 +185,24 @@ func run() error {
 			"elapsed":    time.Since(start).String(),
 		})
 	}
-	fmt.Printf("%d schedules, 0 invariant violations (%s)\n", ran, time.Since(start).Round(time.Millisecond))
-	fmt.Println("invariant coverage (evaluations across all seeds):")
+	fmt.Fprintf(out, "%d schedules, 0 invariant violations (%s)\n", ran, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintln(out, "invariant coverage (evaluations across all seeds):")
 	for _, inv := range chaos.InvariantNames() {
-		fmt.Printf("  %-26s %d\n", inv, total.Invariants[inv])
+		fmt.Fprintf(out, "  %-26s %d\n", inv, total.Invariants[inv])
 	}
 	if *verbose {
-		fmt.Println("transition coverage (executed steps):")
+		fmt.Fprintln(out, "transition coverage (executed steps):")
 		for _, k := range chaos.SortedKeys(total.Transitions) {
-			fmt.Printf("  %-26s %d\n", k, total.Transitions[k])
+			fmt.Fprintf(out, "  %-26s %d\n", k, total.Transitions[k])
 		}
 	}
 	return nil
+}
+
+func writeJSON(out io.Writer, v any) error {
+	enc := json.NewEncoder(out)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 func passFail(res *chaos.Result) string {
@@ -200,10 +212,10 @@ func passFail(res *chaos.Result) string {
 	return "ok"
 }
 
-// dumpFlight decodes a flight-recorder bundle from disk: a summary of
-// what the black box holds by default, the full bundle as JSON with
-// -json (the same shape fleetd serves at /flight.json).
-func dumpFlight(path string, asJSON bool) error {
+// dumpFlight reads a flight-recorder bundle from disk: a summary of
+// what the black box holds by default, the full bundle (indented) with
+// -json.
+func dumpFlight(out io.Writer, path string, asJSON bool) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -213,35 +225,33 @@ func dumpFlight(path string, asJSON bool) error {
 		return fmt.Errorf("decode %s: %w", path, err)
 	}
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(b)
+		return writeJSON(out, b)
 	}
-	fmt.Printf("trigger:  %s (actor %q) %s\n", b.Trigger.Kind, b.Trigger.Actor, b.Trigger.Detail)
-	fmt.Printf("captured: %s\n", time.Unix(0, b.CreatedUnixNs).UTC().Format(time.RFC3339Nano))
-	fmt.Printf("contents: %d spans, %d open spans, %d events, %d metric series, %d journal bytes\n",
+	fmt.Fprintf(out, "trigger:  %s (actor %q) %s\n", b.Trigger.Kind, b.Trigger.Actor, b.Trigger.Detail)
+	fmt.Fprintf(out, "captured: %s\n", time.Unix(0, b.CreatedUnixNs).UTC().Format(time.RFC3339Nano))
+	fmt.Fprintf(out, "contents: %d spans, %d open spans, %d events, %d metric series, %d journal bytes\n",
 		len(b.Spans), len(b.Open), len(b.Events), len(b.Metrics.Series), len(b.Journal))
 	if b.Note != "" {
-		fmt.Printf("note:     %s\n", b.Note)
+		fmt.Fprintf(out, "note:     %s\n", b.Note)
 	}
 	for _, h := range b.Health {
-		fmt.Printf("health:   %s/%s %s  %s\n", h.Kind, h.Name, h.State, h.Reason)
+		fmt.Fprintf(out, "health:   %s/%s %s  %s\n", h.Kind, h.Name, h.State, h.Reason)
 	}
 	for _, v := range b.SLO {
 		if v.Violated() {
-			fmt.Printf("slo:      %s VIOLATED (%s: %v > %v)\n", v.Rule, v.Reason, v.Actual, v.Bound)
+			fmt.Fprintf(out, "slo:      %s VIOLATED (%s: %v > %v)\n", v.Rule, v.Reason, v.Actual, v.Bound)
 		}
 	}
 	for _, sp := range b.Open {
-		fmt.Printf("open:     %s since %s (trace %x)\n", sp.Name, sp.Start.UTC().Format(time.RFC3339), sp.TraceID)
+		fmt.Fprintf(out, "open:     %s since %s (trace %x)\n", sp.Name, sp.Start.UTC().Format(time.RFC3339), sp.TraceID)
 	}
-	fmt.Println("use -flight FILE -json for the full bundle")
+	fmt.Fprintln(out, "use -flight FILE -json for the full bundle")
 	return nil
 }
 
 // replayFile re-runs a shrunken repro (the JSON chaoshunt printed when
 // it found a violation) and reports whether it still fails.
-func replayFile(path string, asJSON bool) error {
+func replayFile(out io.Writer, path string, asJSON bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -257,19 +267,17 @@ func replayFile(path string, asJSON bool) error {
 		return err
 	}
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(verdict{Seed: res.Seed, Ops: res.Ops, Events: res.Events, Violations: res.Violations, Coverage: res.Coverage}); err != nil {
+		if err := writeJSON(out, verdict{Seed: res.Seed, Ops: res.Ops, Events: res.Events, Violations: res.Violations, Coverage: res.Coverage}); err != nil {
 			return err
 		}
 	} else {
 		for _, v := range res.Violations {
-			fmt.Println(v)
+			fmt.Fprintln(out, v)
 		}
-		fmt.Printf("replayed %d steps: %d violation(s)\n", len(repro.Steps), len(res.Violations))
+		fmt.Fprintf(out, "replayed %d steps: %d violation(s)\n", len(repro.Steps), len(res.Violations))
 	}
 	if res.Failed() {
-		os.Exit(2)
+		return errViolated
 	}
 	return nil
 }

@@ -327,19 +327,6 @@ func (dc *DataCenter) ReplicaGroup(name string) (*pserepl.Group, bool) {
 	return g, ok
 }
 
-// ReplicaGroups returns every replica group in the data center, sorted
-// by name (the federation layer enumerates them when partnering racks).
-func (dc *DataCenter) ReplicaGroups() []*pserepl.Group {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	gs := make([]*pserepl.Group, 0, len(dc.groups))
-	for _, g := range dc.groups {
-		gs = append(gs, g)
-	}
-	sort.Slice(gs, func(i, j int) bool { return gs[i].Name() < gs[j].Name() })
-	return gs
-}
-
 // DecommissionApp is the escrow garbage collector's operator entry
 // point: it destroys a terminated app instance's replicated counters —
 // the escrow binding counter and every app counter — and tombstones its

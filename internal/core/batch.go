@@ -690,19 +690,7 @@ func (me *MigrationEnclave) storeAcceptedLocked(sess *resumableSession) int {
 	me.admitSeq++
 	sess.order = me.admitSeq
 	me.accepted[hex.EncodeToString(sess.id)] = sess
-	evicted := 0
-	for len(me.accepted) > maxAcceptedSessions {
-		oldestKey := ""
-		var oldest uint64
-		for k, s := range me.accepted {
-			if oldestKey == "" || s.order < oldest {
-				oldestKey, oldest = k, s.order
-			}
-		}
-		delete(me.accepted, oldestKey)
-		evicted++
-	}
-	return evicted
+	return evictOldest(me.accepted, maxAcceptedSessions, func(s *resumableSession) uint64 { return s.order })
 }
 
 // storeRxBatchLocked admits one per-batch reassembly state, evicting the
@@ -713,16 +701,22 @@ func (me *MigrationEnclave) storeRxBatchLocked(batchID []byte, st *batchRecvStat
 	me.admitSeq++
 	st.admitted = me.admitSeq
 	me.rxBatches[hex.EncodeToString(batchID)] = st
+	return evictOldest(me.rxBatches, maxRxBatches, func(s *batchRecvState) uint64 { return s.admitted })
+}
+
+// evictOldest deletes the entries with the lowest admission order until
+// m holds at most max, and returns how many it deleted.
+func evictOldest[V any](m map[string]V, max int, order func(V) uint64) int {
 	evicted := 0
-	for len(me.rxBatches) > maxRxBatches {
+	for len(m) > max {
 		oldestKey := ""
 		var oldest uint64
-		for k, s := range me.rxBatches {
-			if oldestKey == "" || s.admitted < oldest {
-				oldestKey, oldest = k, s.admitted
+		for k, v := range m {
+			if oldestKey == "" || order(v) < oldest {
+				oldestKey, oldest = k, order(v)
 			}
 		}
-		delete(me.rxBatches, oldestKey)
+		delete(m, oldestKey)
 		evicted++
 	}
 	return evicted

@@ -119,13 +119,6 @@ func (l *Library) EnableEscrow(esc StateEscrow, rack *seal.StateSealer) {
 	l.rack = rack
 }
 
-// EscrowEnabled reports whether the library escrows its state.
-func (l *Library) EscrowEnabled() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.escrow != nil
-}
-
 // EscrowID returns the library's escrow instance ID (valid once the
 // library is initialized with escrow enabled). The cloud layer records it
 // per app so a dead machine's enclaves can be looked up in the rack

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cloud"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pse"
 	"repro/internal/pserepl"
@@ -505,7 +506,7 @@ func (f *Federation) recoverOne(mirror *Mirror, gA, gB *pserepl.Group, target *c
 		if errors.Is(err, pse.ErrCounterNotFound) {
 			// Consumed by someone else: a local recovery or a migration
 			// freeze won the instance first.
-			return nil, fmt.Errorf("%w: origin binding already destroyed", cloudErrEscrowConsumed)
+			return nil, fmt.Errorf("%w: origin binding already destroyed", core.ErrEscrowConsumed)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrOriginUnreachable, err)
@@ -516,7 +517,7 @@ func (f *Federation) recoverOne(mirror *Mirror, gA, gB *pserepl.Group, target *c
 		chargeWAN()
 		final, err := gA.AdminDestroy(owner, info.bind)
 		if errors.Is(err, pse.ErrCounterNotFound) {
-			return nil, fmt.Errorf("%w: origin binding already destroyed", cloudErrEscrowConsumed)
+			return nil, fmt.Errorf("%w: origin binding already destroyed", core.ErrEscrowConsumed)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrOriginUnreachable, err)
@@ -533,10 +534,6 @@ func (f *Federation) recoverOne(mirror *Mirror, gA, gB *pserepl.Group, target *c
 
 	return target.RecoverAppCtx(tc, la.Image, la.EscrowID)
 }
-
-// cloudErrEscrowConsumed aliases core's sentinel without importing core
-// into every message (kept local for error-wrapping clarity).
-var cloudErrEscrowConsumed = errors.New("federation: escrow binding already consumed; state was recovered or migrated")
 
 // Reconcile retires queued origin-binding revocations from forced
 // (site-loss) recoveries: each origin binding is destroyed as soon as

@@ -152,6 +152,36 @@ func dcBOf(t *testing.T, fed *Federation) *cloud.DataCenter {
 }
 
 // mustEscrowID reads a library's escrow instance ID.
+// TestCrossDCRecoveryReportsConsumedBinding: when the origin binding
+// was destroyed before the cross-DC arbitration reached it (a local
+// recovery or a migration freeze won the instance first), the unforced
+// recovery fails with core's own sentinel, so callers and the chaos
+// history classify it as escrow-consumed.
+func TestCrossDCRecoveryReportsConsumedBinding(t *testing.T) {
+	fed, dcA, _, mirror := twoSites(t, transport.WANConfig{})
+	a1, _ := dcA.Machine("a1")
+	app, _, _ := launchLedger(t, a1, "consumed")
+	if err := mirror.Flush(); err != nil {
+		t.Fatalf("mirror flush: %v", err)
+	}
+	a1.Kill()
+
+	owner := app.Image().Measure()
+	info, ok := mirror.originBinding(instanceKey{owner: owner, id: mustEscrowID(t, app.Library)})
+	if !ok {
+		t.Fatal("mirror registered no origin binding")
+	}
+	gA, _ := dcA.ReplicaGroup("rack-a")
+	if _, err := gA.AdminDestroy(owner, info.bind); err != nil {
+		t.Fatalf("destroy origin binding: %v", err)
+	}
+
+	_, err := fed.RecoverMachine("dc-a", "a1", "dc-b", "b1", false)
+	if !errors.Is(err, core.ErrEscrowConsumed) {
+		t.Fatalf("recovery over a consumed origin binding: err = %v, want core.ErrEscrowConsumed", err)
+	}
+}
+
 func mustEscrowID(t *testing.T, lib *core.Library) [16]byte {
 	t.Helper()
 	id, ok := lib.EscrowID()

@@ -71,21 +71,7 @@ func NewCostAware(history *Journal) *CostAware {
 		linkRTT:  make(map[string]time.Duration),
 		linkHlth: make(map[string]health.State),
 	}
-	if history != nil {
-		for _, e := range history.Entries() {
-			if e.Status != StatusCompleted {
-				continue
-			}
-			h := c.hist[e.App]
-			h.bytes += int64(e.StateBytes)
-			h.counters += int64(e.Counters)
-			h.n++
-			c.hist[e.App] = h
-			c.total.bytes += int64(e.StateBytes)
-			c.total.counters += int64(e.Counters)
-			c.total.n++
-		}
-	}
+	c.Observe(history)
 	return c
 }
 

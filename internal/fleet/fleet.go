@@ -105,9 +105,6 @@ type Config struct {
 	// wanBackoffFactor times this base. Retry timing is deterministic.
 	RetryBackoff time.Duration
 	MaxBackoff   time.Duration
-	// Confidence is the CI level of the report's latency summary. Default 0.99
-	// (the paper's level).
-	Confidence float64
 	// Meter, when set, contributes wire-traffic totals to the report.
 	Meter *Meter
 	// OnEvent, when set, receives progress events.
@@ -139,6 +136,10 @@ type Config struct {
 	Obs *obs.Observer
 }
 
+// latencyConfidence is the CI level of a report's latency summary (the
+// paper's level).
+const latencyConfidence = 0.99
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 8
@@ -154,9 +155,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 250 * time.Millisecond
-	}
-	if c.Confidence <= 0 || c.Confidence >= 1 {
-		c.Confidence = 0.99
 	}
 	return c
 }
@@ -551,7 +549,7 @@ func (o *Orchestrator) Run(ctx context.Context, plan Plan, assignments []Assignm
 	if wall > 0 {
 		report.Throughput = float64(report.Completed) / wall.Seconds()
 	}
-	if sum, err := journal.LatencySummary(o.cfg.Confidence); err == nil {
+	if sum, err := journal.LatencySummary(latencyConfidence); err == nil {
 		report.Latency = sum
 		report.HasLatency = true
 	}

@@ -143,28 +143,3 @@ func (j *Journal) LatencySummary(conf float64) (stats.Summary, error) {
 	j.mu.Unlock()
 	return stats.Summarize(ms, conf)
 }
-
-// TotalAttempts sums delivery attempts across all entries.
-func (j *Journal) TotalAttempts() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	n := 0
-	for _, e := range j.entries {
-		n += e.Attempts
-	}
-	return n
-}
-
-// TotalStateBytes sums the migrated persistent-state payload sizes of
-// completed migrations.
-func (j *Journal) TotalStateBytes() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var n int64
-	for _, e := range j.entries {
-		if e.Status == StatusCompleted {
-			n += int64(e.StateBytes)
-		}
-	}
-	return n
-}

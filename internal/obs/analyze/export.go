@@ -110,7 +110,7 @@ type Plane struct {
 	Health *health.Monitor
 	// Flight, when attached, is handed every pass and captures a bundle
 	// when the pass carries a trigger; the latest bundle is served at
-	// /flight (binary) and /flight.json.
+	// /flight.
 	Flight *flight.Recorder
 }
 
@@ -154,8 +154,7 @@ type HealthReport struct {
 //	/events        JSON audit event stream
 //	/slo           JSON objective results of the rule pass
 //	/health        JSON health states (overall + per entity)
-//	/flight        latest flight bundle, binary (404 before first trip)
-//	/flight.json   latest flight bundle, decoded JSON
+//	/flight        JSON latest flight bundle (404 before first trip)
 func (p *Plane) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -187,17 +186,8 @@ func (p *Plane) Handler() http.Handler {
 			http.Error(w, "no flight bundle captured", http.StatusNotFound)
 			return
 		}
-		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write(raw)
-	})
-	mux.HandleFunc("/flight.json", func(w http.ResponseWriter, r *http.Request) {
-		p.Refresh()
-		b, _ := p.Flight.Latest()
-		if b == nil {
-			http.Error(w, "no flight bundle captured", http.StatusNotFound)
-			return
-		}
-		writeJSON(w, b)
 	})
 	return mux
 }

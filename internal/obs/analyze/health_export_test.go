@@ -155,8 +155,8 @@ func TestOpenMetricsHealthFlightFamilies(t *testing.T) {
 	}
 }
 
-// TestFlightEndpoints covers /flight (binary, decodable) and
-// /flight.json, including the 404 before any capture.
+// TestFlightEndpoints covers /flight (a decodable JSON bundle),
+// including the 404 before any capture.
 func TestFlightEndpoints(t *testing.T) {
 	o := obs.NewObserver()
 	p := NewPlane(o)
@@ -200,17 +200,8 @@ func TestFlightEndpoints(t *testing.T) {
 		t.Errorf("served trigger = %q", b.Trigger.Kind)
 	}
 
-	resp, err = srv.Client().Get(srv.URL + "/flight.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var jb flight.Bundle
-	if err := json.NewDecoder(resp.Body).Decode(&jb); err != nil {
-		t.Fatalf("decode /flight.json: %v", err)
-	}
-	if jb.Trigger.Kind != flight.TriggerManual {
-		t.Errorf("/flight.json trigger = %q", jb.Trigger.Kind)
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("/flight Content-Type = %q, want application/json", ct)
 	}
 }
 

@@ -1,16 +1,10 @@
 package obs
 
-import (
-	"errors"
-	"fmt"
-	"sync"
-
-	"repro/internal/wirec"
-)
+import "sync"
 
 // Audit event types: the security-relevant state transitions the paper's
 // arguments hinge on. The chaos invariant checker replays this stream,
-// so the names are part of the stable codec contract.
+// so the names are a stable contract.
 const (
 	// EventFreeze: a library sealed its final pre-migration state and
 	// destroyed its counters; the source instance can never run again.
@@ -146,59 +140,6 @@ func (l *EventLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.ring.buf)
-}
-
-// Audit event codec: tag 0xB1 version 1, following the repo's tagged
-// binary wire conventions (u32 length prefixes, big-endian words). The
-// layout is frozen — the chaos checker replays persisted streams.
-const (
-	tagAuditEvent     byte = 0xB1
-	auditEventVersion byte = 1
-)
-
-// ErrEventFormat reports malformed audit-event bytes.
-var ErrEventFormat = errors.New("obs: malformed audit event")
-
-// Encode serializes one event.
-func (e AuditEvent) Encode() []byte {
-	out := make([]byte, 0, 2+8+3*(4+8)+len(e.Type)+len(e.Actor)+len(e.Detail))
-	out = wirec.AppendHeader(out, tagAuditEvent, auditEventVersion)
-	out = wirec.AppendU64(out, e.Seq)
-	out = wirec.AppendString(out, e.Type)
-	out = wirec.AppendString(out, e.Actor)
-	out = wirec.AppendString(out, e.Detail)
-	out = wirec.AppendU64(out, e.Trace.TraceID)
-	return wirec.AppendU64(out, e.Trace.SpanID)
-}
-
-// Encode serializes the whole stream as a concatenation of event
-// records (streaming-friendly: a reader can decode a prefix).
-func (l *EventLog) Encode() []byte {
-	var out []byte
-	for _, e := range l.Events() {
-		out = append(out, e.Encode()...)
-	}
-	return out
-}
-
-// DecodeEvents parses a concatenated event stream.
-func DecodeEvents(raw []byte) ([]AuditEvent, error) {
-	rd := wirec.MakeReader(raw)
-	var out []AuditEvent
-	for rd.Remaining() > 0 && rd.Header(tagAuditEvent, auditEventVersion) {
-		var e AuditEvent
-		e.Seq = rd.U64()
-		e.Type = rd.String()
-		e.Actor = rd.String()
-		e.Detail = rd.String()
-		e.Trace.TraceID = rd.U64()
-		e.Trace.SpanID = rd.U64()
-		out = append(out, e)
-	}
-	if err := rd.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrEventFormat, err)
-	}
-	return out, nil
 }
 
 // Observer bundles the three pillars into the single handle the rest of

@@ -2,7 +2,6 @@ package flight
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -169,7 +168,7 @@ func TestRecorderTripPersistsAndServesLatest(t *testing.T) {
 	if got := r.Trips(); got != 4 {
 		t.Errorf("Trips = %d, want 4", got)
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "flight-*.bin"))
+	files, err := filepath.Glob(filepath.Join(dir, "flight-*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,51 +259,14 @@ func TestRecorderScanThrottle(t *testing.T) {
 	}
 }
 
-// TestDecodeBundleV1 keeps archived bundles readable: testdata holds a
-// bundle the version-1 encoder wrote (metrics as three name→value maps,
-// entity names spliced into the names; flattened SLO verdicts).
-func TestDecodeBundleV1(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "bundle-v1.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := DecodeBundle(raw)
-	if err != nil {
-		t.Fatalf("version-1 bundle no longer decodes: %v", err)
-	}
-	if b.Trigger.Detail != "v1 fixture" || string(b.Journal) != "journal-bytes" || len(b.Events) != 1 {
-		t.Errorf("header/tail mismatch: %+v journal %q events %d", b.Trigger, b.Journal, len(b.Events))
-	}
-	if n, ok := b.Metrics.Counter(obs.WireMsgs); !ok || n != 42 {
-		t.Errorf("wire.msgs = %d (present %v), want 42", n, ok)
-	}
-	if h, ok := b.Metrics.Histogram(obs.FleetMigrationLatency); !ok || h.Count != 1 {
-		t.Errorf("fleet.migration.latency = %+v (present %v), want one observation", h, ok)
-	}
-	var spliced bool
-	for _, sr := range b.Metrics.Series {
-		spliced = spliced || (sr.Name == "wan.link.msgs.wan-ab" && sr.Value == 7 && sr.Labels == nil)
-	}
-	if !spliced {
-		t.Errorf("v1 series keep their spliced names as-is: %+v", b.Metrics.Series)
-	}
-	if len(b.SLO) != 2 || !b.SLO[0].Violated() || b.SLO[0].Reason != "mirror.flush.last_unix_ns" ||
-		b.SLO[0].Bound != 300*time.Second || !b.SLO[1].Missing {
-		t.Errorf("slo section mismatch: %+v", b.SLO)
-	}
-	// It re-encodes as the current version and survives that round trip.
-	again, err := DecodeBundle(b.Encode())
-	if err != nil || !reflect.DeepEqual(again.Metrics, b.Metrics) || !reflect.DeepEqual(again.SLO, b.SLO) {
-		t.Errorf("re-encoded v1 bundle did not round-trip: %v", err)
-	}
-}
-
 func FuzzDecodeBundle(f *testing.F) {
+	raw := testBundle().Encode()
 	f.Add([]byte{})
-	f.Add(testBundle().Encode())
+	f.Add([]byte("{}"))
+	f.Add(raw)
 	f.Add(Capture(nil, Trigger{Kind: TriggerManual}, time.Unix(1, 0), CaptureOpts{}).Encode())
-	if v1, err := os.ReadFile(filepath.Join("testdata", "bundle-v1.bin")); err == nil {
-		f.Add(v1)
+	for _, n := range []int{1, len(raw) / 3, len(raw) / 2, len(raw) - 1} {
+		f.Add(raw[:n])
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		b, err := DecodeBundle(raw)

@@ -46,7 +46,7 @@ func NewRecorder(o *obs.Observer) *Recorder {
 }
 
 // SetDir makes the recorder persist each bundle as
-// <dir>/flight-<unixns>-<kind>.bin, pruning to the newest keep files
+// <dir>/flight-<unixns>-<kind>.json, pruning to the newest keep files
 // (keep <= 0 keeps the default 16).
 func (r *Recorder) SetDir(dir string, keep int) {
 	if r == nil {
@@ -119,7 +119,7 @@ func (r *Recorder) capture(trig Trigger, now time.Time) (*Bundle, error) {
 	var path string
 	var err error
 	if dir != "" {
-		path = filepath.Join(dir, fmt.Sprintf("flight-%d-%s.bin", b.CreatedUnixNs, sanitizeKind(trig.Kind)))
+		path = filepath.Join(dir, fmt.Sprintf("flight-%d-%s.json", b.CreatedUnixNs, sanitizeKind(trig.Kind)))
 		err = os.WriteFile(path, raw, 0o644)
 		if err == nil {
 			pruneBundles(dir, keep)
@@ -160,10 +160,10 @@ func sanitizeKind(kind string) string {
 	}, strings.ToLower(kind))
 }
 
-// pruneBundles deletes all but the newest keep flight-*.bin files in dir
+// pruneBundles deletes all but the newest keep flight-*.json files in dir
 // (names sort chronologically because they embed the capture unix-nanos).
 func pruneBundles(dir string, keep int) {
-	names, err := filepath.Glob(filepath.Join(dir, "flight-*.bin"))
+	names, err := filepath.Glob(filepath.Join(dir, "flight-*.json"))
 	if err != nil || len(names) <= keep {
 		return
 	}

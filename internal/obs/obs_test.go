@@ -118,89 +118,12 @@ func TestNilSafety(t *testing.T) {
 	var l *EventLog
 	l.Append(EventFreeze, "a", "d", TraceContext{})
 	_ = l.Events()
-	_ = l.Encode()
 
 	var o *Observer
 	sp, _ = o.StartSpan(SpanWANHop, TraceContext{})
 	sp.End()
 	o.Event(EventFreeze, "a", "d", TraceContext{})
 	o.M().Counter(WireMsgs).Add(1)
-}
-
-func TestEventCodecRoundTrip(t *testing.T) {
-	log := NewEventLog()
-	log.Append(EventFreeze, "lib:abc", "frozen for migration", TraceContext{TraceID: 11, SpanID: 4})
-	log.Append(EventBindingWin, "lib:def", "", TraceContext{})
-	log.Append(EventResurrection, "", "restored", TraceContext{TraceID: 99})
-
-	decoded, err := DecodeEvents(log.Encode())
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	events := log.Events()
-	if len(decoded) != len(events) {
-		t.Fatalf("decoded %d events, want %d", len(decoded), len(events))
-	}
-	for i := range events {
-		if decoded[i] != events[i] {
-			t.Fatalf("event %d: decoded %+v, want %+v", i, decoded[i], events[i])
-		}
-	}
-	if events[2].Seq != 2 {
-		t.Fatalf("sequence numbering broken: %+v", events[2])
-	}
-}
-
-func TestEventCodecRejectsCorruption(t *testing.T) {
-	log := NewEventLog()
-	log.Append(EventFreeze, "actor", "detail", TraceContext{})
-	raw := log.Encode()
-
-	for name, mutate := range map[string]func([]byte) []byte{
-		"truncated":   func(b []byte) []byte { return b[:len(b)-3] },
-		"bad tag":     func(b []byte) []byte { b[0] = 0xEE; return b },
-		"bad version": func(b []byte) []byte { b[1] = 0x7F; return b },
-		"huge length": func(b []byte) []byte {
-			// Overwrite the type-string length with an absurd value.
-			copy(b[10:14], []byte{0xFF, 0xFF, 0xFF, 0xFF})
-			return b
-		},
-	} {
-		mutated := mutate(append([]byte(nil), raw...))
-		if _, err := DecodeEvents(mutated); err == nil {
-			t.Fatalf("%s: decode accepted corrupted stream", name)
-		}
-	}
-}
-
-// FuzzDecodeEvents: no input may panic the stream decoder, and whatever
-// it accepts re-encodes to the same events.
-func FuzzDecodeEvents(f *testing.F) {
-	log := NewEventLog()
-	log.Append(EventFreeze, "lib:abc", "frozen for migration", TraceContext{TraceID: 11, SpanID: 4})
-	log.Append(EventBindingWin, "", "", TraceContext{})
-	f.Add(log.Encode())
-	f.Add([]byte{})
-	f.Add([]byte{tagAuditEvent, auditEventVersion, 0, 0})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		events, err := DecodeEvents(raw)
-		if err != nil {
-			return
-		}
-		var again []byte
-		for _, e := range events {
-			again = append(again, e.Encode()...)
-		}
-		back, err := DecodeEvents(again)
-		if err != nil || len(back) != len(events) {
-			t.Fatalf("re-decode of %d accepted events: %d, %v", len(events), len(back), err)
-		}
-		for i := range events {
-			if back[i] != events[i] {
-				t.Fatalf("event %d changed across a round trip: %+v vs %+v", i, back[i], events[i])
-			}
-		}
-	})
 }
 
 var updateREADME = flag.Bool("update", false, "rewrite README's telemetry reference from the catalogue")

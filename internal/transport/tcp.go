@@ -32,6 +32,14 @@ type tcpEnvelope struct {
 	Error   string `json:"error,omitempty"`
 }
 
+// TCP exchange bounds. The send deadline accommodates handler-side
+// simulated firmware latencies — a full 256-counter reseed at
+// paper-scale costs is over a minute — while still bounding a hung peer.
+const (
+	dialTimeout = 5 * time.Second
+	sendTimeout = 2 * time.Minute
+)
+
 // TCPTransport is a Messenger over real TCP sockets. Register starts a
 // listener on the address (host:port); Send dials the target. Frames are
 // 4-byte big-endian length-prefixed JSON envelopes.
@@ -39,9 +47,6 @@ type tcpEnvelope struct {
 // TCPTransport carries the same untrusted bytes as Network: all security
 // comes from the attested channels layered above.
 type TCPTransport struct {
-	dialTimeout time.Duration
-	sendTimeout time.Duration
-
 	mu        sync.Mutex
 	listeners map[Address]net.Listener
 	wg        sync.WaitGroup
@@ -53,22 +58,7 @@ var _ Messenger = (*TCPTransport)(nil)
 // NewTCPTransport creates a TCP messenger.
 func NewTCPTransport() *TCPTransport {
 	return &TCPTransport{
-		dialTimeout: 5 * time.Second,
-		sendTimeout: 2 * time.Minute,
-		listeners:   make(map[Address]net.Listener),
-	}
-}
-
-// SetSendTimeout overrides the per-exchange deadline. The default (2
-// minutes) accommodates handler-side simulated firmware latencies — a
-// full 256-counter reseed at paper-scale costs is over a minute — while
-// still bounding a hung peer; lower it for latency-sensitive setups at
-// scale 0.
-func (t *TCPTransport) SetSendTimeout(d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if d > 0 {
-		t.sendTimeout = d
+		listeners: make(map[Address]net.Listener),
 	}
 }
 
@@ -179,15 +169,12 @@ func (t *TCPTransport) handleConn(conn net.Conn, addr Address, h Handler) {
 // caller forever (quorum broadcasts hold locks across Send, so a hung
 // exchange would otherwise stall every operation behind them).
 func (t *TCPTransport) Send(from, to Address, kind string, payload []byte) ([]byte, error) {
-	conn, err := net.DialTimeout("tcp", string(to), t.dialTimeout)
+	conn, err := net.DialTimeout("tcp", string(to), dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrUnknownEndpoint, to, err)
 	}
 	defer conn.Close()
-	t.mu.Lock()
-	deadline := t.sendTimeout
-	t.mu.Unlock()
-	_ = conn.SetDeadline(time.Now().Add(deadline))
+	_ = conn.SetDeadline(time.Now().Add(sendTimeout))
 	req := tcpEnvelope{From: string(from), Kind: kind, Payload: payload}
 	if err := writeFrame(conn, &req); err != nil {
 		return nil, fmt.Errorf("send: %w", err)

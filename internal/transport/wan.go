@@ -19,9 +19,6 @@ var (
 	// administratively or physically down (partition). The payload never
 	// left the sending site; retrying after the link heals is safe.
 	ErrLinkDown = errors.New("transport: wan link down")
-	// ErrNotExported reports an export conflict or an unexport of an
-	// address the link does not carry.
-	ErrNotExported = errors.New("transport: address not exported on this wan link")
 )
 
 // WANConfig shapes one inter-datacenter link.
@@ -269,22 +266,6 @@ func (l *WANLink) Export(side int, addr Address) error {
 	l.mu.Lock()
 	l.exports[side][addr] = true
 	l.mu.Unlock()
-	return nil
-}
-
-// Unexport withdraws an exported address from the far side.
-func (l *WANLink) Unexport(side int, addr Address) error {
-	if side != SideA && side != SideB {
-		return fmt.Errorf("transport: invalid wan side %d", side)
-	}
-	l.mu.Lock()
-	ok := l.exports[side][addr]
-	delete(l.exports[side], addr)
-	l.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotExported, addr)
-	}
-	l.sideMessenger(1 - side).Unregister(addr)
 	return nil
 }
 

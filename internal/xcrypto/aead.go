@@ -161,17 +161,6 @@ func ChannelPair(sharedSecret, transcript []byte) (initiator, responder *Channel
 	return initiator, responder
 }
 
-// NewChannel builds one endpoint of a secure channel. Pass isInitiator
-// according to the endpoint's role in the key agreement; the two sides
-// must disagree on it.
-func NewChannel(sharedSecret, transcript []byte, isInitiator bool) *Channel {
-	init, resp := ChannelPair(sharedSecret, transcript)
-	if isInitiator {
-		return init
-	}
-	return resp
-}
-
 // channelNonce expands a sequence number into the deterministic per-message
 // nonce. Uniqueness holds per direction because sequence numbers never
 // repeat under one directional key.
