@@ -302,30 +302,43 @@ func runTables() error {
 	return nil
 }
 
+// tcbGroups places every non-test file of tcbDir on one side of the
+// paper's §VII-A split, or in the last group: code that runs in neither
+// enclave. A new core file must be placed here before the report counts
+// it (TestTCBGroupsCoverCore).
+var tcbGroups = []struct {
+	name  string
+	files []string
+}{
+	{"Migration Library", []string{"library.go", "bringup.go", "escrow.go", "chaosfault.go"}},
+	{"Migration Enclave", []string{"enclave.go", "remote.go", "batch.go", "batchwire.go", "session.go"}},
+	{"Shared protocol", []string{"protocol.go", "data.go", "wire.go"}},
+	// storage.go: the untrusted host's blob store; counters.go: the
+	// platform counter interface; escrowadmin.go: the operator's escrow
+	// agents; chaosfault_mut.go: the mutation-test build only.
+	{"Not enclave code", []string{"storage.go", "counters.go", "escrowadmin.go", "chaosfault_mut.go"}},
+}
+
+// tcbDir is the package the TCB report counts, relative to the
+// repository root.
+const tcbDir = "internal/core"
+
 // runTCB counts the lines of our Migration Enclave and Migration Library
 // implementations, the analogue of the paper's 217 / 940 LoC TCB report.
 func runTCB() error {
 	fmt.Println("=== §VII-A: software TCB size ===")
 	fmt.Println("(paper: Migration Enclave 217 LoC, Migration Library 940 LoC)")
-	groups := map[string][]string{
-		"Migration Library": {"internal/core/library.go", "internal/core/storage.go"},
-		"Migration Enclave": {"internal/core/enclave.go", "internal/core/remote.go"},
-		"Shared protocol":   {"internal/core/protocol.go", "internal/core/data.go"},
-	}
-	for _, name := range []string{"Migration Library", "Migration Enclave", "Shared protocol"} {
+	for _, g := range tcbGroups {
 		total := 0
-		for _, f := range groups[name] {
-			n, err := countCodeLines(f)
+		for _, f := range g.files {
+			n, err := countCodeLines(filepath.Join(tcbDir, f))
 			if err != nil {
-				fmt.Printf("  %-18s unavailable (%v); run from the repository root\n", name, err)
-				total = -1
-				break
+				fmt.Printf("  unavailable (%v); run from the repository root\n\n", err)
+				return nil
 			}
 			total += n
 		}
-		if total >= 0 {
-			fmt.Printf("  %-18s %4d lines of code\n", name, total)
-		}
+		fmt.Printf("  %-18s %4d lines of code\n", g.name, total)
 	}
 	fmt.Println()
 	return nil

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -61,5 +62,33 @@ func TestFig3JSONSnapshot(t *testing.T) {
 	snap.Each(obs.SimOp, func([]string, obs.Series) { ops++ })
 	if ops == 0 {
 		t.Error("no sim.op gauges in the snapshot")
+	}
+}
+
+// TestTCBGroupsCoverCore: every non-test file of the TCB report's package
+// is in exactly one group, and every grouped file exists.
+func TestTCBGroupsCoverCore(t *testing.T) {
+	placed := map[string]int{}
+	for _, g := range tcbGroups {
+		for _, f := range g.files {
+			placed[f]++
+		}
+	}
+	files, err := filepath.Glob(filepath.Join("..", "..", tcbDir, "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no files under %s: %v", tcbDir, err)
+	}
+	for _, path := range files {
+		f := filepath.Base(path)
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		if placed[f] != 1 {
+			t.Errorf("%s is in %d TCB groups, want exactly 1", f, placed[f])
+		}
+		delete(placed, f)
+	}
+	for f := range placed {
+		t.Errorf("TCB group names %s, which is not a file of %s", f, tcbDir)
 	}
 }

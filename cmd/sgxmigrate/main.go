@@ -3,7 +3,7 @@
 // launches a migratable enclave with sealed data and monotonic counters
 // on the first machine, migrates it to the second over the Fig. 2
 // protocol (optionally across real TCP sockets), and verifies that the
-// persistent state survived and the source is safely frozen.
+// persistent state survived and that the frozen source refuses to restart.
 //
 //	sgxmigrate                 in-memory transport, 2 machines
 //	sgxmigrate -tcp            Migration Enclaves talk over TCP loopback
@@ -13,8 +13,10 @@ package main
 
 import (
 	"crypto/ed25519"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"time"
@@ -28,20 +30,23 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sgxmigrate:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("sgxmigrate", flag.ContinueOnError)
 	var (
-		useTCP   = flag.Bool("tcp", false, "run the Migration Enclave protocol over TCP loopback")
-		machines = flag.Int("machines", 2, "number of machines to chain-migrate across")
-		counters = flag.Int("counters", 4, "number of monotonic counters in the enclave")
-		scale    = flag.Float64("scale", 0, "latency scale (1 = paper-magnitude ME latencies)")
+		useTCP   = fs.Bool("tcp", false, "run the Migration Enclave protocol over TCP loopback")
+		machines = fs.Int("machines", 2, "number of machines to chain-migrate across")
+		counters = fs.Int("counters", 4, "number of monotonic counters in the enclave")
+		scale    = fs.Float64("scale", 0, "latency scale (1 = paper-magnitude ME latencies)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *machines < 2 {
 		return fmt.Errorf("need at least 2 machines, got %d", *machines)
 	}
@@ -85,7 +90,7 @@ func run() error {
 			}
 		}
 		fleet = append(fleet, m)
-		fmt.Printf("provisioned %-10s ME at %s\n", id, m.MEAddress())
+		fmt.Fprintf(out, "provisioned %-10s ME at %s\n", id, m.MEAddress())
 	}
 
 	signer := xcrypto.DeriveKey([]byte("sgxmigrate-demo"), "signer")
@@ -96,8 +101,9 @@ func run() error {
 		SignerPublicKey: ed25519.PublicKey(signer[:]),
 	}
 
-	fmt.Printf("\nlaunching enclave on %s (MRENCLAVE %s)\n", fleet[0].HW.ID(), img.Measure())
-	app, err := fleet[0].LaunchApp(img, core.NewMemoryStorage(), core.InitNew)
+	fmt.Fprintf(out, "\nlaunching enclave on %s (MRENCLAVE %s)\n", fleet[0].HW.ID(), img.Measure())
+	storage := core.NewMemoryStorage()
+	app, err := fleet[0].LaunchApp(img, storage, core.InitNew)
 	if err != nil {
 		return err
 	}
@@ -119,11 +125,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("created %d counters (values 1..%d) and sealed %d bytes\n\n", *counters, *counters, len(secret))
+	fmt.Fprintf(out, "created %d counters (values 1..%d) and sealed %d bytes\n\n", *counters, *counters, len(secret))
 
 	for hop := 1; hop < len(fleet); hop++ {
 		from, to := fleet[hop-1], fleet[hop]
-		fmt.Printf("migrating %s -> %s ... ", from.HW.ID(), to.HW.ID())
+		fmt.Fprintf(out, "migrating %s -> %s ... ", from.HW.ID(), to.HW.ID())
 		start := time.Now()
 		if err := app.Library.StartMigration(to.MEAddress()); err != nil {
 			return fmt.Errorf("start migration: %w", err)
@@ -133,7 +139,7 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("restore on %s: %w", to.HW.ID(), err)
 		}
-		fmt.Printf("done in %s\n", time.Since(start).Round(time.Microsecond))
+		fmt.Fprintf(out, "done in %s\n", time.Since(start).Round(time.Microsecond))
 
 		// Verify state continuity after each hop.
 		for i, id := range ids {
@@ -152,11 +158,16 @@ func run() error {
 		if string(pt) != string(secret) {
 			return fmt.Errorf("sealed data corrupted after hop")
 		}
-		fmt.Printf("  state verified on %s: %d counters intact, sealed data decrypts\n",
+		fmt.Fprintf(out, "  state verified on %s: %d counters intact, sealed data decrypts\n",
 			to.HW.ID(), len(ids))
 	}
 
-	fmt.Printf("\nenclave migrated across %d machines with persistent state intact\n", len(fleet))
+	// The first source is frozen: restarting it from its persisted blob
+	// refuses to operate, so no fork is possible.
+	if _, err := fleet[0].LaunchApp(img, storage, core.InitRestore); !errors.Is(err, core.ErrFrozen) {
+		return fmt.Errorf("restart of the frozen source: %v, want %v", err, core.ErrFrozen)
+	}
+	fmt.Fprintf(out, "\nenclave migrated across %d machines with persistent state intact; source restart refused (frozen)\n", len(fleet))
 	return nil
 }
 

@@ -722,11 +722,13 @@ func (m *Machine) registerApp(e *sgx.Enclave, lib *core.Library, storage *core.M
 	return app
 }
 
-// Terminate destroys the app's enclave (application closed / crashed).
+// Terminate destroys the app's enclave (application closed / crashed)
+// and ends its library's session with the machine's Migration Enclave.
 func (a *App) Terminate() {
 	a.machine.mu.Lock()
 	delete(a.machine.apps, a)
 	a.machine.mu.Unlock()
+	a.Library.Close()
 	a.machine.HW.Destroy(a.Enclave)
 }
 

@@ -261,6 +261,16 @@ func (me *MigrationEnclave) ConnectLocal(app *sgx.Enclave) (*attest.LocalSession
 	return appSess, id, nil
 }
 
+// releaseLocal ends a library's local session, and with it any delivery
+// the session fetched but never acknowledged: no DONE was queued for it,
+// so its source still holds the envelope.
+func (me *MigrationEnclave) releaseLocal(sessionID string) {
+	me.mu.Lock()
+	delete(me.locals, sessionID)
+	delete(me.acks, sessionID)
+	me.mu.Unlock()
+}
+
 // LocalCall delivers one sealed request from a locally attested library
 // and returns the sealed reply. The wire bytes cross the untrusted OS.
 func (me *MigrationEnclave) LocalCall(sessionID string, wire []byte) ([]byte, error) {

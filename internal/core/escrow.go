@@ -3,14 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/pse"
 	"repro/internal/seal"
 	"repro/internal/sgx"
 	"repro/internal/wirec"
-	"repro/internal/xcrypto"
 )
 
 // Escrow errors.
@@ -132,39 +130,6 @@ func (l *Library) EscrowID() ([16]byte, bool) {
 	return l.st.EscrowID, true
 }
 
-// initEscrowLocked sets up the escrow identity of a fresh library state
-// (InitNew, InitMigrated, and the re-binding step of Recover): a random
-// escrow instance ID when none is set, and a fresh replicated binding
-// counter. Callers hold mu and have escrow configured.
-func (l *Library) initEscrowLocked() error {
-	if l.st.EscrowID == ([16]byte{}) {
-		idBytes, err := randomEscrowID()
-		if err != nil {
-			return err
-		}
-		l.st.EscrowID = idBytes
-	}
-	bind, _, err := l.counters.Create(l.enclave)
-	if err != nil {
-		return fmt.Errorf("create escrow binding counter: %w", err)
-	}
-	l.st.BindUUID = bind
-	l.st.BindVer = 0
-	return nil
-}
-
-// releaseEscrowBindingLocked destroys the library's binding counter,
-// best-effort — the cleanup path of an initialization that created one
-// and then failed before the library ever served. Callers hold mu.
-func (l *Library) releaseEscrowBindingLocked() {
-	if l.escrow == nil || l.st.BindUUID.ID == 0 {
-		return
-	}
-	_, _ = l.counters.DestroyAndRead(l.enclave, l.st.BindUUID)
-	l.st.BindUUID = pse.UUID{}
-	l.st.BindVer = 0
-}
-
 // escrowPushLocked seals the encoded Table II state for the rack and puts
 // it to the escrow store at the library's current binding version.
 // Callers hold mu, have escrow configured, and have already advanced
@@ -214,174 +179,10 @@ func (l *Library) Recover(me *MigrationEnclave, escrowID [16]byte) error {
 // RecoverCtx is Recover under an existing trace context: the recovery
 // spans (escrow fetch, binding win, resume) join the caller's trace.
 func (l *Library) RecoverCtx(tc obs.TraceContext, me *MigrationEnclave, escrowID [16]byte) error {
-	if err := l.enclave.ECall(); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.initialized.Load() {
-		return ErrAlreadyInitialized
-	}
-	if l.escrow == nil || l.rack == nil {
-		return ErrNoEscrow
-	}
-	if me == nil {
-		return errors.New("core: migration enclave required")
-	}
-	sp, tc := l.obs.StartSpan(obs.SpanLibRecover, tc)
-	if sp != nil {
-		sp.Site = l.actor()
-		defer sp.End()
-	}
-	session, sessionID, err := me.ConnectLocal(l.enclave)
-	if err != nil {
-		return fmt.Errorf("attest migration enclave: %w", err)
-	}
-	l.me, l.session, l.sessionID = me, session, sessionID
-
-	owner := l.enclave.MREnclave()
-	getSp, _ := l.obs.StartSpan(obs.SpanEscrowGet, tc)
-	ver, bind, blob, err := l.escrow.EscrowGet(owner, escrowID)
-	getSp.End()
-	if err != nil {
-		return fmt.Errorf("fetch escrowed state: %w", err)
-	}
-	st, mskSealer, err := l.openEscrowRecord(owner, escrowID, ver, bind, blob)
-	if err != nil {
-		return err
-	}
-
-	// Binding check, read-before-destroy: a stale record is rejected
-	// WITHOUT destroying the live binding counter, so feeding an old
-	// record to a recovery cannot make the fresh one unrecoverable.
-	// (faultSkipBindingWin deletes the check and the win below under the
-	// chaosmut build tag — the chaos mutation self-test.)
-	if !faultSkipBindingWin {
-		cur, err := l.counters.Read(l.enclave, bind)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrEscrowConsumed, err)
-		}
-		if cur != ver {
-			return fmt.Errorf("%w: record version %d, counter at %d", ErrEscrowStale, ver, cur)
-		}
-	}
-
-	// Re-bind BEFORE the win: the fresh binding counter is created and
-	// fast-forwarded to the record's version while the old binding is
-	// still intact, so any failure up to the destroy leaves nothing
-	// consumed and the recovery simply retries. (A recovery that then
-	// loses the destroy race leaks its pre-created counter — one slot
-	// per lost race, reclaimed best-effort below.)
-	newBind, _, err := l.counters.Create(l.enclave)
-	if err != nil {
-		return fmt.Errorf("create escrow binding counter: %w", err)
-	}
-	dropNewBind := func() { _, _ = l.counters.DestroyAndRead(l.enclave, newBind) }
-	if ver > 0 {
-		if _, err := l.counters.IncrementN(l.enclave, newBind, int(ver)); err != nil {
-			dropNewBind()
-			return fmt.Errorf("fast-forward binding counter: %w", err)
-		}
-	}
-
-	// The win: capture the old binding at exactly the sealed version.
-	final := ver
-	if !faultSkipBindingWin {
-		winSp, _ := l.obs.StartSpan(obs.SpanBindingWin, tc)
-		final, err = l.counters.DestroyAndRead(l.enclave, bind)
-		winSp.End()
-		if err != nil {
-			dropNewBind()
-			return fmt.Errorf("%w: %v", ErrEscrowConsumed, err)
-		}
-		l.obs.Event(obs.EventBindingWin, l.actor(),
-			fmt.Sprintf("won escrow binding %08x at version %d", bind.ID, final), tc)
-	}
-	if final != ver {
-		// An increment raced between read and destroy: the original
-		// library was alive and persisted concurrently — and this destroy
-		// just froze it (its next persist finds the binding gone). The
-		// state it persisted is stamped with exactly the value captured
-		// here, so follow the binding: re-fetch and proceed from that
-		// newest record instead of stranding both copies. The racing
-		// persist's escrow push may still be in flight (the binding
-		// commits a few round trips before the record lands), so poll
-		// before giving up.
-		//
-		// Past this point failures are terminal for the instance, not
-		// retryable: the binding is consumed, so no later recovery can
-		// ever win any record again — they report ErrEscrowConsumed, the
-		// truthful state, rather than a retryable-looking ErrEscrowStale.
-		// This branch is only reachable when a recovery races a LIVE
-		// original, which the management plane refuses (ErrMachineUp /
-		// ErrInstanceAlive); the residual hazard is the price of the
-		// one-winner destroy, the same §V-D judgment call migration
-		// redirects make.
-		var ver2 uint32
-		var bind2 pse.UUID
-		var blob2 []byte
-		var gerr error
-		for attempt := 0; attempt < 16; attempt++ {
-			ver2, bind2, blob2, gerr = l.escrow.EscrowGet(owner, escrowID)
-			if gerr == nil && bind2 == bind && ver2 == final {
-				break
-			}
-			time.Sleep(time.Duration(attempt+1) * time.Millisecond)
-		}
-		if gerr != nil || bind2 != bind || ver2 != final {
-			dropNewBind()
-			return fmt.Errorf("%w: binding captured at %d but no record at that version arrived", ErrEscrowConsumed, final)
-		}
-		st, mskSealer, err = l.openEscrowRecord(owner, escrowID, ver2, bind2, blob2)
-		if err != nil {
-			dropNewBind()
-			return fmt.Errorf("%w: %v", ErrEscrowConsumed, err)
-		}
-		if _, err := l.counters.IncrementN(l.enclave, newBind, int(final-ver)); err != nil {
-			dropNewBind()
-			return fmt.Errorf("%w: fast-forward failed: %v", ErrEscrowConsumed, err)
-		}
-		ver = final
-	}
-
-	// Won the binding: install the state on the fresh binding counter.
-	// The version continues monotonically across binding epochs so the
-	// escrow store's supersede rule stays a plain version comparison.
-	l.st = *st
-	l.mskSealer = mskSealer
-	l.st.EscrowID = escrowID
-	l.st.BindUUID = newBind
-	l.st.BindVer = ver
-	// Re-seal natively on THIS machine's CPU and re-escrow at ver+1.
-	// Past the win this MUST NOT fail the recovery: the old record can
-	// never be won again, so destroying this — now the only — copy over
-	// a transient quorum blip would brick the instance. The library is
-	// fully consistent in memory (binding at ver matches BindVer); any
-	// later control-plane persist re-runs both tiers. The exposure until
-	// then is the same window a migration has between freeze and
-	// delivery.
-	_ = l.persistLocked()
-	l.publishAllSlotsLocked()
-	l.initialized.Store(true)
-	l.obs.Event(obs.EventResurrection, l.actor(),
-		fmt.Sprintf("restored from escrow %x at version %d", escrowID[:4], ver), tc)
-	return nil
-}
-
-// openEscrowRecord authenticates and unseals one escrow record: key box
-// under the rack escrow key (AAD-bound to every clear field), state blob
-// under the recovered MSK, then cross-checks the sealed fields against
-// the store's clear fields (the sealed state is the authority). A frozen
-// record reports ErrFrozen: the enclave migrated away after escrowing.
-func (l *Library) openEscrowRecord(owner sgx.Measurement, escrowID [16]byte, ver uint32, bind pse.UUID, blob []byte) (*libraryState, *seal.StateSealer, error) {
-	st, mskSealer, err := openEscrowRecordRaw(l.rack, owner, escrowID, ver, bind, blob)
-	if err != nil {
-		return nil, nil, err
-	}
-	if st.Frozen != 0 {
-		return nil, nil, ErrFrozen
-	}
-	return st, mskSealer, nil
+	src := &escrowStart{id: escrowID, tc: tc}
+	err := l.bringUp(me, src)
+	src.sp.End()
+	return err
 }
 
 // openEscrowRecordRaw is the shared record authentication behind library
@@ -420,15 +221,4 @@ func openEscrowRecordRaw(rack *seal.StateSealer, owner sgx.Measurement, escrowID
 		return nil, nil, fmt.Errorf("%w: record fields disagree with sealed state", ErrEscrowInvalid)
 	}
 	return st, mskSealer, nil
-}
-
-// randomEscrowID draws a fresh escrow instance identifier.
-func randomEscrowID() ([16]byte, error) {
-	var id [16]byte
-	b, err := xcrypto.RandomBytes(len(id))
-	if err != nil {
-		return id, fmt.Errorf("escrow id: %w", err)
-	}
-	copy(id[:], b)
-	return id, nil
 }

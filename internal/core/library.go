@@ -12,7 +12,6 @@ import (
 	"repro/internal/seal"
 	"repro/internal/sgx"
 	"repro/internal/transport"
-	"repro/internal/xcrypto"
 )
 
 // Migration Library errors.
@@ -227,7 +226,15 @@ func (l *Library) publishAllSlotsLocked() {
 // attested channel to the local Migration Enclave and initializes the
 // library state according to initState.
 func (l *Library) Init(initState InitState, me *MigrationEnclave) error {
-	return l.init(initState, me, nil)
+	switch initState {
+	case InitNew:
+		return l.bringUp(me, newStart{})
+	case InitRestore:
+		return l.bringUp(me, blobStart{})
+	case InitMigrated:
+		return l.InitMigratedToken(me, nil)
+	}
+	return fmt.Errorf("core: invalid init state %d", initState)
 }
 
 // InitMigratedToken is Init(InitMigrated, me) for one named migration: it
@@ -236,211 +243,10 @@ func (l *Library) Init(initState InitState, me *MigrationEnclave) error {
 // several same-identity enclaves pairs each with its own state. The ME
 // hands the envelope over only if its MRENCLAVE is this enclave's.
 func (l *Library) InitMigratedToken(me *MigrationEnclave, token []byte) error {
-	return l.init(InitMigrated, me, token)
-}
-
-func (l *Library) init(initState InitState, me *MigrationEnclave, token []byte) error {
-	if err := l.enclave.ECall(); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.initialized.Load() {
-		return ErrAlreadyInitialized
-	}
-	if me == nil {
-		return errors.New("core: migration enclave required")
-	}
-	// Local attestation to the Migration Enclave; the channel stays open
-	// for the lifetime of the enclave (paper §VI-A).
-	session, sessionID, err := me.ConnectLocal(l.enclave)
-	if err != nil {
-		return fmt.Errorf("attest migration enclave: %w", err)
-	}
-	l.me, l.session, l.sessionID = me, session, sessionID
-
-	switch initState {
-	case InitNew:
-		mskBytes, err := xcrypto.RandomBytes(MSKSize)
-		if err != nil {
-			return fmt.Errorf("generate MSK: %w", err)
-		}
-		l.st = libraryState{}
-		copy(l.st.MSK[:], mskBytes)
-		if l.escrow != nil {
-			if err := l.initEscrowLocked(); err != nil {
-				return err
-			}
-		}
-	case InitRestore:
-		blob, err := l.storage.Load()
-		if err != nil {
-			return fmt.Errorf("load library state: %w", err)
-		}
-		raw, aad, err := seal.Unseal(l.enclave, blob)
-		if err != nil {
-			return fmt.Errorf("unseal library state: %w", err)
-		}
-		if string(aad) != string(stateAAD) {
-			return fmt.Errorf("%w: wrong blob label", ErrDataFormat)
-		}
-		st, err := decodeLibraryState(raw)
-		if err != nil {
-			return err
-		}
-		if st.Frozen != 0 {
-			// The enclave was migrated away; this state must never
-			// operate again (paper §VI-B, Table II).
-			return ErrFrozen
-		}
-		if l.escrow != nil && st.BindUUID.ID != 0 {
-			// The binding counter notarizes the latest persisted version:
-			// a destroyed binding means the state was recovered on
-			// another machine (this copy must stay dead), a value ahead
-			// of the blob means the untrusted storage replayed stale
-			// state. Escrowed libraries therefore get freshness for the
-			// Table II blob itself, which native sealing alone never had.
-			cur, err := l.counters.Read(l.enclave, st.BindUUID)
-			if err != nil {
-				if errors.Is(err, pse.ErrCounterNotFound) {
-					l.obs.Event(obs.EventZombieRefused, l.actor(), "restart refused: escrow binding destroyed", obs.TraceContext{})
-					return ErrRecoveredAway
-				}
-				return fmt.Errorf("verify escrow binding: %w", err)
-			}
-			if cur != st.BindVer {
-				return fmt.Errorf("%w: blob at version %d, binding counter at %d",
-					ErrStateStale, st.BindVer, cur)
-			}
-		}
-		l.st = *st
-	case InitMigrated:
-		if err := l.receiveMigrationLocked(token); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("core: invalid init state %d", initState)
-	}
-	// InitMigrated built the sealer inside receiveMigrationLocked (it
-	// must exist before the post-restore persist and, more importantly,
-	// before the DONE that lets the source delete its copy); the other
-	// paths build it here.
-	if l.mskSealer == nil {
-		sealer, err := seal.NewStateSealer(l.st.MSK[:])
-		if err != nil {
-			return fmt.Errorf("msk cipher: %w", err)
-		}
-		l.mskSealer = sealer
-	}
-	if initState == InitNew {
-		// The first persist runs with the MSK sealer in place so the
-		// escrow tier can push the sealed state alongside the native
-		// tier. A failed first persist releases the just-created binding
-		// counter (best-effort): the enclave will be destroyed, and a
-		// leaked binding would bleed the rack's hard counter budget one
-		// slot per launch retry.
-		if err := l.persistLocked(); err != nil {
-			l.releaseEscrowBindingLocked()
-			return err
-		}
-	}
-	// Publish the data-plane snapshots only once the whole init
-	// succeeded, then flip the initialized flag: readers that observe
-	// initialized therefore also observe the slots, the MSK, and its
-	// cached cipher.
-	l.publishAllSlotsLocked()
-	l.initialized.Store(true)
-	return nil
-}
-
-// receiveMigrationLocked fetches pending migration data (the envelope
-// token names; the oldest for this identity when nil) from the local
-// Migration Enclave, re-creates the counters with the migrated effective
-// values as offsets, installs the MSK, persists, and acknowledges.
-func (l *Library) receiveMigrationLocked(token []byte) error {
-	reply, err := l.localCallLocked(&localRequest{Op: opFetchIncoming, Token: token})
-	if err != nil {
-		return err
-	}
-	if reply.Status == statusNone {
-		return ErrNoPendingMigration
-	}
-	env, err := decodeEnvelope(reply.Body)
-	if err != nil {
-		return err
-	}
-	// The migration's trace context rode along with the envelope; the
-	// restore span joins it, so one trace covers freeze through resume.
-	sp, tc := l.obs.StartSpan(obs.SpanLibResume, obs.UnmarshalTrace(reply.Trace))
-	if sp != nil {
-		sp.Site = l.actor()
-		defer sp.End()
-	}
-	l.st = libraryState{}
-	l.st.MSK = env.Data.MSK
-	// A restore that fails before its state is persisted gives back what
-	// it allocated: the enclave is about to be destroyed, and every
-	// counter left behind would cost its identity a slot of this
-	// facility's budget per failed attempt.
-	persisted := false
-	defer func() {
-		if !persisted {
-			l.releaseRestoredLocked()
-		}
-	}()
-	for i := 0; i < NumCounters; i++ {
-		if !env.Data.CountersActive[i] {
-			continue
-		}
-		// Fresh hardware counter starts at 0; the migrated effective
-		// value becomes the offset, so effective values continue exactly
-		// where the source left off (paper §VI-B: constant-time per
-		// counter, regardless of its value).
-		uuid, _, err := l.counters.Create(l.enclave)
-		if err != nil {
-			return fmt.Errorf("re-create counter %d: %w", i, err)
-		}
-		l.st.CountersActive[i] = true
-		l.st.CounterUUIDs[i] = uuid
-		l.st.CounterOffsets[i] = env.Data.CounterValues[i]
-	}
-	// A migrated-in enclave landing on a rack machine starts a fresh
-	// escrow instance (new binding counter, new escrow ID): its previous
-	// machine's escrow — if any — died with its binding at the freeze.
-	// The MSK sealer must exist before the persist so the escrow tier can
-	// push alongside the native tier.
-	if l.escrow != nil {
-		if err := l.initEscrowLocked(); err != nil {
-			return err
-		}
-	}
-	sealer, err := seal.NewStateSealer(l.st.MSK[:])
-	if err != nil {
-		return fmt.Errorf("msk cipher: %w", err)
-	}
-	l.mskSealer = sealer
-	if err := l.persistLocked(); err != nil {
-		return err
-	}
-	persisted = true
-	// DONE: confirm the restore so the source can delete its copy.
-	if _, err := l.localCallLocked(&localRequest{Op: opAckRestored, Trace: tc.Marshal()}); err != nil {
-		return fmt.Errorf("acknowledge migration: %w", err)
-	}
-	return nil
-}
-
-// releaseRestoredLocked destroys, best-effort, the counters a failed
-// restore had re-created and its escrow binding. Callers hold mu.
-func (l *Library) releaseRestoredLocked() {
-	for i, active := range l.st.CountersActive {
-		if active {
-			// The failure that brought us here is the one to report.
-			_ = l.counters.Destroy(l.enclave, l.st.CounterUUIDs[i])
-			l.st.CountersActive[i] = false
-		}
-	}
-	l.releaseEscrowBindingLocked()
+	src := &envelopeStart{token: token}
+	err := l.bringUp(me, src)
+	src.sp.End()
+	return err
 }
 
 // ready validates the common preconditions of every data operation. It

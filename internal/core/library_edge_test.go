@@ -165,7 +165,28 @@ func TestDestinationKeepsFullCounterCapacity(t *testing.T) {
 	}
 }
 
-// TestFailedRestoreReleasesCounters: the destination has room for two of
+// TestFailedRestoreReleasesCounters: a bring-up has one failure path,
+// whatever its state comes from. Each row is a start refused after or
+// before provisioning counters; each must leave the counter facility's
+// live count for the identity where it was before the call.
+func TestFailedRestoreReleasesCounters(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"envelope over the counter limit", failedRestoreOverCounterLimit},
+		{"envelope whose persist fails", failedRestorePersistFails},
+		{"restore refused as stale", failedRestoreStaleBlob},
+		{"recovery refused as stale", failedRecoveryStale},
+		{"recovery refused as forged", failedRecoveryForged},
+		{"recovery refused as consumed", failedRecoveryConsumed},
+		{"recovery lost in the race", failedRecoveryLostRace},
+	} {
+		t.Run(c.name, c.run)
+	}
+}
+
+// failedRestoreOverCounterLimit: the destination has room for two of
 // the identity's counters and the envelope needs three, so the restore
 // re-creates two and fails on the third. It must give the two back — they
 // used to stay allocated, one slot of the identity's budget per counter
@@ -173,7 +194,7 @@ func TestDestinationKeepsFullCounterCapacity(t *testing.T) {
 // missing, the destination's ME restarts (forgetting the half-restored
 // delivery; the source still holds the envelope, no DONE was sent), and
 // the same token is delivered and restored there with its values intact.
-func TestFailedRestoreReleasesCounters(t *testing.T) {
+func failedRestoreOverCounterLimit(t *testing.T) {
 	e := newEnv(t)
 	img := testAppImage(t, "app")
 	resident, err := e.dst.LaunchApp(img, core.NewMemoryStorage(), core.InitNew)
