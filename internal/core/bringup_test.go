@@ -92,6 +92,70 @@ func failedRestorePersistFails(t *testing.T) {
 	}
 }
 
+// saveHook is untrusted storage that runs onSave after each write.
+type saveHook struct {
+	*core.MemoryStorage
+	onSave func()
+}
+
+func (s saveHook) Save(blob []byte) error {
+	err := s.MemoryStorage.Save(blob)
+	s.onSave()
+	return err
+}
+
+// failedRestoreAckLost: the restored state is persisted and the ME acts on
+// the DONE, but its reply never reaches the library. The restore reports
+// the failure, yet the source has dropped its copy and the persisted blob
+// names the restored counters, so they must survive: a restart of that
+// blob comes up with the migrated values.
+func failedRestoreAckLost(t *testing.T) {
+	e := newEnv(t)
+	img := testAppImage(t, "app")
+	app, err := e.src.LaunchApp(img, core.NewMemoryStorage(), core.InitNew)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := app.Library.CreateCounter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := app.Library.IncrementCounter(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := app.Library.StartMigration(e.dst.MEAddress()); err != nil {
+		t.Fatal(err)
+	}
+	enc, err := e.dst.HW.Load(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storage := core.NewMemoryStorage()
+	var lib *core.Library
+	lib = core.NewLibrary(enc, e.dst.Counters, saveHook{storage, func() { core.SkipLocalReply(e.dst.ME, lib) }})
+	live := func() int { return e.dst.Counters.Count(enc.MREnclave()) }
+	before := live()
+	if err := lib.InitMigratedToken(e.dst.ME, app.Library.MigrationToken()); err == nil {
+		t.Fatal("restore whose DONE reply was lost reported success")
+	}
+	if got := live(); got != before+1 {
+		t.Fatalf("identity holds %d counters after the lost DONE reply, want %d: the persisted state's counter was released", got, before+1)
+	}
+	if done, err := app.Library.MigrationComplete(); err != nil || !done {
+		t.Fatalf("source after the DONE: done=%v err=%v, want done", done, err)
+	}
+	e.dst.HW.Destroy(enc)
+	restarted, err := e.dst.LaunchApp(img, storage, core.InitRestore)
+	if err != nil {
+		t.Fatalf("restart of the persisted restore: %v", err)
+	}
+	if v, err := restarted.Library.ReadCounter(id); err != nil || v != 5 {
+		t.Fatalf("restarted counter = %d, %v; want 5", v, err)
+	}
+}
+
 // newRack builds a data center with one f=1 rack (r1, r2, r3).
 func newRack(t *testing.T) (*cloud.DataCenter, *pserepl.Group) {
 	t.Helper()

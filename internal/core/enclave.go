@@ -408,9 +408,7 @@ func (me *MigrationEnclave) handleFetchIncoming(sessionID string, conn *localCon
 func (me *MigrationEnclave) handleAckRestored(sessionID string, req *localRequest) *localResponse {
 	me.mu.Lock()
 	ack, ok := me.acks[sessionID]
-	if ok {
-		delete(me.acks, sessionID)
-	}
+	delete(me.acks, sessionID)
 	me.mu.Unlock()
 	if !ok {
 		return &localResponse{Status: "error", Detail: "no delivery awaiting acknowledgement"}

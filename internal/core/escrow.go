@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/pse"
 	"repro/internal/seal"
 	"repro/internal/sgx"
@@ -149,40 +148,6 @@ func (l *Library) escrowPushLocked(rawState []byte) error {
 		return fmt.Errorf("escrow state blob: %w", err)
 	}
 	return nil
-}
-
-// Recover is the restart-anywhere entry point: it initializes the library
-// from the rack-escrowed state of a dead machine's enclave instead of
-// local sealed storage or a migration. The caller (the cloud operator's
-// recovery path) names the escrow instance; the library fetches the
-// escrow record from the quorum, authenticates and unseals it through the
-// rack key and the MSK, and — before operating — must WIN the binding
-// counter's DestroyAndRead at exactly the sealed version:
-//
-//   - a forged or tampered record fails AEAD authentication (ErrEscrowInvalid);
-//   - a replayed stale record's version is below the live counter
-//     (ErrEscrowStale) — and the counter is read before it is destroyed,
-//     so a stale record cannot burn the fresh one's binding;
-//   - a second resurrection (or recovery of a migrated-away enclave)
-//     finds the binding counter destroyed (ErrEscrowConsumed).
-//
-// Winning the destroy establishes single use exactly like a migration
-// freeze: of any set of racing recoveries, the replicated group's
-// coordinator-serialized destroy lets exactly one capture the counter at
-// the sealed value. The winner re-binds to a fresh counter (version
-// continues monotonically), re-seals natively on the new CPU, and
-// re-escrows.
-func (l *Library) Recover(me *MigrationEnclave, escrowID [16]byte) error {
-	return l.RecoverCtx(obs.TraceContext{}, me, escrowID)
-}
-
-// RecoverCtx is Recover under an existing trace context: the recovery
-// spans (escrow fetch, binding win, resume) join the caller's trace.
-func (l *Library) RecoverCtx(tc obs.TraceContext, me *MigrationEnclave, escrowID [16]byte) error {
-	src := &escrowStart{id: escrowID, tc: tc}
-	err := l.bringUp(me, src)
-	src.sp.End()
-	return err
 }
 
 // openEscrowRecordRaw is the shared record authentication behind library

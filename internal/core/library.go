@@ -221,34 +221,6 @@ func (l *Library) publishAllSlotsLocked() {
 	}
 }
 
-// Init is migration_init (Listing 1): it must be called every time the
-// enclave is loaded, before any other library operation. It opens the
-// attested channel to the local Migration Enclave and initializes the
-// library state according to initState.
-func (l *Library) Init(initState InitState, me *MigrationEnclave) error {
-	switch initState {
-	case InitNew:
-		return l.bringUp(me, newStart{})
-	case InitRestore:
-		return l.bringUp(me, blobStart{})
-	case InitMigrated:
-		return l.InitMigratedToken(me, nil)
-	}
-	return fmt.Errorf("core: invalid init state %d", initState)
-}
-
-// InitMigratedToken is Init(InitMigrated, me) for one named migration: it
-// restores the envelope stored under that done-token instead of the
-// oldest one stored for this enclave's identity, so a caller restoring
-// several same-identity enclaves pairs each with its own state. The ME
-// hands the envelope over only if its MRENCLAVE is this enclave's.
-func (l *Library) InitMigratedToken(me *MigrationEnclave, token []byte) error {
-	src := &envelopeStart{token: token}
-	err := l.bringUp(me, src)
-	src.sp.End()
-	return err
-}
-
 // ready validates the common preconditions of every data operation. It
 // reads only the atomic flags, so it is safe with or without mu held.
 func (l *Library) ready() error {

@@ -168,7 +168,8 @@ func TestDestinationKeepsFullCounterCapacity(t *testing.T) {
 // TestFailedRestoreReleasesCounters: a bring-up has one failure path,
 // whatever its state comes from. Each row is a start refused after or
 // before provisioning counters; each must leave the counter facility's
-// live count for the identity where it was before the call.
+// live count for the identity where it was before the call — except a
+// restore that fails past its commit, whose persisted state names them.
 func TestFailedRestoreReleasesCounters(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -176,6 +177,7 @@ func TestFailedRestoreReleasesCounters(t *testing.T) {
 	}{
 		{"envelope over the counter limit", failedRestoreOverCounterLimit},
 		{"envelope whose persist fails", failedRestorePersistFails},
+		{"envelope whose DONE reply is lost", failedRestoreAckLost},
 		{"restore refused as stale", failedRestoreStaleBlob},
 		{"recovery refused as stale", failedRecoveryStale},
 		{"recovery refused as forged", failedRecoveryForged},

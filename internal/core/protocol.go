@@ -57,59 +57,46 @@ type localResponse struct {
 	Trace  []byte
 }
 
+// The request and the reply share one layout: two strings, then the
+// body, token and trace fields.
+func appendLocal(tag byte, s1, s2 string, body, token, trace []byte) []byte {
+	out := make([]byte, 0, 2+36+len(s1)+len(s2)+len(body)+len(token))
+	out = wirec.AppendHeader(out, tag, wireVersion)
+	out = wirec.AppendString(out, s1)
+	out = wirec.AppendString(out, s2)
+	out = wirec.AppendBytes(out, body)
+	out = wirec.AppendBytes(out, token)
+	return wirec.AppendBytes(out, trace)
+}
+
+func readLocal(raw []byte, tag byte, s1, s2 *string, body, token, trace *[]byte) error {
+	rd := newWireReader(raw)
+	if !rd.Header(tag, wireVersion) {
+		return rd.errState()
+	}
+	*s1, *s2, *body, *token, *trace = rd.String(), rd.String(), rd.Bytes(), rd.Bytes(), rd.Bytes()
+	return rd.done()
+}
+
 func encodeLocalRequest(r *localRequest) ([]byte, error) {
-	out := make([]byte, 0, 2+36+len(r.Op)+len(r.Dest)+len(r.Body)+len(r.Token))
-	out = wirec.AppendHeader(out, tagLocalRequest, wireVersion)
-	out = wirec.AppendString(out, r.Op)
-	out = wirec.AppendString(out, r.Dest)
-	out = wirec.AppendBytes(out, r.Body)
-	out = wirec.AppendBytes(out, r.Token)
-	out = wirec.AppendBytes(out, r.Trace)
-	return out, nil
+	return appendLocal(tagLocalRequest, r.Op, r.Dest, r.Body, r.Token, r.Trace), nil
 }
 
 func decodeLocalRequest(raw []byte) (*localRequest, error) {
-	rd := newWireReader(raw)
-	if !rd.Header(tagLocalRequest, wireVersion) {
-		return nil, rd.errState()
-	}
-	r := &localRequest{
-		Op:    rd.String(),
-		Dest:  rd.String(),
-		Body:  rd.Bytes(),
-		Token: rd.Bytes(),
-		Trace: rd.Bytes(),
-	}
-	if err := rd.done(); err != nil {
+	r := &localRequest{}
+	if err := readLocal(raw, tagLocalRequest, &r.Op, &r.Dest, &r.Body, &r.Token, &r.Trace); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
 func encodeLocalResponse(r *localResponse) ([]byte, error) {
-	out := make([]byte, 0, 2+36+len(r.Status)+len(r.Detail)+len(r.Body)+len(r.Token))
-	out = wirec.AppendHeader(out, tagLocalResponse, wireVersion)
-	out = wirec.AppendString(out, r.Status)
-	out = wirec.AppendString(out, r.Detail)
-	out = wirec.AppendBytes(out, r.Body)
-	out = wirec.AppendBytes(out, r.Token)
-	out = wirec.AppendBytes(out, r.Trace)
-	return out, nil
+	return appendLocal(tagLocalResponse, r.Status, r.Detail, r.Body, r.Token, r.Trace), nil
 }
 
 func decodeLocalResponse(raw []byte) (*localResponse, error) {
-	rd := newWireReader(raw)
-	if !rd.Header(tagLocalResponse, wireVersion) {
-		return nil, rd.errState()
-	}
-	r := &localResponse{
-		Status: rd.String(),
-		Detail: rd.String(),
-		Body:   rd.Bytes(),
-		Token:  rd.Bytes(),
-		Trace:  rd.Bytes(),
-	}
-	if err := rd.done(); err != nil {
+	r := &localResponse{}
+	if err := readLocal(raw, tagLocalResponse, &r.Status, &r.Detail, &r.Body, &r.Token, &r.Trace); err != nil {
 		return nil, err
 	}
 	return r, nil
