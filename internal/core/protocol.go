@@ -74,7 +74,11 @@ func readLocal(raw []byte, tag byte, s1, s2 *string, body, token, trace *[]byte)
 	if !rd.Header(tag, wireVersion) {
 		return rd.errState()
 	}
-	*s1, *s2, *body, *token, *trace = rd.String(), rd.String(), rd.Bytes(), rd.Bytes(), rd.Bytes()
+	*s1 = rd.String()
+	*s2 = rd.String()
+	*body = rd.Bytes()
+	*token = rd.Bytes()
+	*trace = rd.Bytes()
 	return rd.done()
 }
 
